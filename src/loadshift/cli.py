@@ -110,7 +110,7 @@ def _write_manifest(out: Path, command: str, args, parameters: dict, derived_see
 # hourly CSV helpers ---------------------------------------------------------
 
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
-    """24 values keyed by an 1..24 ``hour`` column."""
+    """24 finite values keyed by an 1..24 ``hour`` column, one row per hour."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -126,6 +126,10 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
                 raise UnparseableRow(line, str(exc)) from None
             if not 1 <= hour <= 24:
                 raise UnparseableRow(line, f"hour {hour} outside 1..24")
+            if not np.isfinite(value):
+                raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
+            if not np.isnan(values[hour - 1]):
+                raise UnparseableRow(line, f"hour {hour} appears twice")
             values[hour - 1] = value
     missing = [int(h) + 1 for h in np.flatnonzero(np.isnan(values))]
     if missing:

@@ -1,9 +1,12 @@
 """Differential evolution (rand/1/bin) on the same problem and budget as
 the swarm, for head-to-head comparisons.
 
-The scale factor is not fixed: it is resampled uniformly from
-``beta_range`` for every mutation.  Selection is greedy and strict, so a
-trial only replaces its parent when it is genuinely better.
+The population is one (n, 24) array and every generation is built as a
+whole: one draw each of the parent triples, the scale factors, the
+forced crossover indices and the crossover mask, then one batch
+evaluation.  The scale factor is not fixed: each member's mutation draws
+its own uniformly from ``beta_range``.  Selection is greedy and strict,
+so a trial only replaces its parent when it is genuinely better.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import init_positions, make_result
+from .common import Incumbent, init_positions
 from .errors import NonDistinctParents
 from .objective import evaluate_batch
-from .profiles import DrProblem, OptimizationResult, TracePoint
+from .profiles import DrProblem, OptimizationResult
 
 
 @dataclass
@@ -26,7 +29,6 @@ class DeConfig:
     beta_range: tuple[float, float] = (0.2, 0.8)
     crossover_probability: float = 0.7
     seed: int = 0
-    seed_with_predicted: bool = True
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -43,35 +45,41 @@ class DeConfig:
             )
 
 
+def draw_parents(size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, 3) parent indices: row i holds three distinct members in
+    random order, none of them member i."""
+    keys = rng.uniform(size=(size, size))
+    np.fill_diagonal(keys, 2.0)  # above every draw, so never among the three smallest
+    return np.argsort(keys, axis=1)[:, :3]
+
+
 def mutate(
-    population: np.ndarray,
-    a: int,
-    b: int,
-    c: int,
-    beta: float,
-    lower: np.ndarray,
-    upper: np.ndarray,
+    population: np.ndarray, a, b, c, beta, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """Donor vector pop[a] + beta * (pop[b] - pop[c]), clamped into the box."""
-    if len({a, b, c}) != 3:
+    """Donors pop[a] + beta * (pop[b] - pop[c]), clamped into the box.
+
+    ``a``, ``b``, ``c`` are indices or index arrays, and ``beta`` a scalar
+    or a column of per-donor factors."""
+    if np.any((a == b) | (a == c) | (b == c)):
         raise NonDistinctParents(f"parent indices must be distinct, got {(a, b, c)}")
     donor = population[a] + beta * (population[b] - population[c])
     return np.clip(donor, lower, upper)
 
 
 def crossover(
-    target: np.ndarray,
-    donor: np.ndarray,
+    targets: np.ndarray,
+    donors: np.ndarray,
     crossover_probability: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Binomial crossover with one forced donor component so the trial
-    always differs from the target in at least one position."""
-    n = len(target)
-    forced = rng.integers(n)
-    r = rng.uniform(size=n)
-    take_donor = (r <= crossover_probability) | (np.arange(n) == forced)
-    return np.where(take_donor, donor, target)
+    """Binomial crossover of (n, dims) targets and donors, with one forced
+    donor component per row so every trial differs from its target in at
+    least one position."""
+    n, dims = targets.shape
+    forced = rng.integers(dims, size=n)
+    r = rng.uniform(size=(n, dims))
+    take_donor = (r <= crossover_probability) | (np.arange(dims) == forced[:, None])
+    return np.where(take_donor, donors, targets)
 
 
 def optimize(
@@ -81,9 +89,8 @@ def optimize(
 ) -> OptimizationResult:
     """Run DE/rand/1/bin and return the best schedule found.
 
-    Each generation builds all trial vectors first (drawing parents,
-    scale factor, and crossover mask per member in index order), scores
-    them in one batch, then applies greedy replacement member by member.
+    Each generation builds all trial vectors first, scores them in one
+    batch, then every trial that is strictly better replaces its target.
     """
     if config is None:
         config = DeConfig()
@@ -93,44 +100,24 @@ def optimize(
     size = config.population_size
     beta_lo, beta_hi = config.beta_range
 
-    population = init_positions(problem, size, rng, config.seed_with_predicted)
-    cost, shift, viol, obj = evaluate_batch(problem, population)
-    objectives = obj.copy()
-
-    best = int(np.argmin(objectives))
-    best_position = population[best].copy()
-    best_objective = float(objectives[best])
-    best_cost = float(cost[best])
-    best_shift = float(shift[best])
-    best_violation = float(viol[best])
-
-    trace = [TracePoint(0, best_objective, best_cost, best_shift, best_violation)]
+    population = init_positions(problem, size, rng)
+    terms = evaluate_batch(problem, population)
+    objectives = terms[3].copy()
+    best = Incumbent(population, terms)
     if on_iteration is not None:
         on_iteration(0, population)
 
-    indices = np.arange(size)
     for iteration in range(1, config.iterations + 1):
-        trials = np.empty_like(population)
-        for i in range(size):
-            a, b, c = rng.choice(np.delete(indices, i), size=3, replace=False)
-            beta = rng.uniform(beta_lo, beta_hi)
-            donor = mutate(population, int(a), int(b), int(c), float(beta), lower, upper)
-            trials[i] = crossover(population[i], donor, config.crossover_probability, rng)
-        cost, shift, viol, obj = evaluate_batch(problem, trials)
-        for i in range(size):
-            if obj[i] < objectives[i]:
-                population[i] = trials[i]
-                objectives[i] = obj[i]
-                if obj[i] < best_objective:
-                    best_objective = float(obj[i])
-                    best_position = trials[i].copy()
-                    best_cost = float(cost[i])
-                    best_shift = float(shift[i])
-                    best_violation = float(viol[i])
-        trace.append(
-            TracePoint(iteration, best_objective, best_cost, best_shift, best_violation)
-        )
+        a, b, c = draw_parents(size, rng).T
+        beta = rng.uniform(beta_lo, beta_hi, size=(size, 1))
+        donors = mutate(population, a, b, c, beta, lower, upper)
+        trials = crossover(population, donors, config.crossover_probability, rng)
+        terms = evaluate_batch(problem, trials)
+        better = terms[3] < objectives
+        population[better] = trials[better]
+        objectives[better] = terms[3][better]
+        best.offer(trials, terms)
         if on_iteration is not None:
             on_iteration(iteration, population)
 
-    return make_result(problem, best_position, trace, config.seed)
+    return best.result(problem, config.seed)

@@ -5,8 +5,7 @@
 where cost is the day's energy bill in cents, shift the summed absolute
 hourly deviation from the predicted profile in kWh, and violation the
 one-sided excess of total scheduled over total predicted energy. Pure
-and stateless throughout: the swarm evaluators call into here
-concurrently.
+and stateless throughout.
 """
 
 from __future__ import annotations

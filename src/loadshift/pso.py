@@ -2,8 +2,13 @@
 
 Plain global-best PSO: inertia 1, both acceleration coefficients 2,
 velocities clamped to a fraction of the box width per dimension.
-Positions that leave the box are clamped back and the offending
-velocity components zeroed so particles do not pile up on the walls.
+
+The swarm is a set of (n, 24) arrays, row i for particle i, and every
+iteration moves it as a whole: one draw of all random factors, one
+velocity update and clamp, one position step and clamp, one batch
+evaluation.  Positions that leave the box are clamped back and the
+offending velocity components zeroed so particles do not pile up on
+the walls.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .common import init_positions, make_result
+from .common import Incumbent, init_positions
 from .objective import evaluate_batch
-from .profiles import DrProblem, OptimizationResult, TracePoint
+from .profiles import DrProblem, OptimizationResult
 
 
 @dataclass
@@ -27,7 +32,6 @@ class PsoConfig:
     social: float = 2.0
     v_max_fraction: float = 0.10  # of (upper - lower), per dimension
     seed: int = 0
-    seed_with_predicted: bool = True
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
@@ -39,115 +43,89 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
-    """Mutable per-particle state; arrays are owned, never aliased."""
+class Swarm:
+    """Whole-swarm state; row i of every array belongs to particle i."""
 
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_objective: float
+    positions: np.ndarray
+    velocities: np.ndarray
+    best_positions: np.ndarray
+    best_objectives: np.ndarray
 
 
 def velocity_update(
-    particle: Particle,
+    swarm: Swarm,
     gbest_position: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
     config: PsoConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """New velocity with fresh per-dimension random factors, clamped to
-    +-v_max_fraction * (upper - lower)."""
-    n = len(particle.position)
-    r1 = rng.uniform(size=n)
-    r2 = rng.uniform(size=n)
+    """New velocities with fresh per-dimension random factors, clamped to
+    +-v_max_fraction * (upper - lower).
+
+    One (n, 2, dims) draw: for each particle in turn, the factors of the
+    personal pull and then those of the social pull."""
+    n, dims = swarm.positions.shape
+    r = rng.uniform(size=(n, 2, dims))
     v = (
-        config.inertia * particle.velocity
-        + config.cognitive * r1 * (particle.best_position - particle.position)
-        + config.social * r2 * (gbest_position - particle.position)
+        config.inertia * swarm.velocities
+        + config.cognitive * r[:, 0] * (swarm.best_positions - swarm.positions)
+        + config.social * r[:, 1] * (gbest_position - swarm.positions)
     )
     v_max = config.v_max_fraction * (upper - lower)
     return np.clip(v, -v_max, v_max)
 
 
 def position_update(
-    position: np.ndarray,
-    velocity: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step then clamp.  Components clamped to a bound get zero velocity
     so the particle does not keep pushing into the wall."""
-    moved = position + velocity
+    moved = positions + velocities
     clamped = np.clip(moved, lower, upper)
-    new_velocity = np.where(clamped == moved, velocity, 0.0)
-    return clamped, new_velocity
+    return clamped, np.where(clamped == moved, velocities, 0.0)
 
 
 def optimize(
     problem: DrProblem,
     config: Optional[PsoConfig] = None,
-    on_iteration: Optional[Callable[[int, list[Particle]], None]] = None,
+    on_iteration: Optional[Callable[[int, Swarm], None]] = None,
 ) -> OptimizationResult:
     """Run the swarm and return the best schedule found.
 
-    Evaluation is synchronous: every particle moves, then the whole swarm
-    is scored in one batch, then personal and global bests update in
-    particle-index order.  The trace records the global best after every
-    iteration, starting with the initial swarm (iteration 0)."""
+    Evaluation is synchronous: the whole swarm moves, then is scored in
+    one batch, then every personal best that strictly improved updates.
+    The trace records the global best after every iteration, starting
+    with the initial swarm (iteration 0)."""
     if config is None:
         config = PsoConfig()
     rng = np.random.default_rng(config.seed)
     lower = problem.lower_bounds
     upper = problem.upper_bounds
 
-    positions = init_positions(problem, config.swarm_size, rng, config.seed_with_predicted)
+    positions = init_positions(problem, config.swarm_size, rng)
     v_max = config.v_max_fraction * (upper - lower)
     velocities = rng.uniform(-v_max, v_max, size=positions.shape)
-
-    cost, shift, viol, obj = evaluate_batch(problem, positions)
-    particles = [
-        Particle(
-            position=positions[i].copy(),
-            velocity=velocities[i].copy(),
-            best_position=positions[i].copy(),
-            best_objective=float(obj[i]),
-        )
-        for i in range(config.swarm_size)
-    ]
-    g = int(np.argmin(obj))
-    gbest_position = positions[g].copy()
-    gbest_objective = float(obj[g])
-    gbest_cost = float(cost[g])
-    gbest_shift = float(shift[g])
-    gbest_violation = float(viol[g])
-
-    trace = [TracePoint(0, gbest_objective, gbest_cost, gbest_shift, gbest_violation)]
+    terms = evaluate_batch(problem, positions)
+    swarm = Swarm(positions, velocities, positions.copy(), terms[3].copy())
+    best = Incumbent(positions, terms)
     if on_iteration is not None:
-        on_iteration(0, particles)
+        on_iteration(0, swarm)
 
     for iteration in range(1, config.iterations + 1):
-        for particle in particles:
-            v = velocity_update(particle, gbest_position, lower, upper, config, rng)
-            particle.position, particle.velocity = position_update(
-                particle.position, v, lower, upper
-            )
-        batch = np.stack([p.position for p in particles])
-        cost, shift, viol, obj = evaluate_batch(problem, batch)
-        for i, particle in enumerate(particles):
-            if obj[i] < particle.best_objective:
-                particle.best_objective = float(obj[i])
-                particle.best_position = batch[i].copy()
-                if obj[i] < gbest_objective:
-                    gbest_objective = float(obj[i])
-                    gbest_position = batch[i].copy()
-                    gbest_cost = float(cost[i])
-                    gbest_shift = float(shift[i])
-                    gbest_violation = float(viol[i])
-        trace.append(
-            TracePoint(iteration, gbest_objective, gbest_cost, gbest_shift, gbest_violation)
+        velocities = velocity_update(swarm, best.position, lower, upper, config, rng)
+        swarm.positions, swarm.velocities = position_update(
+            swarm.positions, velocities, lower, upper
         )
+        terms = evaluate_batch(problem, swarm.positions)
+        improved = terms[3] < swarm.best_objectives
+        swarm.best_positions[improved] = swarm.positions[improved]
+        swarm.best_objectives[improved] = terms[3][improved]
+        best.offer(swarm.positions, terms)
         if on_iteration is not None:
-            on_iteration(iteration, particles)
+            on_iteration(iteration, swarm)
 
-    return make_result(problem, gbest_position, trace, config.seed)
+    return best.result(problem, config.seed)

@@ -216,11 +216,10 @@ def test_c7_feasibility_and_invariants():
         pso_config = pso.PsoConfig(swarm_size=20, iterations=40, seed=trial)
         v_max = pso_config.v_max_fraction * (problem.upper_bounds - problem.lower_bounds)
 
-        def pso_audit(iteration, particles):
-            for p in particles:
-                assert np.all(p.position >= problem.lower_bounds)
-                assert np.all(p.position <= problem.upper_bounds)
-                assert np.all(np.abs(p.velocity) <= v_max)
+        def pso_audit(iteration, swarm):
+            assert np.all(swarm.positions >= problem.lower_bounds)
+            assert np.all(swarm.positions <= problem.upper_bounds)
+            assert np.all(np.abs(swarm.velocities) <= v_max)
 
         def de_audit(iteration, population):
             assert np.all(population >= problem.lower_bounds)

@@ -223,6 +223,36 @@ class TestErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_duplicate_hour_names_its_line(self, day_inputs, tmp_path, capsys):
+        _, prices = day_inputs
+        predicted = tmp_path / "duplicate.csv"
+        write_hourly_csv(predicted, "predicted_kwh", np.full(24, 100.0))
+        with open(predicted, "a", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerow([5, "99999.0"])
+        code = main([
+            "optimize", "--predicted", str(predicted), "--prices", str(prices),
+            "--w1", "0.4", "--w2", "0.6", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 26" in err and "hour 5 appears twice" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, day_inputs, tmp_path, capsys, value):
+        predicted, _ = day_inputs
+        prices = tmp_path / "prices.csv"
+        write_hourly_csv(prices, "price_c_per_kwh", np.full(24, 8.0))
+        rows = prices.read_text().splitlines()
+        rows[6] = f"6,{value}"
+        prices.write_text("\n".join(rows) + "\n")
+        code = main([
+            "optimize", "--predicted", str(predicted), "--prices", str(prices),
+            "--w1", "0.4", "--w2", "0.6", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 7" in err and "not a finite number" in err
+
     def test_missing_prices(self, day_inputs, tmp_path, capsys):
         predicted, _ = day_inputs
         code = main([

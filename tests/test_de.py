@@ -17,8 +17,8 @@ class ScriptedRng:
         self.integer_queue = list(integers)
         self.uniform_queue = [np.asarray(u, dtype=float) for u in uniforms]
 
-    def integers(self, n):
-        return self.integer_queue.pop(0)
+    def integers(self, n, size=None):
+        return np.asarray(self.integer_queue.pop(0))
 
     def uniform(self, size=None):
         return self.uniform_queue.pop(0)
@@ -90,35 +90,72 @@ class TestMutate:
             de.mutate(self.population(), *indices, 0.5,
                       np.full(2, -10.0), np.full(2, 10.0))
 
+    def test_index_arrays_build_one_donor_per_row(self):
+        donors = de.mutate(self.population(), np.array([1, 3]), np.array([0, 1]),
+                           np.array([2, 2]), np.array([[0.5], [1.0]]),
+                           np.full(2, -10.0), np.full(2, 10.0))
+        np.testing.assert_array_equal(donors, [[2.5, 0.5], [7.0, 5.0]])
+
+    def test_one_repeated_row_rejects_the_batch(self):
+        with pytest.raises(NonDistinctParents):
+            de.mutate(self.population(), np.array([1, 3]), np.array([0, 3]),
+                      np.array([2, 2]), 0.5, np.full(2, -10.0), np.full(2, 10.0))
+
+
+class TestDrawParents:
+    @pytest.mark.parametrize("size", [4, 5, 50])
+    def test_rows_are_distinct_and_exclude_the_target(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            parents = de.draw_parents(size, rng)
+            assert parents.shape == (size, 3)
+            rows = np.column_stack([np.arange(size), parents])
+            assert all(len(set(row)) == 4 for row in rows.tolist())
+
+    def test_every_other_member_can_be_drawn_in_every_role(self):
+        rng = np.random.default_rng(0)
+        seen = np.zeros((3, 4), dtype=bool)
+        for _ in range(200):
+            parents = de.draw_parents(4, rng)
+            seen[[0, 1, 2], parents[0]] = True
+        np.testing.assert_array_equal(seen, [[False, True, True, True]] * 3)
+
 
 class TestCrossover:
     def test_full_rate_takes_the_donor(self):
-        target = np.zeros(4)
-        donor = np.arange(4.0)
-        rng = ScriptedRng(integers=[2], uniforms=[np.full(4, 0.99)])
+        target = np.zeros((1, 4))
+        donor = np.arange(4.0)[None, :]
+        rng = ScriptedRng(integers=[[2]], uniforms=[np.full((1, 4), 0.99)])
         trial = de.crossover(target, donor, 1.0, rng)
         np.testing.assert_array_equal(trial, donor)
 
     def test_zero_rate_keeps_only_the_forced_component(self):
-        target = np.zeros(4)
-        donor = np.full(4, 7.0)
-        rng = ScriptedRng(integers=[2], uniforms=[np.full(4, 0.5)])
+        target = np.zeros((1, 4))
+        donor = np.full((1, 4), 7.0)
+        rng = ScriptedRng(integers=[[2]], uniforms=[np.full((1, 4), 0.5)])
         trial = de.crossover(target, donor, 0.0, rng)
-        np.testing.assert_array_equal(trial, [0.0, 0.0, 7.0, 0.0])
+        np.testing.assert_array_equal(trial, [[0.0, 0.0, 7.0, 0.0]])
 
     def test_mask_follows_the_uniform_draws(self):
-        target = np.zeros(4)
-        donor = np.full(4, 7.0)
-        rng = ScriptedRng(integers=[0], uniforms=[np.array([0.9, 0.6, 0.8, 0.1])])
+        target = np.zeros((1, 4))
+        donor = np.full((1, 4), 7.0)
+        rng = ScriptedRng(integers=[[0]], uniforms=[[[0.9, 0.6, 0.8, 0.1]]])
         trial = de.crossover(target, donor, 0.7, rng)
         # draws <= 0.7 take the donor, index 0 is forced
-        np.testing.assert_array_equal(trial, [7.0, 7.0, 0.0, 7.0])
+        np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0, 7.0]])
 
     def test_identical_parents_are_a_fixed_point(self):
-        x = np.array([3.0, 1.0, 4.0])
-        rng = ScriptedRng(integers=[1], uniforms=[np.array([0.1, 0.9, 0.5])])
+        x = np.array([[3.0, 1.0, 4.0]])
+        rng = ScriptedRng(integers=[[1]], uniforms=[[[0.1, 0.9, 0.5]]])
         trial = de.crossover(x.copy(), x.copy(), 0.7, rng)
         np.testing.assert_array_equal(trial, x)
+
+    def test_each_row_has_its_own_forced_index_and_mask(self):
+        target = np.zeros((2, 3))
+        donor = np.full((2, 3), 7.0)
+        rng = ScriptedRng(integers=[[0, 2]], uniforms=[[[0.9, 0.1, 0.9], [0.9, 0.9, 0.9]]])
+        trial = de.crossover(target, donor, 0.7, rng)
+        np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0], [0.0, 0.0, 7.0]])
 
 
 class TestOptimize:

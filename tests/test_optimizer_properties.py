@@ -1,0 +1,49 @@
+"""Invariants both population optimizers keep on random capped problems."""
+
+import numpy as np
+import pytest
+from helpers import corner_optimum
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loadshift import de, pso
+from loadshift.objective import build_problem
+from loadshift.profiles import load_profile, peak, price_profile
+
+RUNS = {
+    "pso": lambda problem, seed: pso.optimize(
+        problem, pso.PsoConfig(swarm_size=10, iterations=15, seed=seed)),
+    "de": lambda problem, seed: de.optimize(
+        problem, de.DeConfig(population_size=10, iterations=15, seed=seed)),
+}
+
+
+@st.composite
+def capped_problem(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    predicted = load_profile(rng.uniform(50.0, 200.0, size=24))
+    prices = price_profile(rng.uniform(0.5, 15.0, size=24))
+    w1 = draw(st.floats(0.0, 1.0))
+    w2 = draw(st.floats(0.0, 1.0))
+    # at least 0.5 of the peak, so no upper bound falls below its lower bound
+    cap = draw(st.floats(0.5, 1.0)) * peak(predicted)
+    return build_problem(predicted, prices, w1, w2, peak_cap=cap)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+@settings(max_examples=25, deadline=None)
+@given(problem=capped_problem(), seed=st.integers(0, 2**32 - 1))
+def test_result_invariants(name, problem, seed):
+    result = RUNS[name](problem, seed)
+    _, optimum = corner_optimum(problem)
+    assert result.objective >= optimum - 1e-9
+    schedule = result.best_schedule.values
+    assert np.all(schedule >= problem.lower_bounds)
+    assert np.all(schedule <= problem.upper_bounds)
+    objectives = [t.objective for t in result.trace]
+    assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    again = RUNS[name](problem, seed)
+    assert again.best_schedule.values.tobytes() == schedule.tobytes()
+    assert again.trace == result.trace
+    assert again.objective == result.objective

@@ -1,5 +1,8 @@
 """Particle swarm: update rules, invariants, and convergence checks."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import corner_optimum
@@ -55,64 +58,75 @@ class TestConfig:
 
 
 class TestVelocityUpdate:
-    def particle_at(self, position, velocity=None, best=None):
-        position = np.asarray(position, dtype=float)
+    def swarm_at(self, position, velocity=None, best=None):
+        position = np.atleast_2d(np.asarray(position, dtype=float))
         if velocity is None:
             velocity = np.zeros_like(position)
         if best is None:
             best = position.copy()
-        return pso.Particle(
-            position=position,
-            velocity=np.asarray(velocity, dtype=float),
-            best_position=np.asarray(best, dtype=float),
-            best_objective=0.0,
+        return pso.Swarm(
+            positions=position,
+            velocities=np.atleast_2d(np.asarray(velocity, dtype=float)),
+            best_positions=np.atleast_2d(np.asarray(best, dtype=float)),
+            best_objectives=np.zeros(len(position)),
         )
 
     def test_pure_inertia_when_accelerations_are_zero(self):
         config = pso.PsoConfig(cognitive=0.0, social=0.0, v_max_fraction=1.0)
-        particle = self.particle_at([2.0, 3.0], velocity=[0.4, -0.2], best=[9.0, 9.0])
-        rng = ScriptedRng([np.ones(2), np.ones(2)])
+        swarm = self.swarm_at([2.0, 3.0], velocity=[0.4, -0.2], best=[9.0, 9.0])
+        rng = ScriptedRng([np.ones((1, 2, 2))])
         v = pso.velocity_update(
-            particle, np.array([7.0, 7.0]),
+            swarm, np.array([7.0, 7.0]),
             np.zeros(2), np.full(2, 10.0), config, rng,
         )
-        np.testing.assert_array_equal(v, [0.4, -0.2])
+        np.testing.assert_array_equal(v, [[0.4, -0.2]])
 
     def test_at_both_bests_only_inertia_remains(self):
         config = pso.PsoConfig(v_max_fraction=1.0)
         x = np.array([4.0, 5.0])
-        particle = self.particle_at(x, velocity=[0.3, 0.3], best=x.copy())
-        rng = ScriptedRng([np.ones(2), np.ones(2)])
-        v = pso.velocity_update(particle, x.copy(), np.zeros(2), np.full(2, 10.0),
+        swarm = self.swarm_at(x, velocity=[0.3, 0.3], best=x.copy())
+        rng = ScriptedRng([np.ones((1, 2, 2))])
+        v = pso.velocity_update(swarm, x.copy(), np.zeros(2), np.full(2, 10.0),
                                 config, rng)
-        np.testing.assert_array_equal(v, [0.3, 0.3])
+        np.testing.assert_array_equal(v, [[0.3, 0.3]])
 
     def test_first_draw_scales_the_personal_pull(self):
         # r1 = 1 on the personal term, r2 = 0 kills the social term; a
         # swapped implementation would chase gbest at 99 instead
         config = pso.PsoConfig(v_max_fraction=1.0)
-        particle = self.particle_at([0.0], best=[0.5])
-        rng = ScriptedRng([np.ones(1), np.zeros(1)])
-        v = pso.velocity_update(particle, np.array([99.0]),
+        swarm = self.swarm_at([0.0], best=[0.5])
+        rng = ScriptedRng([[[[1.0], [0.0]]]])
+        v = pso.velocity_update(swarm, np.array([99.0]),
                                 np.zeros(1), np.full(1, 100.0), config, rng)
-        np.testing.assert_array_equal(v, [1.0])
+        np.testing.assert_array_equal(v, [[1.0]])
 
     def test_clamped_to_box_fraction(self):
         # raw velocity 2 * 1 * (1 - 0) = 2, box width 1, fraction 0.1
         config = pso.PsoConfig()
-        particle = self.particle_at([0.0])
-        rng = ScriptedRng([np.zeros(1), np.ones(1)])
-        v = pso.velocity_update(particle, np.array([1.0]),
+        swarm = self.swarm_at([0.0])
+        rng = ScriptedRng([[[[0.0], [1.0]]]])
+        v = pso.velocity_update(swarm, np.array([1.0]),
                                 np.zeros(1), np.ones(1), config, rng)
-        np.testing.assert_array_equal(v, [0.1])
+        np.testing.assert_array_equal(v, [[0.1]])
 
     def test_draws_two_per_dimension_batches(self):
+        # one draw for the swarm, laid out particle by particle, personal
+        # factors before social ones
         config = pso.PsoConfig(v_max_fraction=1.0)
-        particle = self.particle_at(np.zeros(24))
-        rng = ScriptedRng([np.zeros(24), np.zeros(24)])
-        pso.velocity_update(particle, np.ones(24), np.zeros(24), np.ones(24),
+        swarm = self.swarm_at(np.zeros((3, 24)))
+        rng = ScriptedRng([np.zeros((3, 2, 24))])
+        pso.velocity_update(swarm, np.ones(24), np.zeros(24), np.ones(24),
                             config, rng)
-        assert rng.sizes == [24, 24]
+        assert rng.sizes == [(3, 2, 24)]
+
+    def test_rows_move_independently(self):
+        # each row follows its own best and its own factors
+        config = pso.PsoConfig(social=0.0, v_max_fraction=1.0)
+        swarm = self.swarm_at([[0.0], [0.0]], best=[[1.0], [3.0]])
+        rng = ScriptedRng([[[[0.5], [0.0]], [[0.25], [0.0]]]])
+        v = pso.velocity_update(swarm, np.zeros(1), np.zeros(1), np.full(1, 10.0),
+                                config, rng)
+        np.testing.assert_array_equal(v, [[1.0], [1.5]])
 
 
 class TestPositionUpdate:
@@ -151,6 +165,14 @@ class TestPositionUpdate:
         )
         np.testing.assert_array_equal(moved, [10.0, 6.0])
         np.testing.assert_array_equal(v, [0.0, 1.0])
+
+    def test_whole_swarm_clamps_per_row_and_column(self):
+        moved, v = pso.position_update(
+            np.array([[9.0, 5.0], [1.0, 5.0]]), np.array([[5.0, 1.0], [-5.0, 9.0]]),
+            np.zeros(2), np.array([10.0, 12.0]),
+        )
+        np.testing.assert_array_equal(moved, [[10.0, 6.0], [0.0, 12.0]])
+        np.testing.assert_array_equal(v, [[0.0, 1.0], [0.0, 0.0]])
 
 
 class TestOptimize:
@@ -218,12 +240,12 @@ class TestOptimize:
         v_max = config.v_max_fraction * (problem.upper_bounds - problem.lower_bounds)
         seen = []
 
-        def audit(iteration, particles):
-            assert len(particles) == config.swarm_size
-            for p in particles:
-                assert np.all(p.position >= problem.lower_bounds)
-                assert np.all(p.position <= problem.upper_bounds)
-                assert np.all(np.abs(p.velocity) <= v_max)
+        def audit(iteration, swarm):
+            assert len(swarm.positions) == config.swarm_size
+            assert len(swarm.velocities) == config.swarm_size
+            assert np.all(swarm.positions >= problem.lower_bounds)
+            assert np.all(swarm.positions <= problem.upper_bounds)
+            assert np.all(np.abs(swarm.velocities) <= v_max)
             seen.append(iteration)
 
         pso.optimize(problem, config, on_iteration=audit)
@@ -251,3 +273,58 @@ class TestOptimize:
         # swarm only approaches, so the gap closes but never hits zero
         assert result.objective >= best - 1e-12
         assert result.objective == pytest.approx(best, abs=1e-4)
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestGoldenRuns:
+    """Default-budget runs pinned to the last bit.
+
+    The values were recorded from the per-particle implementation that
+    the whole-swarm update replaced; any change in the draw order or in
+    the floating-point expression of an update shows here.  At the
+    capped fixture's own weights (0.4, 0.6) the clamped predicted profile
+    is already optimal and the trace never moves, so both problems use
+    the cost-heavy pair (0.8, 0.2), where every run improves 25-41 times.
+    """
+
+    GOLDEN = {
+        ("capped", 0): ("0.573451121390998",
+                        "407b5e77d5546f4d1b4f12ee6bfacb663b2e0fbb3d195a7c16532c84523b058a",
+                        "298946a35d721b795879ba5f18574dd9f4a01c2069e051ecd2a59925b1df9c0b"),
+        ("capped", 1): ("0.573451121390998",
+                        "9b83c38461d09d63c0c6d3c591c38c4ae296c54b6a48ad25f744f0a22ef41ef5",
+                        "9eb44673b171c4bececdfe7e4b09664638db1bc65514ce5e5822847c76443641"),
+        ("capped", 2): ("0.5799354900393787",
+                        "a697b18f8dbcf2fefde80570310308b71e7e6b9a2c3d617037eebf9804215974",
+                        "ddc03c94064bd224d4c3165928e0b4e08dcae46bb0c8100459c5d0c22596a123"),
+        ("uncapped", 0): ("0.45525527177264435",
+                          "addf3b462fb4beea1e3be0786f94ab026635cd68adfaf4a8001333f2dd097d86",
+                          "3f6e73db8bab212672e013b0221215abb2bbdcf7d367c709667b50fe9d178bec"),
+        ("uncapped", 1): ("0.456089487838462",
+                          "45a50acd3c9ef3cc8e9eb97f2aadd162b4c9244ef598445b05a4200f20717bc9",
+                          "2dde656a9b01cec2bf2777c7479554ab0c994a85a78d1eafa5601511254def3b"),
+        ("uncapped", 2): ("0.4551621829604981",
+                          "6e0d58e368f069421ca6ba254e3477bc2a8ad537d89b64aea6ebfdf559a07e6d",
+                          "83996923fc8f3beddfb993ef5daf53b5342386236e3aa328dbd453e961044d11"),
+    }
+
+    @pytest.fixture
+    def problems(self, capped_problem):
+        rng = np.random.default_rng(2718)
+        uncapped = make_problem(rng.uniform(50, 150, size=24),
+                                rng.uniform(3, 12, size=24), 0.8, 0.2)
+        return {
+            "capped": dataclasses.replace(capped_problem, w1=0.8, w2=0.2),
+            "uncapped": uncapped,
+        }
+
+    @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+    def test_run_is_bit_identical(self, problems, name, seed):
+        result = pso.optimize(problems[name], pso.PsoConfig(seed=seed))
+        objective, trace_hash, schedule_hash = self.GOLDEN[name, seed]
+        assert repr(result.objective) == objective
+        assert sha256([t.objective for t in result.trace]) == trace_hash
+        assert sha256(result.best_schedule.values) == schedule_hash
