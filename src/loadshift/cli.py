@@ -110,7 +110,7 @@ def _write_manifest(out: Path, command: str, args, parameters: dict, derived_see
 # hourly CSV helpers ---------------------------------------------------------
 
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
-    """24 finite values keyed by an 1..24 ``hour`` column, one row per hour."""
+    """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -128,6 +128,8 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
                 raise UnparseableRow(line, f"hour {hour} outside 1..24")
             if not np.isfinite(value):
                 raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
+            if value < 0:
+                raise UnparseableRow(line, f"{column} {row[column]!r} is negative")
             if not np.isnan(values[hour - 1]):
                 raise UnparseableRow(line, f"hour {hour} appears twice")
             values[hour - 1] = value

@@ -14,15 +14,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateFeature,
     InsufficientData,
     MissingColumn,
-    NonHourlyCadence,
     UnparseableRow,
 )
 from .profiles import WEATHER_FEATURES, Dataset
@@ -71,19 +71,26 @@ class NormalizationStats:
 
 
 @dataclass(frozen=True)
-class TrainingWindow:
-    """One supervised example: weather at the target hour plus lagged loads.
+class Windows:
+    """Supervised examples as arrays, one row per window, in target-time order.
 
     ``features`` holds raw units: the 5 weather values observed at the
     target hour followed by ``lag`` hourly loads ending 24 hours before
-    the target. ``target`` is the load 24 hours after the last lagged
-    observation. Windows that touch any test row belong to the test set.
+    the target. ``targets`` is the load at dataset row ``target_rows``,
+    24 hours after the last lagged observation. Windows that touch any
+    test row belong to the test set.
     """
 
-    features: np.ndarray
-    target: float
-    target_timestamp: datetime
-    is_test: bool
+    features: np.ndarray       # (m, 5 + lag)
+    targets: np.ndarray        # (m,) kWh
+    target_rows: np.ndarray    # (m,) int
+    is_test: np.ndarray        # (m,) bool
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, rows) -> "Windows":
+        return Windows(self.features[rows], self.targets[rows], self.target_rows[rows], self.is_test[rows])
 
 
 def normalize(x, scale: FeatureScale):
@@ -94,6 +101,15 @@ def normalize(x, scale: FeatureScale):
 def denormalize(y, scale: FeatureScale):
     """Exact inverse of normalize."""
     return scale.lo + (y + 1.0) * (scale.hi - scale.lo) / 2.0
+
+
+def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """Normalize window feature rows: weather columns by their own scales,
+    lag columns by the load scale, with normalize's arithmetic per element."""
+    lag = features.shape[-1] - len(WEATHER_FEATURES)
+    scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * lag
+    lo, hi = np.array([(scale.lo, scale.hi) for scale in scales]).T
+    return -1.0 + 2.0 * (features - lo) / (hi - lo)
 
 
 def load_dataset(
@@ -108,91 +124,91 @@ def load_dataset(
 
     ``schema`` maps canonical column names to the file's actual header
     names (identity by default). Without ``split_boundary`` the split is
-    chronological at ``split_fraction`` of the rows.
+    chronological at ``split_fraction`` of the rows. The first faulty line
+    of the file raises UnparseableRow; Dataset enforces the hourly cadence.
     """
     column_of = dict(schema) if schema else {}
     name = lambda canonical: column_of.get(canonical, canonical)
 
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         for canonical in REQUIRED_COLUMNS:
             if name(canonical) not in header:
                 raise MissingColumn(name(canonical))
-        has_price = name(PRICE_COLUMN) in header
+        rows, lines = [], []
+        for row in reader:
+            if row:   # a blank line holds no row
+                rows.append(row)
+                lines.append(reader.line_num)
 
-        rows = []
-        for record in reader:
-            line = reader.line_num
-            try:
-                ts = datetime.fromisoformat(record[name("timestamp")].strip())
-            except (ValueError, AttributeError) as exc:
-                raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
-            values = {}
-            for canonical in WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ()):
-                raw = record[name(canonical)]
-                try:
-                    value = float(raw)
-                except (TypeError, ValueError) as exc:
-                    raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
-                if not np.isfinite(value):
-                    raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
-                values[canonical] = value
-            if values[LOAD_COLUMN] < 0:
-                raise UnparseableRow(line, "negative load")
-            if has_price and values[PRICE_COLUMN] < 0:
-                raise UnparseableRow(line, "negative price")
-            rows.append((ts, values))
-
+    has_price = name(PRICE_COLUMN) in header
+    value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
+    # a repeated header name refers to its last column
+    position = {column: j for j, column in enumerate(header)}
+    columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
+    column = lambda canonical: [row[columns[canonical]] for row in rows]   # IndexError on a short row
+    try:
+        stamps = [datetime.fromisoformat(raw.strip()) for raw in column("timestamp")]
+        values = np.column_stack([np.fromiter(map(float, column(c)), float, len(rows)) for c in value_names])
+    except (ValueError, IndexError):
+        values = None
+    if values is None or not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+        _raise_first_fault(rows, lines, columns, value_names, name)
     if len(rows) < 2:
         raise InsufficientData(f"dataset {path} has {len(rows)} rows; need at least 2")
 
-    rows.sort(key=lambda item: item[0])
-    timestamps = [ts for ts, _ in rows]
-
-    gap_after = set()
-    hour = timedelta(hours=1)
-    for i in range(len(timestamps) - 1):
-        step = timestamps[i + 1] - timestamps[i]
-        if step == hour:
-            continue
-        if step <= timedelta(0):
-            raise NonHourlyCadence(timestamps[i + 1], "duplicate or out-of-order timestamp")
-        if not allow_gaps:
-            raise NonHourlyCadence(
-                timestamps[i + 1],
-                f"expected {timestamps[i] + hour} one hour after {timestamps[i]}",
-            )
-        gap_after.add(i)
+    order = sorted(range(len(rows)), key=stamps.__getitem__)
+    timestamps = tuple(stamps[i] for i in order)
+    values = values[order]
 
     if split_boundary is None:
         cut = int(split_fraction * len(rows))
-        split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + hour
+        split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
 
-    weather = np.array([[vals[f] for f in WEATHER_FEATURES] for _, vals in rows])
-    load = np.array([vals[LOAD_COLUMN] for _, vals in rows])
-    price = np.array([vals[PRICE_COLUMN] for _, vals in rows]) if has_price else None
+    n_weather = len(WEATHER_FEATURES)
     return Dataset(
-        timestamps=tuple(timestamps),
-        weather=weather,
-        load=load,
-        price=price,
+        timestamps=timestamps,
+        weather=values[:, :n_weather],
+        load=values[:, n_weather],
+        price=values[:, n_weather + 1] if has_price else None,
         split_boundary=split_boundary,
-        gap_after=frozenset(gap_after),
+        allow_gaps=allow_gaps,
     )
 
 
-def fit_normalizer(dataset: Dataset, indices: Optional[Sequence[int]] = None) -> NormalizationStats:
-    """Min/max per feature over the training rows (or an explicit row set)."""
-    if indices is None:
-        indices = [i for i in range(len(dataset)) if dataset.is_train_row(i)]
-    indices = list(indices)
-    if len(indices) < 2:
-        raise InsufficientData(f"need at least 2 training rows to fit scaling, have {len(indices)}")
+def _raise_first_fault(rows, lines, columns, value_names, name) -> None:
+    """Raise UnparseableRow for the first faulty row, if any, checking each row in
+    turn: its timestamp, then each value column in order, then the signs."""
+    for row, line in zip(rows, lines):
+        cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
+        try:
+            datetime.fromisoformat(cell("timestamp").strip())
+        except (ValueError, AttributeError) as exc:
+            raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
+        values = {}
+        for canonical in value_names:
+            raw = cell(canonical)
+            try:
+                values[canonical] = float(raw)
+            except (TypeError, ValueError) as exc:
+                raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
+            if not np.isfinite(values[canonical]):
+                raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
+        for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
+            if values.get(canonical, 0.0) < 0:
+                raise UnparseableRow(line, fault)
+
+
+def fit_normalizer(dataset: Dataset) -> NormalizationStats:
+    """Min/max per feature over the training rows, which lead the dataset."""
+    n_train = dataset.n_train
+    if n_train < 2:
+        raise InsufficientData(f"need at least 2 training rows to fit scaling, have {n_train}")
 
     scales = {}
-    columns = {name: dataset.weather[indices, j] for j, name in enumerate(WEATHER_FEATURES)}
-    columns[LOAD_COLUMN] = dataset.load[indices]
+    columns = dict(zip(WEATHER_FEATURES, dataset.weather[:n_train].T))
+    columns[LOAD_COLUMN] = dataset.load[:n_train]
     for name, column in columns.items():
         lo, hi = float(np.min(column)), float(np.max(column))
         if hi <= lo:
@@ -201,7 +217,7 @@ def fit_normalizer(dataset: Dataset, indices: Optional[Sequence[int]] = None) ->
     return NormalizationStats(scales)
 
 
-def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> list:
+def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> Windows:
     """All supervised windows the dataset supports, in target-time order.
 
     A window is valid when its ``lag`` load rows are contiguous hours and
@@ -210,52 +226,33 @@ def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> list:
     """
     if lag < 1:
         raise ValueError("lag must be >= 1")
-    n = len(dataset)
-    windows = []
-    for t in range(lag - 1, n):
-        if any(i in dataset.gap_after for i in range(t - lag + 1, t)):
-            continue
-        target_index = dataset.index_of(dataset.timestamps[t] + timedelta(hours=HORIZON_HOURS))
-        if target_index is None:
-            continue
-        features = np.concatenate([
-            dataset.weather[target_index],
-            dataset.load[t - lag + 1 : t + 1],
-        ])
-        windows.append(
-            TrainingWindow(
-                features=features,
-                target=float(dataset.load[target_index]),
-                target_timestamp=dataset.timestamps[target_index],
-                is_test=not dataset.is_train_row(target_index),
-            )
-        )
-    if not windows:
+    ends = np.arange(lag - 1, len(dataset))
+    targets = dataset.shifted_rows(ends, HORIZON_HOURS)
+    keep = (targets >= 0) & dataset.contiguous(ends - lag + 1, ends)
+    ends, targets = ends[keep], targets[keep]
+    if not len(targets):
         raise InsufficientData(
             f"dataset too short for lag={lag}: need {lag + HORIZON_HOURS} gap-free rows"
         )
-    return windows
+    return Windows(
+        features=np.hstack([dataset.weather[targets], sliding_window_view(dataset.load, lag)[ends - lag + 1]]),
+        targets=dataset.load[targets],
+        target_rows=targets,
+        is_test=targets >= dataset.n_train,
+    )
 
 
-def split_windows(windows: Iterable[TrainingWindow]) -> tuple:
+def split_windows(windows: Windows) -> tuple:
     """(train, test) partition of the windows."""
-    train = [w for w in windows if not w.is_test]
-    test = [w for w in windows if w.is_test]
-    return train, test
+    return windows[~windows.is_test], windows[windows.is_test]
 
 
-def window_matrix(windows: Sequence[TrainingWindow], stats: NormalizationStats) -> tuple:
-    """Stack windows into normalized (X, y) arrays for training.
+def window_matrix(windows: Windows, stats: NormalizationStats) -> tuple:
+    """Normalized (X, y) arrays for training.
 
     Weather columns use their own scales; lag columns and the target use
     the load scale, so the target lives in a tanh-friendly range.
     """
     if not windows:
         raise InsufficientData("no windows to assemble")
-    X = np.stack([w.features for w in windows]).astype(float)
-    y = np.array([w.target for w in windows], dtype=float)
-    for j, name in enumerate(WEATHER_FEATURES):
-        X[:, j] = normalize(X[:, j], stats[name])
-    load_scale = stats[LOAD_COLUMN]
-    X[:, len(WEATHER_FEATURES):] = normalize(X[:, len(WEATHER_FEATURES):], load_scale)
-    return X, normalize(y, load_scale)
+    return normalize_features(windows.features, stats), normalize(windows.targets, stats[LOAD_COLUMN])

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from datetime import date, timedelta
+from datetime import date
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -29,12 +30,12 @@ from .ingest import (
     HORIZON_HOURS,
     LOAD_COLUMN,
     NormalizationStats,
-    TrainingWindow,
+    Windows,
     denormalize,
-    normalize,
+    normalize_features,
     window_matrix,
 )
-from .profiles import WEATHER_FEATURES, Dataset, HourlyProfile, load_profile
+from .profiles import Dataset, HourlyProfile, load_profile
 
 MODEL_FORMAT = "loadshift-mlp/1"
 
@@ -74,10 +75,6 @@ class MlpModel:
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -85,7 +82,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 32
     seed: int = 0
-    shuffle: bool = True
     momentum: float = 0.9
 
     def __post_init__(self):
@@ -143,15 +139,18 @@ def init_model(
     return MlpModel(sizes, tuple(weights), tuple(biases), norm_stats=norm_stats, lag=lag)
 
 
-def _forward_batch(weights, biases, X):
-    """Activations per layer for a (batch, input) matrix; last is identity."""
+def _forward_batch(weights, biases, X, out=None):
+    """Activations per layer for a (batch, input) matrix; last is identity.
+
+    With ``out``, one (rows, units) buffer per layer, each activation is
+    written into the leading rows of its buffer instead of a new array.
+    """
     activations = [X]
-    a = X
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.T + b
-        a = z if k == last else np.tanh(z)
-        activations.append(a)
+        z = np.matmul(activations[k], w.T, out=None if out is None else out[k][: len(X)])
+        z += b
+        activations.append(z if k == last else np.tanh(z, out=z))
     return activations
 
 
@@ -181,24 +180,29 @@ def backward(model: MlpModel, features, target: float):
     return _backprop(model.weights, activations, residual)
 
 
-def _backprop(weights, activations, delta):
-    """Shared reverse pass; ``delta`` is d(loss)/d(pre-activation output)."""
-    weight_grads = [None] * len(weights)
-    bias_grads = [None] * len(weights)
+def _backprop(weights, activations, delta, out=None):
+    """Shared reverse pass; ``delta`` is d(loss)/d(pre-activation output).
+
+    Returns (weight_grads, bias_grads), written into ``out`` (the same pair
+    of lists) when given. Overwrites the hidden activations.
+    """
+    weight_grads, bias_grads = out or ([None] * len(weights), [None] * len(weights))
     for k in range(len(weights) - 1, -1, -1):
-        a_prev = activations[k]
-        weight_grads[k] = delta.T @ a_prev
-        bias_grads[k] = delta.sum(axis=0)
+        weight_grads[k] = np.matmul(delta.T, activations[k], out=weight_grads[k])
+        bias_grads[k] = np.sum(delta, axis=0, out=bias_grads[k])
         if k > 0:
             # tanh'(z) = 1 - tanh(z)^2, and activations[k] already is tanh(z)
-            delta = (delta @ weights[k]) * (1.0 - activations[k] ** 2)
+            slope = np.square(activations[k], out=activations[k])
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ weights[k]
+            delta *= slope
     return weight_grads, bias_grads
 
 
 def train(
     model: MlpModel,
-    train_windows: Sequence[TrainingWindow],
-    test_windows: Sequence[TrainingWindow],
+    train_windows: Windows,
+    test_windows: Windows,
     config: TrainConfig,
 ) -> tuple:
     """Mini-batch gradient descent with momentum; returns (model, FitReport).
@@ -220,26 +224,33 @@ def train(
     if test_windows:
         X_test, y_test = window_matrix(test_windows, model.norm_stats)
 
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    # flat parameter, gradient and velocity arrays, viewed per layer: one momentum step is 4 array ops
+    shapes = [p.shape for p in model.weights + model.biases]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = lambda flat: [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
+    params = np.concatenate([p.ravel() for p in model.weights + model.biases])
+    grads, velocity = np.empty_like(params), np.zeros_like(params)
+    n_layers = len(model.weights)
+    weights, biases = views(params)[:n_layers], views(params)[n_layers:]
+    grad_views = (views(grads)[:n_layers], views(grads)[n_layers:])
     rng = np.random.default_rng(config.seed)
     n = len(y)
+    layers = [np.empty((min(config.batch_size, n), w.shape[0])) for w in weights]
 
     epoch_mse = []
     for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
+        order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            activations = _forward_batch(weights, biases, X[batch])
-            residual = (activations[-1][:, 0] - y[batch])[:, None] / len(batch)
-            grads_w, grads_b = _backprop(weights, activations, residual)
-            for k in range(len(weights)):
-                vel_w[k] = config.momentum * vel_w[k] - config.learning_rate * grads_w[k]
-                vel_b[k] = config.momentum * vel_b[k] - config.learning_rate * grads_b[k]
-                weights[k] += vel_w[k]
-                biases[k] += vel_b[k]
+            activations = _forward_batch(weights, biases, X[batch], layers)
+            residual = activations[-1]
+            residual -= y[batch][:, None]
+            residual /= len(batch)
+            _backprop(weights, activations, residual, grad_views)
+            velocity *= config.momentum
+            grads *= config.learning_rate
+            velocity -= grads
+            params += velocity
         preds = _forward_batch(weights, biases, X)[-1][:, 0]
         mse = float(np.mean((preds - y) ** 2))
         if not np.isfinite(mse):
@@ -247,8 +258,7 @@ def train(
         epoch_mse.append(mse)
 
     fitted = replace(model, weights=tuple(weights), biases=tuple(biases))
-    train_pred = _forward_batch(weights, biases, X)[-1][:, 0]
-    train_mse, train_r = metrics(train_pred, y)
+    train_mse, train_r = metrics(preds, y)   # the last epoch's predictions
     test_mse = test_r = None
     if X_test is not None:
         test_pred = _forward_batch(weights, biases, X_test)[-1][:, 0]
@@ -276,29 +286,18 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     if len(day_rows) != 24:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
 
-    load_scale = model.norm_stats[LOAD_COLUMN]
-    predictions = np.empty(24)
-    for h, i in enumerate(day_rows):
-        lag_end = dataset.index_of(dataset.timestamps[i] - timedelta(hours=HORIZON_HOURS))
-        if lag_end is None or lag_end - model.lag + 1 < 0:
-            raise InsufficientHistory(
-                f"missing load history {HORIZON_HOURS + model.lag}h before {dataset.timestamps[i]}"
-            )
-        if any(j in dataset.gap_after for j in range(lag_end - model.lag + 1, lag_end)):
-            raise InsufficientHistory(
-                f"gap inside the lag window before {dataset.timestamps[i]}"
-            )
-        features = np.concatenate([
-            dataset.weather[i],
-            dataset.load[lag_end - model.lag + 1 : lag_end + 1],
-        ])
-        normalized = features.copy()
-        for j, name in enumerate(WEATHER_FEATURES):
-            normalized[j] = normalize(features[j], model.norm_stats[name])
-        normalized[len(WEATHER_FEATURES):] = normalize(
-            features[len(WEATHER_FEATURES):], load_scale
-        )
-        predictions[h] = denormalize(forward(model, normalized), load_scale)
+    lag_ends = dataset.shifted_rows(day_rows, -HORIZON_HOURS)
+    lag_starts = lag_ends - model.lag + 1      # negative when lag_ends is -1: no such row
+    faulty = (lag_starts < 0) | ~dataset.contiguous(np.maximum(lag_starts, 0), lag_ends)
+    if faulty.any():
+        h = int(np.argmax(faulty))
+        fault = f"missing load history {HORIZON_HOURS + model.lag}h" if lag_starts[h] < 0 else "gap inside the lag window"
+        raise InsufficientHistory(f"{fault} before {dataset.timestamps[day_rows[h]]}")
+    lagged = sliding_window_view(dataset.load, model.lag)[lag_starts]
+    features = np.hstack([dataset.weather[day_rows], lagged])
+    # one single-row pass per hour: a batched matmul may round differently
+    raw = np.array([forward(model, x) for x in normalize_features(features, model.norm_stats)])
+    predictions = denormalize(raw, model.norm_stats[LOAD_COLUMN])
     return load_profile(np.maximum(predictions, 0.0))
 
 

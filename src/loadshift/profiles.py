@@ -11,16 +11,24 @@ concurrent evaluators.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import NonHourlyCadence
+
 HOURS_PER_DAY = 24
 
 WEATHER_FEATURES = ("wind_speed", "temperature", "heat_index", "cold_index", "dew_point")
+
+_HOUR_MICROS = 3_600_000_000
+_EPOCH = datetime(1970, 1, 1)
+_EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def _frozen_array(values, shape=None) -> np.ndarray:
@@ -66,33 +74,15 @@ def total(profile: HourlyProfile) -> float:
 
 
 @dataclass(frozen=True)
-class WeatherRecord:
-    """Hourly weather observation: the five inputs the forecaster uses."""
-
-    wind_speed: float
-    temperature: float
-    heat_index: float
-    cold_index: float
-    dew_point: float
-    timestamp: datetime
-
-    def __post_init__(self):
-        for name in WEATHER_FEATURES:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite weather value for {name!r} at {self.timestamp}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in WEATHER_FEATURES], dtype=float)
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Aligned hourly time series of weather, load and (optionally) price.
 
     Rows are sorted by timestamp. Rows strictly before ``split_boundary``
-    are the training partition; every later row is test. ``gap_after``
-    holds indices i where the step from row i to row i+1 is not exactly
-    one hour; empty unless the dataset was loaded with gaps allowed.
+    are the training partition; every later row is test. Consecutive rows
+    are one hour apart unless ``allow_gaps``; then ``gap_after`` holds the
+    indices i where the step from row i to row i+1 is not one hour. Row
+    lookups are binary searches, over the timestamps or over an int64
+    microsecond copy of them.
     """
 
     timestamps: tuple
@@ -100,7 +90,8 @@ class Dataset:
     load: np.ndarray               # (n,) kWh
     price: Optional[np.ndarray]    # (n,) c/kWh, or None
     split_boundary: datetime
-    gap_after: frozenset = field(default_factory=frozenset)
+    allow_gaps: bool = False
+    gap_after: frozenset = field(init=False)
 
     def __post_init__(self):
         n = len(self.timestamps)
@@ -109,13 +100,23 @@ class Dataset:
         object.__setattr__(self, "load", _frozen_array(self.load, shape=(n,)))
         if self.price is not None:
             object.__setattr__(self, "price", _frozen_array(self.price, shape=(n,)))
-        object.__setattr__(self, "gap_after", frozenset(self.gap_after))
-        for i in range(n - 1):
-            step = self.timestamps[i + 1] - self.timestamps[i]
-            if step <= timedelta(0):
-                raise ValueError(f"timestamps not strictly increasing at {self.timestamps[i + 1]}")
-            if step != timedelta(hours=1) and i not in self.gap_after:
-                raise ValueError(f"unmarked gap after {self.timestamps[i]}")
+        # microseconds since 1970, exact for any datetime; a UTC offset is applied
+        epoch = _EPOCH if n == 0 or self.timestamps[0].utcoffset() is None else _EPOCH_UTC
+        micros = np.fromiter(((ts - epoch) // _MICROSECOND for ts in self.timestamps), np.int64, n)
+        steps = np.diff(micros)
+        faulty = steps <= 0 if self.allow_gaps else steps != _HOUR_MICROS
+        if faulty.any():
+            i = int(np.argmax(faulty))
+            earlier, later = self.timestamps[i : i + 2]
+            if steps[i] <= 0:
+                raise NonHourlyCadence(later, "duplicate or out-of-order timestamp")
+            raise NonHourlyCadence(later, f"expected {earlier + timedelta(hours=1)} one hour after {earlier}")
+        gaps = steps != _HOUR_MICROS
+        object.__setattr__(self, "gap_after", frozenset(np.flatnonzero(gaps).tolist()))
+        # _gaps[i] counts the gaps before row i, so rows a..b hold no gap
+        # exactly when _gaps[a] == _gaps[b]
+        object.__setattr__(self, "_gaps", np.concatenate(([0], np.cumsum(gaps))))
+        object.__setattr__(self, "_micros", micros)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -123,30 +124,32 @@ class Dataset:
     @property
     def n_train(self) -> int:
         """Number of rows strictly before the split boundary."""
-        return sum(1 for ts in self.timestamps if ts < self.split_boundary)
+        return bisect_left(self.timestamps, self.split_boundary)
 
     def is_train_row(self, index: int) -> bool:
         return self.timestamps[index] < self.split_boundary
 
-    def record(self, index: int) -> tuple:
-        ts = self.timestamps[index]
-        w = WeatherRecord(*self.weather[index], timestamp=ts)
-        price = None if self.price is None else float(self.price[index])
-        return ts, w, float(self.load[index]), price
-
     def index_of(self, ts: datetime) -> Optional[int]:
-        return self._index_map().get(ts)
+        i = bisect_left(self.timestamps, ts)
+        return i if i < len(self) and self.timestamps[i] == ts else None
 
-    def _index_map(self):
-        cached = getattr(self, "_ts_index", None)
-        if cached is None:
-            cached = {ts: i for i, ts in enumerate(self.timestamps)}
-            object.__setattr__(self, "_ts_index", cached)
-        return cached
+    def shifted_rows(self, rows: np.ndarray, hours: int) -> np.ndarray:
+        """Index of the row ``hours`` after each of ``rows`` (before, if negative); -1 if absent."""
+        want = self._micros[rows] + hours * _HOUR_MICROS
+        found = np.minimum(np.searchsorted(self._micros, want), len(self) - 1)
+        return np.where(self._micros[found] == want, found, -1)
 
-    def day_indices(self, day: date) -> list:
-        """Row indices of the 24 hours of ``day``, in hour order."""
-        return [i for i, ts in enumerate(self.timestamps) if ts.date() == day]
+    def contiguous(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Whether each span of rows first..last holds no gap."""
+        return self._gaps[first] == self._gaps[last]
+
+    def day_indices(self, day: date) -> np.ndarray:
+        """Row indices of the hours of ``day``, in time order."""
+        # a UTC offset is less than a day, so the day's rows lie within a
+        # day either side of its span in naive time
+        start = (day - _EPOCH.date()).days * 24 * _HOUR_MICROS
+        lo, hi = np.searchsorted(self._micros, (start - 24 * _HOUR_MICROS, start + 48 * _HOUR_MICROS))
+        return np.array([i for i in range(lo, hi) if self.timestamps[i].date() == day], dtype=np.intp)
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""

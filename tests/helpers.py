@@ -1,4 +1,7 @@
-"""Shared oracles for the optimizer test modules."""
+"""Shared oracles for the test modules: the exact optimum of a problem, and
+scans that find Dataset rows the slow way."""
+
+from datetime import timedelta
 
 import numpy as np
 
@@ -34,3 +37,34 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+HOUR = timedelta(hours=1)
+
+
+def scan_index_of(dataset, ts):
+    """Row holding timestamp ``ts``, found by a scan; None if there is none."""
+    return next((i for i, other in enumerate(dataset.timestamps) if other == ts), None)
+
+
+def scan_day_indices(dataset, day):
+    """Rows whose (local) date is ``day``, found by a scan."""
+    return [i for i, ts in enumerate(dataset.timestamps) if ts.date() == day]
+
+
+def scan_n_train(dataset):
+    return sum(1 for ts in dataset.timestamps if ts < dataset.split_boundary)
+
+
+def scan_windows(dataset, lag, horizon=24):
+    """(last lag row, target row) of every window, found by a scan: the lag
+    rows are consecutive hours and a row lies ``horizon`` hours after them."""
+    pairs = []
+    for end in range(lag - 1, len(dataset)):
+        span = dataset.timestamps[end - lag + 1 : end + 1]
+        if any(b - a != HOUR for a, b in zip(span, span[1:])):
+            continue
+        target = scan_index_of(dataset, dataset.timestamps[end] + horizon * HOUR)
+        if target is not None:
+            pairs.append((end, target))
+    return pairs

@@ -253,6 +253,22 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "line 7" in err and "not a finite number" in err
 
+    @pytest.mark.parametrize("column", ["predicted_kwh", "price_c_per_kwh"])
+    def test_negative_value_names_its_line(self, day_inputs, tmp_path, capsys, column):
+        inputs = dict(zip(["predicted_kwh", "price_c_per_kwh"], day_inputs))
+        inputs[column] = tmp_path / "negative.csv"
+        write_hourly_csv(inputs[column], column, np.full(24, 8.0))
+        rows = inputs[column].read_text().splitlines()
+        rows[3] = "3,-5.0"
+        inputs[column].write_text("\n".join(rows) + "\n")
+        code = main([
+            "optimize", "--predicted", str(inputs["predicted_kwh"]), "--prices", str(inputs["price_c_per_kwh"]),
+            "--w1", "0.4", "--w2", "0.6", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err and "'-5.0' is negative" in err
+
     def test_missing_prices(self, day_inputs, tmp_path, capsys):
         predicted, _ = day_inputs
         code = main([

@@ -1,5 +1,5 @@
 import csv
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -89,6 +89,36 @@ class TestLoadDataset:
             load_dataset(path)
         # header is line 1, first data row line 2
         assert exc.value.line_number == 4
+
+    @pytest.mark.parametrize("faults,line,reason", [
+        ({5: ("temperature", "warm"), 9: ("timestamp", "yesterday")}, 7, "bad value 'warm'"),
+        ({5: ("timestamp", "yesterday"), 9: (LOAD_COLUMN, "-1.0")}, 7, "bad timestamp"),
+        ({12: ("dew_point", "nan"), 20: ("wind_speed", "x")}, 14, "non-finite value in column 'dew_point'"),
+        ({3: (LOAD_COLUMN, "-1.0"), 30: ("heat_index", "inf")}, 5, "negative load"),
+    ])
+    def test_first_faulty_line_wins(self, tmp_path, faults, line, reason):
+        rows = make_rows(48)
+        for row, (column, value) in faults.items():
+            rows[row][column] = value
+        with pytest.raises(UnparseableRow) as exc:
+            load_dataset(write_rows(tmp_path / "d.csv", rows))
+        assert exc.value.line_number == line
+        assert reason in str(exc.value)
+
+    def test_utc_offset_timestamps_load(self, tmp_path):
+        rows = make_rows(48)
+        # the same hourly instants, written at UTC-5 until a switch to UTC-6
+        for i, row in enumerate(rows):
+            zone = timezone(timedelta(hours=-5 if i < 30 else -6))
+            row["timestamp"] = (START + timedelta(hours=i)).replace(tzinfo=timezone.utc).astimezone(zone).isoformat()
+        ds = load_dataset(write_rows(tmp_path / "d.csv", rows))
+        assert len(ds) == 48 and not ds.gap_after
+        assert ds.timestamps[0].utcoffset() == timedelta(hours=-5)
+        assert ds.load[0] == 100.0 and ds.load[-1] == 147.0
+        for day in {ts.date() for ts in ds.timestamps}:
+            assert list(ds.day_indices(day)) == [i for i, ts in enumerate(ds.timestamps) if ts.date() == day]
+        assert ds.index_of(START.replace(tzinfo=timezone.utc)) == 0
+        assert len(build_windows(ds)) == 1
 
     def test_missing_column(self, tmp_path):
         rows = make_rows(30)
@@ -196,9 +226,9 @@ class TestBuildWindows:
         windows = build_windows(ds, lag=24)
         # the only valid pairing: lag hours 0..23, target row 47 (24h later)
         assert len(windows) == 1
-        assert windows[0].target == ds.load[47]
-        assert len(windows[0].features) == 5 + 24
-        assert list(windows[0].features[5:]) == list(ds.load[0:24])
+        assert windows.targets[0] == ds.load[47]
+        assert len(windows.features[0]) == 5 + 24
+        assert list(windows.features[0, 5:]) == list(ds.load[0:24])
 
     def test_47_rows_lag_24_insufficient(self, tmp_path):
         ds = load_dataset(write_rows(tmp_path / "d.csv", make_rows(47)))
@@ -210,7 +240,7 @@ class TestBuildWindows:
         windows = build_windows(ds, lag=1)
         # lag windows end at rows 0 and 1; targets at rows 24 and 25
         assert len(windows) == 2
-        assert [w.target for w in windows] == [ds.load[24], ds.load[25]]
+        assert list(windows.targets) == [ds.load[24], ds.load[25]]
 
     @pytest.mark.parametrize("rows,lag", [(48, 24), (60, 24), (100, 12), (30, 1)])
     def test_window_count_formula(self, tmp_path, rows, lag):
@@ -223,13 +253,12 @@ class TestBuildWindows:
             split_boundary=START + timedelta(hours=60),
         )
         windows = build_windows(ds, lag=24)
-        for w in windows:
-            row = list(ds.timestamps).index(w.target_timestamp)
-            assert w.is_test == (row >= 60)
+        for row, is_test in zip(windows.target_rows, windows.is_test):
+            assert is_test == (row >= 60)
         train, test = split_windows(windows)
         assert len(train) + len(test) == len(windows)
-        assert all(not w.is_test for w in train)
-        assert all(w.is_test for w in test)
+        assert all(not is_test for is_test in train.is_test)
+        assert all(is_test for is_test in test.is_test)
 
     def test_gap_spanning_windows_dropped(self, tmp_path):
         rows = make_rows(80)

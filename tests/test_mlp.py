@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from datetime import date, datetime, timedelta
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from loadshift import mlp
+from loadshift.cli import main
 from loadshift.errors import (
     DimensionMismatch,
     DivergedTraining,
@@ -18,7 +20,7 @@ from loadshift.ingest import (
     FeatureScale,
     LOAD_COLUMN,
     NormalizationStats,
-    TrainingWindow,
+    Windows,
     build_windows,
     fit_normalizer,
     load_dataset,
@@ -37,19 +39,13 @@ def unit_stats():
 
 def toy_windows(n, rng, target_fn):
     """Windows shaped like real ones (5 weather + 1 lag load), all train."""
-    stamp = datetime(2024, 1, 1)
-    windows = []
-    for i in range(n):
-        features = rng.uniform(-1, 1, 6)
-        windows.append(
-            TrainingWindow(
-                features=features,
-                target=target_fn(features),
-                target_timestamp=stamp + timedelta(hours=i),
-                is_test=False,
-            )
-        )
-    return windows
+    features = np.array([rng.uniform(-1, 1, 6) for _ in range(n)])
+    return Windows(
+        features=features,
+        targets=np.array([target_fn(f) for f in features]),
+        target_rows=np.arange(n),
+        is_test=np.zeros(n, dtype=bool),
+    )
 
 
 class TestInitModel:
@@ -278,6 +274,16 @@ class TestPredictDay:
         with pytest.raises(InsufficientHistory):
             mlp.predict_day(model, synth30, date(1999, 1, 1))
 
+    def test_gap_inside_lag_window_rejected(self, tmp_path):
+        path = sinusoid_csv(tmp_path / "sine.csv", 5)
+        lines = path.read_text().splitlines(keepends=True)
+        del lines[1 + 10]   # hour 10 of day 1: inside the lag window of day 3's first hour
+        path.write_text("".join(lines))
+        ds = load_dataset(path, allow_gaps=True)
+        model = mlp.init_model((29, 2, 1), 0, norm_stats=fit_normalizer(ds), lag=24)
+        with pytest.raises(InsufficientHistory, match="gap inside the lag window"):
+            mlp.predict_day(model, ds, date(2024, 3, 3))
+
     def test_learns_noiseless_sinusoid(self, tmp_path):
         ds = load_dataset(sinusoid_csv(tmp_path / "sine.csv", 20))
         stats = fit_normalizer(ds)
@@ -289,6 +295,34 @@ class TestPredictDay:
         actual = ds.day_profile(day)
         # amplitude is 100 kWh; stay within 1% of it per hour
         assert np.max(np.abs(predicted.values - actual.values)) < 1.0
+
+
+class TestGoldenForecast:
+    """The forecast artifacts at a fixed seed, pinned byte for byte: a change
+    to the float operations of training or prediction, or to their order,
+    shows here. The digests were taken with numpy's bundled OpenBLAS on
+    x86-64; another BLAS may sum a matmul in another order."""
+
+    DAYS = {
+        date(2024, 1, 3): "9465a988f2da1bcf65cdffcc5313a86b4eb085838910261859ff5369761dc629",
+        date(2024, 1, 17): "e8f5210bade5999694d623551df42564f801ce2f2b0b4a290c49d608b71dff4b",
+        date(2024, 1, 26): "2d43a933c346198c298a2d74cff9e21a549700d0350fbf8a0c86a4f59923a1aa",
+        date(2024, 1, 30): "5bb352e5ced2e8f123dcbe1ad0c18ff3fe15af84eb542a05466cbfd053515880",
+    }
+
+    def test_model_fit_report_and_forecasts(self, synth30_path, synth30, tmp_path):
+        sha256 = lambda data: hashlib.sha256(data).hexdigest()
+        code = main([
+            "train", "--data", str(synth30_path), "--epochs", "20", "--seed", "5", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        assert sha256((tmp_path / "model.json").read_bytes()) == \
+            "9a286e8a76241bf1e5d8456fb807a9eb5a94e0fe9830ef5bb07e7e3098885e25"
+        assert sha256((tmp_path / "fit_report.json").read_bytes()) == \
+            "165ca9d999d137de98a62047f5e3badd07a4ad013fb22f85ef5d9c88c5f039ef"
+        model = mlp.load_model(tmp_path / "model.json")
+        for day, digest in self.DAYS.items():
+            assert sha256(mlp.predict_day(model, synth30, day).values.tobytes()) == digest, day
 
 
 class TestMetrics:
