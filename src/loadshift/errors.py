@@ -42,6 +42,10 @@ class InsufficientData(LoadshiftError):
     pass
 
 
+class MixedTimezones(LoadshiftError):
+    """A naive split boundary on offset timestamps, or the other way round."""
+
+
 class InsufficientHistory(LoadshiftError):
     pass
 
@@ -97,6 +101,10 @@ class NonDistinctParents(LoadshiftError):
 
 class GridTooLarge(LoadshiftError):
     pass
+
+
+class InvalidGrid(LoadshiftError, ValueError):
+    """Free hours or grid resolution outside what the grid search takes."""
 
 
 # reporting -----------------------------------------------------------------

@@ -65,7 +65,7 @@ def _terms(problem: DrProblem, schedules: np.ndarray):
     cost = schedules @ problem.prices.values
     shift = np.abs(schedules - problem.predicted.values).sum(axis=-1)
     ratio = schedules.sum(axis=-1) / total_predicted
-    viol = np.abs(ratio - 1.0) if problem.symmetric_violation else np.maximum(ratio - 1.0, 0.0)
+    viol = np.maximum(ratio - 1.0, 0.0)
     obj = (
         problem.w1 * cost / problem.e_cmax
         + problem.w2 * shift / problem.l_shmax
@@ -98,7 +98,6 @@ def build_problem(
     gamma_hi: float = DEFAULT_GAMMA_HI,
     peak_cap: Optional[float] = None,
     alpha: float = DEFAULT_ALPHA,
-    symmetric_violation: bool = False,
 ) -> DrProblem:
     """Assemble a DrProblem with per-hour box bounds and normalizers.
 
@@ -144,5 +143,4 @@ def build_problem(
         alpha=alpha,
         e_cmax=e_cmax,
         l_shmax=l_shmax,
-        symmetric_violation=symmetric_violation,
     )

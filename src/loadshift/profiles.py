@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NonHourlyCadence
+from .errors import MixedTimezones, NonHourlyCadence
 
 HOURS_PER_DAY = 24
 
@@ -100,8 +100,9 @@ class Dataset:
         object.__setattr__(self, "load", _frozen_array(self.load, shape=(n,)))
         if self.price is not None:
             object.__setattr__(self, "price", _frozen_array(self.price, shape=(n,)))
+        naive = n == 0 or self.timestamps[0].utcoffset() is None
         # microseconds since 1970, exact for any datetime; a UTC offset is applied
-        epoch = _EPOCH if n == 0 or self.timestamps[0].utcoffset() is None else _EPOCH_UTC
+        epoch = _EPOCH if naive else _EPOCH_UTC
         micros = np.fromiter(((ts - epoch) // _MICROSECOND for ts in self.timestamps), np.int64, n)
         steps = np.diff(micros)
         faulty = steps <= 0 if self.allow_gaps else steps != _HOUR_MICROS
@@ -111,6 +112,9 @@ class Dataset:
             if steps[i] <= 0:
                 raise NonHourlyCadence(later, "duplicate or out-of-order timestamp")
             raise NonHourlyCadence(later, f"expected {earlier + timedelta(hours=1)} one hour after {earlier}")
+        if n and naive != (self.split_boundary.utcoffset() is None):
+            raise MixedTimezones(f"split boundary {self.split_boundary} and timestamp {self.timestamps[0]} "
+                                 "must both carry a UTC offset or neither")
         gaps = steps != _HOUR_MICROS
         object.__setattr__(self, "gap_after", frozenset(np.flatnonzero(gaps).tolist()))
         # _gaps[i] counts the gaps before row i, so rows a..b hold no gap
@@ -181,7 +185,6 @@ class DrProblem:
     alpha: float
     e_cmax: float
     l_shmax: float
-    symmetric_violation: bool = False
 
     def __post_init__(self):
         if self.predicted.kind is not ProfileKind.LOAD:

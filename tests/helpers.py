@@ -1,11 +1,12 @@
-"""Shared oracles for the test modules: the exact optimum of a problem, and
-scans that find Dataset rows the slow way."""
+"""Shared oracles for the test modules: the exact optimum of a problem, the
+row-by-row grid search, and scans that find Dataset rows the slow way."""
 
 from datetime import timedelta
 
 import numpy as np
 
 from loadshift.objective import evaluate_batch
+from loadshift.profiles import load_profile
 
 
 def corner_optimum(problem):
@@ -37,6 +38,52 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+_CHUNK = 65_536
+
+
+def reference_grid_search(reduced):
+    """Row-by-row reference for ``gridsearch.grid_search``: every grid point
+    is built as a 24-hour schedule and scored with ``evaluate_batch``.
+
+    Best schedule over the full grid, ties broken toward the
+    lexicographically smallest combination (first free hour lowest).
+
+    Candidates are enumerated in ascending lexicographic order and only a
+    strictly better objective displaces the incumbent, so the first best
+    point encountered wins.  Work proceeds in chunks to bound memory.
+    """
+    base = reduced.base
+    hours = reduced.free_hours
+    res = reduced.grid_resolution
+    grids = [
+        np.linspace(base.lower_bounds[h], base.upper_bounds[h], res) for h in hours
+    ]
+    pinned = reduced.pinned_schedule()
+
+    total = reduced.n_points
+    # mixed-radix decode: first free hour is the most significant digit,
+    # so ascending flat index == ascending lexicographic order
+    radix = np.array(
+        [res ** (len(hours) - 1 - k) for k in range(len(hours))], dtype=np.int64
+    )
+
+    best_objective = np.inf
+    best_schedule = None
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        schedules = np.tile(pinned, (len(flat), 1))
+        for k, h in enumerate(hours):
+            digit = (flat // radix[k]) % res
+            schedules[:, h] = grids[k][digit]
+        _, _, _, obj = evaluate_batch(base, schedules)
+        i = int(np.argmin(obj))
+        if obj[i] < best_objective:
+            best_objective = float(obj[i])
+            best_schedule = schedules[i].copy()
+
+    return load_profile(best_schedule), best_objective
 
 
 HOUR = timedelta(hours=1)

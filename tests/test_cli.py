@@ -2,11 +2,13 @@
 
 import csv
 import json
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
-from loadshift.cli import main
+from loadshift.cli import build_parser, main
+from loadshift.errors import LoadshiftError
 from loadshift.ingest import load_dataset
 
 
@@ -268,6 +270,43 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 4" in err and "'-5.0' is negative" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--free-hours", "0"], "free_hours must lie in 0..23, got (-1,)"),
+        (["--resolution", "1"], "grid_resolution must be >= 2, got 1"),
+    ])
+    def test_bad_verify_grid_is_a_loadshift_error(self, day_inputs, tmp_path, capsys, flags, message):
+        predicted, prices = day_inputs
+        argv = [
+            "verify", "--predicted", str(predicted), "--prices", str(prices),
+            "--w1", "0.4", "--w2", "0.6", *flags, "--out", str(tmp_path),
+        ]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(LoadshiftError) as exc:
+            args.func(args)
+        assert str(exc.value) == message
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_naive_split_on_offset_timestamps(self, synth_dir, tmp_path, capsys):
+        # 72 rows at UTC-06:00, split at a naive time
+        with open(synth_dir / "synthetic.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))[:72]
+        zone = timezone(timedelta(hours=-6))
+        for row in rows:
+            row["timestamp"] = datetime.fromisoformat(row["timestamp"]).replace(tzinfo=zone).isoformat()
+        data = tmp_path / "offset.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main([
+            "train", "--data", str(data), "--split", "2024-01-02T05:00:00",
+            "--hidden", "4", "--epochs", "1", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: split boundary 2024-01-02 05:00:00") and "UTC offset" in err
 
     def test_missing_prices(self, day_inputs, tmp_path, capsys):
         predicted, _ = day_inputs

@@ -10,6 +10,7 @@ from loadshift.errors import (
     DegenerateFeature,
     InsufficientData,
     MissingColumn,
+    MixedTimezones,
     NonHourlyCadence,
     UnparseableRow,
 )
@@ -143,6 +144,17 @@ class TestLoadDataset:
         assert ds.n_train == 30
         assert ds.is_train_row(29)
         assert not ds.is_train_row(30)
+
+    @pytest.mark.parametrize("aware_rows", [True, False])
+    def test_split_boundary_awareness_must_match(self, tmp_path, aware_rows):
+        zone = timezone(timedelta(hours=-6))
+        rows = make_rows(48, START.replace(tzinfo=zone) if aware_rows else START)
+        boundary = START + timedelta(hours=30)
+        path = write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(MixedTimezones, match="UTC offset"):
+            load_dataset(path, split_boundary=boundary if aware_rows else boundary.replace(tzinfo=zone))
+        matched = load_dataset(path, split_boundary=boundary.replace(tzinfo=zone) if aware_rows else boundary)
+        assert matched.n_train == 30
 
     def test_price_column_parsed(self, tmp_path):
         rows = make_rows(48)
