@@ -17,13 +17,14 @@ import csv
 import json
 import sys
 from datetime import date, datetime
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import __version__, de, mlp, pso, report, synth
-from .errors import InsufficientData, LoadshiftError, MissingColumn, MissingPrices, UnparseableRow
+from .errors import InsufficientData, InvalidGrid, LoadshiftError, MissingColumn, MissingPrices, UnparseableRow
 from .gridsearch import ReducedProblem, grid_search, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
@@ -433,8 +434,11 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     problem, params = _build_problem_from_args(args)
-    free_hours = tuple(int(h) - 1 for h in args.free_hours.split(","))
-    reduced = ReducedProblem(problem, free_hours, args.resolution)
+    free_hours = tuple(int(h) for h in args.free_hours.split(","))
+    for hour in free_hours:
+        if not 1 <= hour <= 24:
+            raise InvalidGrid(f"free hour {hour} outside 1..24")
+    reduced = ReducedProblem(problem, tuple(h - 1 for h in free_hours), args.resolution)
     oracle_schedule, oracle_objective = grid_search(reduced)
     pinned = pinned_problem(reduced)
 
@@ -505,6 +509,7 @@ def cmd_verify(args) -> int:
 
 # parser ---------------------------------------------------------------------
 
+@cache   # the parser holds no state that parse_args changes
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")

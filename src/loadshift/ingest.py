@@ -12,6 +12,7 @@ influence them. All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Mapping, Optional
@@ -22,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DegenerateFeature,
     InsufficientData,
+    LoadshiftError,
     MissingColumn,
     UnparseableRow,
 )
@@ -131,40 +133,36 @@ def load_dataset(
     name = lambda canonical: column_of.get(canonical, canonical)
 
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+        header = next(csv.reader(handle), [])
         for canonical in REQUIRED_COLUMNS:
             if name(canonical) not in header:
                 raise MissingColumn(name(canonical))
-        rows, lines = [], []
-        for row in reader:
-            if row:   # a blank line holds no row
-                rows.append(row)
-                lines.append(reader.line_num)
+        has_price = name(PRICE_COLUMN) in header
+        value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
+        # a repeated header name refers to its last column
+        position = {column: j for j, column in enumerate(header)}
+        columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
+                table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns], delimiter=",",
+                                   comments=None, quotechar='"', usecols=list(columns.values()), ndmin=1)
+            stamps = [datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]]
+            values = np.column_stack([table[c] for c in value_names])
+            if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+                raise ValueError("non-finite or negative value")
+            order = sorted(range(len(stamps)), key=stamps.__getitem__)   # TypeError: naive and offset stamps
+        except (TypeError, ValueError) as exc:
+            _raise_first_fault(path, columns, value_names, name, exc)
+    if len(stamps) < 2:
+        raise InsufficientData(f"dataset {path} has {len(stamps)} rows; need at least 2")
 
-    has_price = name(PRICE_COLUMN) in header
-    value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
-    # a repeated header name refers to its last column
-    position = {column: j for j, column in enumerate(header)}
-    columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
-    column = lambda canonical: [row[columns[canonical]] for row in rows]   # IndexError on a short row
-    try:
-        stamps = [datetime.fromisoformat(raw.strip()) for raw in column("timestamp")]
-        values = np.column_stack([np.fromiter(map(float, column(c)), float, len(rows)) for c in value_names])
-    except (ValueError, IndexError):
-        values = None
-    if values is None or not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
-        _raise_first_fault(rows, lines, columns, value_names, name)
-    if len(rows) < 2:
-        raise InsufficientData(f"dataset {path} has {len(rows)} rows; need at least 2")
-
-    order = sorted(range(len(rows)), key=stamps.__getitem__)
     timestamps = tuple(stamps[i] for i in order)
     values = values[order]
 
     if split_boundary is None:
-        cut = int(split_fraction * len(rows))
-        split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
+        cut = int(split_fraction * len(stamps))
+        split_boundary = timestamps[cut] if cut < len(stamps) else timestamps[-1] + timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
     return Dataset(
@@ -177,27 +175,39 @@ def load_dataset(
     )
 
 
-def _raise_first_fault(rows, lines, columns, value_names, name) -> None:
-    """Raise UnparseableRow for the first faulty row, if any, checking each row in
-    turn: its timestamp, then each value column in order, then the signs."""
-    for row, line in zip(rows, lines):
-        cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
-        try:
-            datetime.fromisoformat(cell("timestamp").strip())
-        except (ValueError, AttributeError) as exc:
-            raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
-        values = {}
-        for canonical in value_names:
-            raw = cell(canonical)
+def _raise_first_fault(path, columns, value_names, name, rejection: Exception) -> None:
+    """Re-read a file the array parse rejected and raise UnparseableRow for its first
+    faulty row, checking each row in turn: its timestamp, then each value column in
+    order, then the signs; then the first row whose UTC offset awareness differs."""
+    first_line = {}   # UTC offset awareness -> first line with it
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader, [])
+        for row in filter(None, reader):   # a blank line holds no row
+            line = reader.line_num
+            cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
             try:
-                values[canonical] = float(raw)
-            except (TypeError, ValueError) as exc:
-                raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
-            if not np.isfinite(values[canonical]):
-                raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
-        for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
-            if values.get(canonical, 0.0) < 0:
-                raise UnparseableRow(line, fault)
+                first_line.setdefault(datetime.fromisoformat(cell("timestamp").strip()).utcoffset() is not None, line)
+            except (ValueError, AttributeError) as exc:
+                raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
+            values = {}
+            for canonical in value_names:
+                raw = cell(canonical)
+                try:
+                    # float() also reads digit-group underscores and non-ASCII digits; the array parse does not
+                    if "_" in raw or not raw.strip().isascii():
+                        raise ValueError(raw)
+                    values[canonical] = float(raw)
+                except (TypeError, ValueError) as exc:
+                    raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
+                if not np.isfinite(values[canonical]):
+                    raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
+            for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
+                if values.get(canonical, 0.0) < 0:
+                    raise UnparseableRow(line, fault)
+    if len(first_line) == 2:
+        raise UnparseableRow(max(first_line.values()), "UTC offset awareness differs from the first row's")
+    raise LoadshiftError(f"cannot parse {path}: {rejection}") from rejection
 
 
 def fit_normalizer(dataset: Dataset) -> NormalizationStats:

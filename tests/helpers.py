@@ -1,12 +1,17 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
-row-by-row grid search, and scans that find Dataset rows the slow way."""
+row-by-row grid search, the row-wise CSV reader, and scans that find Dataset
+rows the slow way."""
 
-from datetime import timedelta
+import csv
+from datetime import datetime, timedelta
+from typing import Mapping, Optional
 
 import numpy as np
 
+from loadshift.errors import InsufficientData, MissingColumn, UnparseableRow
+from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS
 from loadshift.objective import evaluate_batch
-from loadshift.profiles import load_profile
+from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile
 
 
 def corner_optimum(problem):
@@ -84,6 +89,95 @@ def reference_grid_search(reduced):
             best_schedule = schedules[i].copy()
 
     return load_profile(best_schedule), best_objective
+
+
+def reference_load_dataset(
+    path,
+    schema: Optional[Mapping[str, str]] = None,
+    *,
+    split_boundary: Optional[datetime] = None,
+    split_fraction: float = 0.85,
+    allow_gaps: bool = False,
+) -> Dataset:
+    """Row-wise reference for ``ingest.load_dataset``: every row is read with
+    ``csv`` and every cell with ``float()``.
+
+    ``schema`` maps canonical column names to the file's actual header
+    names (identity by default). Without ``split_boundary`` the split is
+    chronological at ``split_fraction`` of the rows. The first faulty line
+    of the file raises UnparseableRow; Dataset enforces the hourly cadence.
+    """
+    column_of = dict(schema) if schema else {}
+    name = lambda canonical: column_of.get(canonical, canonical)
+
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for canonical in REQUIRED_COLUMNS:
+            if name(canonical) not in header:
+                raise MissingColumn(name(canonical))
+        rows, lines = [], []
+        for row in reader:
+            if row:   # a blank line holds no row
+                rows.append(row)
+                lines.append(reader.line_num)
+
+    has_price = name(PRICE_COLUMN) in header
+    value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
+    # a repeated header name refers to its last column
+    position = {column: j for j, column in enumerate(header)}
+    columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
+    column = lambda canonical: [row[columns[canonical]] for row in rows]   # IndexError on a short row
+    try:
+        stamps = [datetime.fromisoformat(raw.strip()) for raw in column("timestamp")]
+        values = np.column_stack([np.fromiter(map(float, column(c)), float, len(rows)) for c in value_names])
+    except (ValueError, IndexError):
+        values = None
+    if values is None or not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+        _reference_first_fault(rows, lines, columns, value_names, name)
+    if len(rows) < 2:
+        raise InsufficientData(f"dataset {path} has {len(rows)} rows; need at least 2")
+
+    order = sorted(range(len(rows)), key=stamps.__getitem__)
+    timestamps = tuple(stamps[i] for i in order)
+    values = values[order]
+
+    if split_boundary is None:
+        cut = int(split_fraction * len(rows))
+        split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
+
+    n_weather = len(WEATHER_FEATURES)
+    return Dataset(
+        timestamps=timestamps,
+        weather=values[:, :n_weather],
+        load=values[:, n_weather],
+        price=values[:, n_weather + 1] if has_price else None,
+        split_boundary=split_boundary,
+        allow_gaps=allow_gaps,
+    )
+
+
+def _reference_first_fault(rows, lines, columns, value_names, name) -> None:
+    """Raise UnparseableRow for the first faulty row, if any, checking each row in
+    turn: its timestamp, then each value column in order, then the signs."""
+    for row, line in zip(rows, lines):
+        cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
+        try:
+            datetime.fromisoformat(cell("timestamp").strip())
+        except (ValueError, AttributeError) as exc:
+            raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
+        values = {}
+        for canonical in value_names:
+            raw = cell(canonical)
+            try:
+                values[canonical] = float(raw)
+            except (TypeError, ValueError) as exc:
+                raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
+            if not np.isfinite(values[canonical]):
+                raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
+        for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
+            if values.get(canonical, 0.0) < 0:
+                raise UnparseableRow(line, fault)
 
 
 HOUR = timedelta(hours=1)

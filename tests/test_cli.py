@@ -127,6 +127,19 @@ class TestOptimize:
                      "cost_comparison.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_rerun_after_verify_is_byte_identical(self, day_inputs, tmp_path):
+        # one process: the parser built for the first command serves the others
+        predicted, prices = day_inputs
+        assert self.run(day_inputs, tmp_path / "first") == 0
+        assert main([
+            "verify", "--predicted", str(predicted), "--prices", str(prices),
+            "--w1", "0.4", "--w2", "0.6", "--free-hours", "18,19", "--resolution", "11",
+            "--population", "12", "--iterations", "15", "--out", str(tmp_path / "verify"),
+        ]) == 0
+        assert self.run(day_inputs, tmp_path / "second") == 0
+        for name in ("result.json", "trace.csv", "load_comparison.csv", "cost_comparison.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
     def test_de_algorithm_runs(self, day_inputs, tmp_path):
         assert self.run(day_inputs, tmp_path, ("--algorithm", "de")) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -272,8 +285,9 @@ class TestErrors:
         assert "line 4" in err and "'-5.0' is negative" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--free-hours", "0"], "free_hours must lie in 0..23, got (-1,)"),
+        (["--free-hours", "0"], "free hour 0 outside 1..24"),
         (["--resolution", "1"], "grid_resolution must be >= 2, got 1"),
+        (["--free-hours", "18,25"], "free hour 25 outside 1..24"),
     ])
     def test_bad_verify_grid_is_a_loadshift_error(self, day_inputs, tmp_path, capsys, flags, message):
         predicted, prices = day_inputs
@@ -307,6 +321,22 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: split boundary 2024-01-02 05:00:00") and "UTC offset" in err
+
+    def test_mixed_naive_and_offset_timestamps_name_the_line(self, synth_dir, tmp_path, capsys):
+        # 72 naive rows; only the 11th carries an offset
+        with open(synth_dir / "synthetic.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))[:72]
+        rows[10]["timestamp"] += "+00:00"
+        data = tmp_path / "mixed.csv"
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: cannot parse CSV line 12: UTC offset awareness differs from the first row's\n"
+        )
 
     def test_missing_prices(self, day_inputs, tmp_path, capsys):
         predicted, _ = day_inputs

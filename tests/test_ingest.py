@@ -1,4 +1,5 @@
 import csv
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from loadshift.errors import (
     DegenerateFeature,
     InsufficientData,
+    LoadshiftError,
     MissingColumn,
     MixedTimezones,
     NonHourlyCadence,
@@ -96,6 +98,13 @@ class TestLoadDataset:
         ({5: ("timestamp", "yesterday"), 9: (LOAD_COLUMN, "-1.0")}, 7, "bad timestamp"),
         ({12: ("dew_point", "nan"), 20: ("wind_speed", "x")}, 14, "non-finite value in column 'dew_point'"),
         ({3: (LOAD_COLUMN, "-1.0"), 30: ("heat_index", "inf")}, 5, "negative load"),
+        # offset awareness is checked after every other fault
+        ({10: ("timestamp", "2024-01-01T10:00:00+00:00")}, 12, "UTC offset awareness differs from the first row's"),
+        ({4: ("timestamp", "2024-01-01T04:00:00+00:00"), 30: ("wind_speed", "x")}, 32, "bad value 'x'"),
+        # float() reads these, the array parse does not
+        ({6: (LOAD_COLUMN, "1_000"), 9: ("wind_speed", "x")}, 8, "bad value '1_000' in column 'load_kwh'"),
+        ({6: ("dew_point", "\u0661\u0662")}, 8, "bad value '\u0661\u0662' in column 'dew_point'"),
+        ({6: ("temperature", "\uff11")}, 8, "bad value '\uff11' in column 'temperature'"),
     ])
     def test_first_faulty_line_wins(self, tmp_path, faults, line, reason):
         rows = make_rows(48)
@@ -105,6 +114,23 @@ class TestLoadDataset:
             load_dataset(write_rows(tmp_path / "d.csv", rows))
         assert exc.value.line_number == line
         assert reason in str(exc.value)
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_too_few_rows(self, tmp_path, n_rows):
+        path = write_rows(tmp_path / "d.csv", make_rows(n_rows), fieldnames=list(make_rows(1)[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InsufficientData) as exc:
+                load_dataset(path)
+        assert str(exc.value) == f"dataset {path} has {n_rows} rows; need at least 2"
+
+    def test_a_rejection_the_row_walk_misses_still_raises(self, tmp_path, monkeypatch):
+        path = write_rows(tmp_path / "d.csv", make_rows(48))
+        def reject(*args, **kwargs):
+            raise ValueError("rejected")
+        monkeypatch.setattr(np, "loadtxt", reject)
+        with pytest.raises(LoadshiftError, match="rejected"):
+            load_dataset(path)
 
     def test_utc_offset_timestamps_load(self, tmp_path):
         rows = make_rows(48)
