@@ -1,10 +1,13 @@
 """Command line front end.
 
-Every subcommand resolves its parameters (config file first, flags
-override), derives per-component seeds from the single master seed, and
-drops a manifest.json next to its outputs recording everything needed
-to reproduce the run.  Timestamps appear only in the manifest, so every
-other artifact is byte-identical across reruns.
+Every subcommand resolves its problem parameters (flag, then config file
+key, then default), derives per-component seeds from the single master
+seed, and drops a manifest.json next to its outputs.  The manifest
+records every parsed argument under its argparse dest, with the problem
+parameters already resolved, plus the values derived from them (layer
+sizes, window counts, sweep pairs, output path) and the derived seeds.
+Timestamps appear only in the manifest, so every other artifact is
+byte-identical across reruns.
 
 Hours are 1..24 in every file read or written here; arrays are 0..23
 inside the library.
@@ -19,7 +22,6 @@ import sys
 from datetime import date, datetime
 from functools import cache
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -46,46 +48,32 @@ from .seeding import derive_seed
 
 PREDICTED_COLUMN = "predicted_kwh"
 
-_CONFIG_BOUND_KEYS = ("alpha", "gamma_lo", "gamma_hi", "peak_cap")
-_CONFIG_WEIGHT_KEYS = ("w1", "w2")
-
+# the problem parameters a config file may set, with their defaults; the
 # default weighting leans toward shifting over raw cost
-_DEFAULT_W1 = 0.4
-_DEFAULT_W2 = 0.6
+_PROBLEM_DEFAULTS = {
+    "alpha": DEFAULT_ALPHA,
+    "gamma_lo": DEFAULT_GAMMA_LO,
+    "gamma_hi": DEFAULT_GAMMA_HI,
+    "peak_cap": None,
+    "w1": 0.4,
+    "w2": 0.6,
+}
 
 
 # parameter resolution -------------------------------------------------------
 
-def _load_config_file(path) -> dict:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    allowed = set(_CONFIG_BOUND_KEYS) | set(_CONFIG_WEIGHT_KEYS)
-    unknown = sorted(set(raw) - allowed)
+def _resolve_problem_parameters(args) -> None:
+    """Set each problem parameter the subcommand defines on ``args``: the
+    flag, else the config file key, else the default."""
+    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    unknown = sorted(set(config) - set(_PROBLEM_DEFAULTS))
     if unknown:
         raise LoadshiftError(
-            f"unknown config keys {unknown}; allowed: {sorted(allowed)}"
+            f"unknown config keys {unknown}; allowed: {sorted(_PROBLEM_DEFAULTS)}"
         )
-    return raw
-
-
-def _problem_params(args, include_weights: bool = True) -> dict:
-    values = {
-        "alpha": DEFAULT_ALPHA,
-        "gamma_lo": DEFAULT_GAMMA_LO,
-        "gamma_hi": DEFAULT_GAMMA_HI,
-        "peak_cap": None,
-    }
-    if include_weights:
-        values["w1"] = _DEFAULT_W1
-        values["w2"] = _DEFAULT_W2
-    if args.config:
-        for key, value in _load_config_file(args.config).items():
-            if key in values:
-                values[key] = value
-    for key in list(values):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return values
+    for key, default in _PROBLEM_DEFAULTS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, config.get(key, default))
 
 
 def _out_dir(args) -> Path:
@@ -94,14 +82,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, args, parameters: dict, derived_seeds: dict) -> None:
+def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
+    parameters = {key: value for key, value in vars(args).items() if key not in ("func", "command")}
     write_json(
         {
-            "command": command,
+            "command": args.command,
             "version": __version__,
             "timestamp": datetime.now().astimezone().isoformat(),
             "master_seed": args.seed,
-            "parameters": parameters,
+            "parameters": {**parameters, **derived},
             "derived_seeds": derived_seeds,
         },
         out / "manifest.json",
@@ -141,24 +130,16 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
 
 
 def _write_hourly_csv(path, columns: dict) -> None:
-    names = list(columns)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["hour"] + names)
-        for h in range(24):
-            writer.writerow([h + 1] + [repr(float(columns[name][h])) for name in names])
+    report.write_csv(path, ["hour", *columns], zip(range(1, 25), *columns.values()))
 
 
 # input resolution -----------------------------------------------------------
 
 def _resolve_day_inputs(args) -> tuple:
     """(predicted, prices) from either a trained model + dataset + day or
-    plain 24-row CSVs."""
+    plain 24-row CSVs; then the problem parameters, resolved onto ``args``."""
     dataset = None
-    day: Optional[date] = None
-    if args.day:
-        day = date.fromisoformat(args.day)
-
+    day = date.fromisoformat(args.day) if args.day else None
     if args.predicted:
         predicted = load_profile(
             _read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData)
@@ -186,25 +167,36 @@ def _resolve_day_inputs(args) -> tuple:
                 "or --data with a price column and --day"
             )
         prices = price_profile(dataset.price[dataset.day_indices(day)])
+    _resolve_problem_parameters(args)
     return predicted, prices
 
 
-def _build_problem_from_args(args, include_weights: bool = True):
-    predicted, prices = _resolve_day_inputs(args)
-    params = _problem_params(args, include_weights=include_weights)
-    if include_weights:
-        problem = build_problem(
-            predicted,
-            prices,
-            params["w1"],
-            params["w2"],
-            gamma_lo=params["gamma_lo"],
-            gamma_hi=params["gamma_hi"],
-            peak_cap=params["peak_cap"],
-            alpha=params["alpha"],
-        )
-        return problem, params
-    return (predicted, prices), params
+def _build_problem_from_args(args):
+    return build_problem(
+        *_resolve_day_inputs(args),
+        args.w1,
+        args.w2,
+        gamma_lo=args.gamma_lo,
+        gamma_hi=args.gamma_hi,
+        peak_cap=args.peak_cap,
+        alpha=args.alpha,
+    )
+
+
+# optimizers -----------------------------------------------------------------
+
+def _optimizer_config(name: str, args, seed: int):
+    """The ``name`` optimizer's config at the --population/--iterations budget."""
+    if name == "pso":
+        return pso.PsoConfig(swarm_size=args.population, iterations=args.iterations, seed=seed)
+    return de.DeConfig(population_size=args.population, iterations=args.iterations, seed=seed)
+
+
+def _optimize(name: str, problem, args, seed: int):
+    """Run optimizer ``name`` ("pso" or "de").  ``optimize`` is looked up on its
+    module at call time, so a wrapper installed there later is the one that runs."""
+    module = pso if name == "pso" else de
+    return module.optimize(problem, _optimizer_config(name, args, seed))
 
 
 # subcommands ----------------------------------------------------------------
@@ -216,11 +208,7 @@ def cmd_synth(args) -> int:
     )
     target = out / "synthetic.csv"
     synth.write_csv(config, target)
-    _write_manifest(
-        out, "synth", args,
-        {"days": args.days, "include_price": not args.no_price, "path": str(target)},
-        {},
-    )
+    _write_manifest(out, args, {}, path=str(target))
     print(f"wrote {args.days} days to {target}")
     return 0
 
@@ -254,27 +242,10 @@ def cmd_train(args) -> int:
 
     mlp.save_model(model, out / "model.json")
     write_json(fit.to_json_dict(), out / "fit_report.json")
-    with open(out / "training_curve.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "train_mse"])
-        for epoch, mse in enumerate(fit.epoch_mse, start=1):
-            writer.writerow([epoch, repr(mse)])
+    report.write_csv(out / "training_curve.csv", ["epoch", "train_mse"], enumerate(fit.epoch_mse, start=1))
     _write_manifest(
-        out, "train", args,
-        {
-            "data": str(args.data),
-            "lag": args.lag,
-            "layer_sizes": list(sizes),
-            "epochs": args.epochs,
-            "learning_rate": args.learning_rate,
-            "batch_size": args.batch_size,
-            "momentum": args.momentum,
-            "split": args.split,
-            "split_fraction": args.split_fraction,
-            "train_windows": len(train_windows),
-            "test_windows": len(test_windows),
-        },
-        {"mlp-init": init_seed, "mlp-shuffle": shuffle_seed},
+        out, args, {"mlp-init": init_seed, "mlp-shuffle": shuffle_seed},
+        layer_sizes=list(sizes), train_windows=len(train_windows), test_windows=len(test_windows),
     )
     print(f"train mse {fit.train_mse:.6f}  r {fit.train_correlation:.4f}")
     if fit.test_mse is not None:
@@ -294,29 +265,16 @@ def cmd_predict(args) -> int:
         out / "prediction.csv", {"real": actual.values, "predicted": predicted.values}
     )
     mse, r = mlp.metrics(predicted.values, actual.values)
-    _write_manifest(out, "predict", args, {"model": str(args.model), "day": args.day}, {})
+    _write_manifest(out, args, {})
     print(f"{day}: mse {mse:.3f} kWh^2  r {r:.4f}")
     return 0
 
 
 def cmd_optimize(args) -> int:
     out = _out_dir(args)
-    problem, params = _build_problem_from_args(args)
+    problem = _build_problem_from_args(args)
     run_seed = derive_seed(args.seed, args.algorithm)
-    if args.algorithm == "pso":
-        result = pso.optimize(
-            problem,
-            pso.PsoConfig(
-                swarm_size=args.population, iterations=args.iterations, seed=run_seed
-            ),
-        )
-    else:
-        result = de.optimize(
-            problem,
-            de.DeConfig(
-                population_size=args.population, iterations=args.iterations, seed=run_seed
-            ),
-        )
+    result = _optimize(args.algorithm, problem, args, run_seed)
 
     write_json(result.to_json_dict(), out / "result.json")
     write_trace_csv(result, out / "trace.csv")
@@ -334,16 +292,7 @@ def cmd_optimize(args) -> int:
             "optimized_cost": result.best_schedule.values * problem.prices.values,
         },
     )
-    _write_manifest(
-        out, "optimize", args,
-        {
-            "algorithm": args.algorithm,
-            "population": args.population,
-            "iterations": args.iterations,
-            **params,
-        },
-        {args.algorithm: run_seed},
-    )
+    _write_manifest(out, args, {args.algorithm: run_seed})
     print(
         f"{args.algorithm}: objective {result.objective:.6f}  "
         f"cost {result.cost_cents / 100.0:.3f} $  "
@@ -367,7 +316,7 @@ def _parse_weights(text: str) -> list:
 
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
-    (predicted, prices), params = _build_problem_from_args(args, include_weights=False)
+    predicted, prices = _resolve_day_inputs(args)
     if args.weights:
         pairs = _parse_weights(args.weights)
     else:
@@ -376,10 +325,10 @@ def cmd_sweep(args) -> int:
         predicted,
         prices,
         pairs,
-        gamma_lo=params["gamma_lo"],
-        gamma_hi=params["gamma_hi"],
-        peak_cap=params["peak_cap"],
-        alpha=params["alpha"],
+        gamma_lo=args.gamma_lo,
+        gamma_hi=args.gamma_hi,
+        peak_cap=args.peak_cap,
+        alpha=args.alpha,
         master_seed=args.seed,
         swarm_size=args.population,
         iterations=args.iterations,
@@ -387,14 +336,9 @@ def cmd_sweep(args) -> int:
     write_json({"rows": [row.to_json_dict() for row in rows]}, out / "sweep.json")
     report.write_weight_sweep_csv(rows, out / "sweep.csv")
     _write_manifest(
-        out, "sweep", args,
-        {
-            "weights": [[w1, w2] for w1, w2 in pairs],
-            "population": args.population,
-            "iterations": args.iterations,
-            **params,
-        },
+        out, args,
         {f"sweep:{i}": derive_seed(args.seed, "sweep", i) for i in range(len(pairs))},
+        pairs=[[w1, w2] for w1, w2 in pairs],
     )
     print(report.weight_sweep_table(rows))
     return 0
@@ -402,38 +346,24 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     out = _out_dir(args)
-    problem, params = _build_problem_from_args(args)
-    pso_seed = derive_seed(args.seed, "pso")
-    de_seed = derive_seed(args.seed, "de")
+    problem = _build_problem_from_args(args)
+    seeds = {name: derive_seed(args.seed, name) for name in ("pso", "de")}
     comparison = report.compare_algorithms(
-        problem,
-        pso.PsoConfig(
-            swarm_size=args.population, iterations=args.iterations, seed=pso_seed
-        ),
-        de.DeConfig(
-            population_size=args.population, iterations=args.iterations, seed=de_seed
-        ),
+        problem, *(_optimizer_config(name, args, seed) for name, seed in seeds.items())
     )
-    payload = comparison.to_json_dict()
-    payload["results"] = {
-        row.algorithm: result.to_json_dict()
-        for row, result in zip(comparison.rows, comparison.results)
-    }
-    write_json(payload, out / "comparison.json")
+    payload = {**comparison.to_json_dict(), "results": {}}
     for row, result in zip(comparison.rows, comparison.results):
+        payload["results"][row.algorithm] = result.to_json_dict()
         write_trace_csv(result, out / f"{row.algorithm}_trace.csv")
-    _write_manifest(
-        out, "compare", args,
-        {"population": args.population, "iterations": args.iterations, **params},
-        {"pso": pso_seed, "de": de_seed},
-    )
+    write_json(payload, out / "comparison.json")
+    _write_manifest(out, args, seeds)
     print(report.comparison_table(comparison))
     return 0
 
 
 def cmd_verify(args) -> int:
     out = _out_dir(args)
-    problem, params = _build_problem_from_args(args)
+    problem = _build_problem_from_args(args)
     free_hours = tuple(int(h) for h in args.free_hours.split(","))
     for hour in free_hours:
         if not 1 <= hour <= 24:
@@ -443,30 +373,15 @@ def cmd_verify(args) -> int:
     pinned = pinned_problem(reduced)
 
     algorithms = ["pso", "de"] if args.algorithm == "both" else [args.algorithm]
+    seeds = {f"verify-{name}": derive_seed(args.seed, f"verify-{name}") for name in algorithms}
     checks = []
-    failed = False
     for name in algorithms:
-        run_seed = derive_seed(args.seed, f"verify-{name}")
-        if name == "pso":
-            result = pso.optimize(
-                pinned,
-                pso.PsoConfig(
-                    swarm_size=args.population, iterations=args.iterations, seed=run_seed
-                ),
-            )
-        else:
-            result = de.optimize(
-                pinned,
-                de.DeConfig(
-                    population_size=args.population, iterations=args.iterations, seed=run_seed
-                ),
-            )
+        result = _optimize(name, pinned, args, seeds[f"verify-{name}"])
         if oracle_objective > 1e-12:
             gap = (result.objective - oracle_objective) / oracle_objective
         else:
             gap = result.objective - oracle_objective
         ok = gap <= args.tolerance
-        failed = failed or not ok
         checks.append(
             {
                 "algorithm": name,
@@ -491,20 +406,8 @@ def cmd_verify(args) -> int:
         },
         out / "verify.json",
     )
-    _write_manifest(
-        out, "verify", args,
-        {
-            "free_hours": [h + 1 for h in reduced.free_hours],
-            "resolution": args.resolution,
-            "tolerance": args.tolerance,
-            "algorithm": args.algorithm,
-            "population": args.population,
-            "iterations": args.iterations,
-            **params,
-        },
-        {f"verify-{name}": derive_seed(args.seed, f"verify-{name}") for name in algorithms},
-    )
-    return 1 if failed else 0
+    _write_manifest(out, args, seeds)
+    return 0 if all(check["pass"] for check in checks) else 1
 
 
 # parser ---------------------------------------------------------------------
@@ -525,12 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = argparse.ArgumentParser(add_help=False)
     bounds.add_argument("--alpha", type=float, help="violation penalty weight")
-    bounds.add_argument("--gamma-lo", dest="gamma_lo", type=float,
-                        help="lower bound factor on predicted load")
-    bounds.add_argument("--gamma-hi", dest="gamma_hi", type=float,
-                        help="upper bound factor on predicted load")
-    bounds.add_argument("--peak-cap", dest="peak_cap", type=float,
-                        help="hard hourly ceiling, kWh")
+    bounds.add_argument("--gamma-lo", type=float, help="lower bound factor on predicted load")
+    bounds.add_argument("--gamma-hi", type=float, help="upper bound factor on predicted load")
+    bounds.add_argument("--peak-cap", type=float, help="hard hourly ceiling, kWh")
 
     weights = argparse.ArgumentParser(add_help=False)
     weights.add_argument("--w1", type=float, help="cost term weight")
@@ -559,19 +459,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=DEFAULT_LAG)
     p.add_argument("--hidden", default="25,20,15", help="hidden layer sizes, comma-separated")
     p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.01)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
+    p.add_argument("--learning-rate", type=float, default=0.01)
+    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--split", help="train/test boundary timestamp, ISO")
-    p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.85)
-    p.add_argument("--allow-gaps", dest="allow_gaps", action="store_true")
+    p.add_argument("--split-fraction", type=float, default=0.85)
+    p.add_argument("--allow-gaps", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common], help="predict one day's load")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--day", required=True, help="ISO date")
-    p.add_argument("--allow-gaps", dest="allow_gaps", action="store_true")
+    p.add_argument("--allow-gaps", action="store_true")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser(
@@ -598,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common, day_inputs, weights, bounds, budget],
         help="check optimizer quality against exhaustive search",
     )
-    p.add_argument("--free-hours", dest="free_hours", default="18,19",
-                   help="comma-separated hours 1..24 left free (max 4)")
+    p.add_argument("--free-hours", default="18,19", help="comma-separated hours 1..24 left free (max 4)")
     p.add_argument("--resolution", type=int, default=101, help="grid points per free hour")
     p.add_argument("--tolerance", type=float, default=0.01, help="relative gap to pass")
     p.add_argument("--algorithm", choices=["pso", "de", "both"], default="pso")

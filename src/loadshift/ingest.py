@@ -154,6 +154,12 @@ def load_dataset(
             order = sorted(range(len(stamps)), key=stamps.__getitem__)   # TypeError: naive and offset stamps
         except (TypeError, ValueError) as exc:
             _raise_first_fault(path, columns, value_names, name, exc)
+    # loadtxt strips U+001C..U+001F around a number as whitespace; float() does not.
+    # The scan reads 64 KiB at a time, so a large file is never held whole.
+    with open(path, "rb") as raw:
+        chunks = iter(lambda: raw.read(1 << 16), b"")
+        if any(control in chunk for chunk in chunks for control in b"\x1c\x1d\x1e\x1f"):
+            _raise_first_fault(path, columns, value_names, name)
     if len(stamps) < 2:
         raise InsufficientData(f"dataset {path} has {len(stamps)} rows; need at least 2")
 
@@ -175,10 +181,11 @@ def load_dataset(
     )
 
 
-def _raise_first_fault(path, columns, value_names, name, rejection: Exception) -> None:
+def _raise_first_fault(path, columns, value_names, name, rejection: Optional[Exception] = None) -> None:
     """Re-read a file the array parse rejected and raise UnparseableRow for its first
     faulty row, checking each row in turn: its timestamp, then each value column in
-    order, then the signs; then the first row whose UTC offset awareness differs."""
+    order, then the signs; then the first row whose UTC offset awareness differs.
+    Without a ``rejection`` a file with no faulty row passes."""
     first_line = {}   # UTC offset awareness -> first line with it
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -207,7 +214,8 @@ def _raise_first_fault(path, columns, value_names, name, rejection: Exception) -
                     raise UnparseableRow(line, fault)
     if len(first_line) == 2:
         raise UnparseableRow(max(first_line.values()), "UTC offset awareness differs from the first row's")
-    raise LoadshiftError(f"cannot parse {path}: {rejection}") from rejection
+    if rejection is not None:
+        raise LoadshiftError(f"cannot parse {path}: {rejection}") from rejection
 
 
 def fit_normalizer(dataset: Dataset) -> NormalizationStats:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from typing import Optional, Sequence
 
@@ -106,13 +106,7 @@ class FitReport:
     epoch_mse: tuple = field(default_factory=tuple)
 
     def to_json_dict(self) -> dict:
-        return {
-            "train_mse": self.train_mse,
-            "test_mse": self.test_mse,
-            "train_correlation": self.train_correlation,
-            "test_correlation": self.test_correlation,
-            "epoch_mse": list(self.epoch_mse),
-        }
+        return asdict(self)
 
 
 def init_model(

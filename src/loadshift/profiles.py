@@ -228,6 +228,13 @@ class OptimizationResult:
     trace: tuple          # of TracePoint, non-increasing in objective
     rng_seed: int
 
+    @property
+    def peak_reduction_pct(self) -> float:
+        """Percent by which the schedule lowers the predicted peak (0 for a zero peak)."""
+        if self.peak_before_kw <= 0:
+            return 0.0
+        return 100.0 * (self.peak_before_kw - self.peak_after_kw) / self.peak_before_kw
+
     def to_json_dict(self) -> dict:
         return {
             "best_schedule_kwh": [float(v) for v in self.best_schedule.values],
@@ -238,8 +245,7 @@ class OptimizationResult:
             "violation": self.violation,
             "peak_before_kw": self.peak_before_kw,
             "peak_after_kw": self.peak_after_kw,
-            "peak_reduction_pct": 100.0 * (self.peak_before_kw - self.peak_after_kw) / self.peak_before_kw
-            if self.peak_before_kw > 0 else 0.0,
+            "peak_reduction_pct": self.peak_reduction_pct,
             "rng_seed": self.rng_seed,
             "trace": [
                 {

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,14 +38,7 @@ class WeightSweepRow:
     violation: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "w1": self.w1,
-            "w2": self.w2,
-            "cost_dollars": self.cost_dollars,
-            "load_shift_kwh": self.load_shift_kwh,
-            "peak_reduction_pct": self.peak_reduction_pct,
-            "violation": self.violation,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -57,13 +50,7 @@ class ComparisonRow:
     budget_matched: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "total_cost_dollars": self.total_cost_dollars,
-            "cost_reduction_pct": self.cost_reduction_pct,
-            "peak_reduction_pct": self.peak_reduction_pct,
-            "budget_matched": self.budget_matched,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -123,9 +110,7 @@ def weight_sweep(
                 w2=float(w2),
                 cost_dollars=result.cost_cents / 100.0,
                 load_shift_kwh=result.load_shift_kwh,
-                peak_reduction_pct=100.0
-                * (result.peak_before_kw - result.peak_after_kw)
-                / result.peak_before_kw,
+                peak_reduction_pct=result.peak_reduction_pct,
                 violation=result.violation,
             )
         )
@@ -167,9 +152,7 @@ def compare_algorithms(
                 algorithm=name,
                 total_cost_dollars=result.cost_cents / 100.0,
                 cost_reduction_pct=cost_reduction(baseline_cents, result.cost_cents),
-                peak_reduction_pct=100.0
-                * (result.peak_before_kw - result.peak_after_kw)
-                / result.peak_before_kw,
+                peak_reduction_pct=result.peak_reduction_pct,
                 budget_matched=matched,
             )
         )
@@ -222,38 +205,23 @@ def write_json(payload: dict, path) -> None:
     )
 
 
-def write_weight_sweep_csv(rows: Sequence[WeightSweepRow], path) -> None:
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A header line, then one line per row.  Floats, numpy's among them, are
+    written as ``repr(float(v))``: the shortest text that reads back to the
+    same value, where numpy 2's own repr would write ``np.float64(...)``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["w1", "w2", "cost_dollars", "load_shift_kwh", "peak_reduction_pct", "violation"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(row.w1),
-                    repr(row.w2),
-                    repr(row.cost_dollars),
-                    repr(row.load_shift_kwh),
-                    repr(row.peak_reduction_pct),
-                    repr(row.violation),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+
+
+def write_weight_sweep_csv(rows: Sequence[WeightSweepRow], path) -> None:
+    write_csv(path, [f.name for f in fields(WeightSweepRow)], map(astuple, rows))
 
 
 def write_trace_csv(result: OptimizationResult, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["iteration", "best_objective", "best_cost_cents", "best_shift_kwh", "violation"]
-        )
-        for point in result.trace:
-            writer.writerow(
-                [
-                    point.iteration,
-                    repr(point.objective),
-                    repr(point.cost_cents),
-                    repr(point.load_shift_kwh),
-                    repr(point.violation),
-                ]
-            )
+    write_csv(
+        path,
+        ["iteration", "best_objective", "best_cost_cents", "best_shift_kwh", "violation"],
+        ((p.iteration, p.objective, p.cost_cents, p.load_shift_kwh, p.violation) for p in result.trace),
+    )

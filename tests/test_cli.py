@@ -1,6 +1,7 @@
 """Command line flows, file outputs, and exit codes."""
 
 import csv
+import hashlib
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -212,6 +213,115 @@ class TestVerify:
         ])
         assert code == 1
         assert "FAIL pso" in capsys.readouterr().out
+
+
+class TestGoldenArtifacts:
+    """Every deterministic file of a small seeded flow, pinned by sha256.
+
+    Recorded before the optimizer dispatch, parameter resolution, manifest
+    and CSV writing of the CLI were each folded into one place; a byte that
+    moves in any of them shows here.  The runs use the cost-heavy pair
+    (0.9, 0.1), where every trace moves: at (0.4, 0.6) the clamped
+    prediction is already optimal, and at (0.8, 0.2) the swarm's is flat.
+    """
+
+    RUNS = {
+        "pso": ["optimize", "--algorithm", "pso", "--w1", "0.9", "--w2", "0.1"],
+        "de": ["optimize", "--algorithm", "de", "--w1", "0.9", "--w2", "0.1"],
+        "pso_capped": ["optimize", "--algorithm", "pso", "--w1", "0.9", "--w2", "0.1", "--peak-cap", "125"],
+        "sweep": ["sweep", "--weights", "0.9:0.1,0.5:0.5,0.2:0.8", "--alpha", "50"],
+        "compare": ["compare", "--w1", "0.9", "--w2", "0.1"],
+        "verify": ["verify", "--algorithm", "both", "--w1", "0.9", "--w2", "0.1",
+                   "--free-hours", "17,18,19", "--resolution", "21"],
+    }
+
+    GOLDEN = {
+        "pso/result.json": "e2d9fcd29a7a6c4acee2186d1707a0ef1d9c8aea022f98bec11a8deba542b896",
+        "pso/trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
+        "pso/load_comparison.csv": "febecf4e6465453c1cbe030bc33755dbbdce6d9b642109bb59b0d9d905448afa",
+        "pso/cost_comparison.csv": "fe00b9ca478cea1a543cdfec987a6fb9ec62f4d527c9eef1ba30e48555f97441",
+        "de/result.json": "67a57280f821f82d93f30720bfb438a33c9d12cdaff7358555272b3bdc8ae08e",
+        "de/trace.csv": "95541021bf67356dd39d4bdce9bfc5f8ef7df014a787f9331ea32b7e0969229e",
+        "de/load_comparison.csv": "0fa0ee6600fdb549d9e4b10e988299bec94cb519f629eba5bd37605e1f6da1f6",
+        "de/cost_comparison.csv": "bfceefff5c6249bc443804a411f6e0d458a51e1047565677a0265490cbefdb55",
+        "pso_capped/result.json": "ec376e7b29397c7bb51e1061e1109b062a7c8338f7894540f8c530916818df32",
+        "pso_capped/trace.csv": "7220eb9b9f30594babd06a70ac26e889b76fe6c95a35783085baf8dd96972550",
+        "pso_capped/load_comparison.csv": "d54bea3351929f0a629e6f8d85707b88252900127f0f3e720b38752d28b1ab7b",
+        "pso_capped/cost_comparison.csv": "200b17ef67c01de1d8f5118652debc4f2739fb726114f3805b4ccaf9d4e5d4f2",
+        "sweep/sweep.json": "9f9e04b3c441f079cc6057f979689af3ebe3a4d39c09b53e40b704fd073276d4",
+        "sweep/sweep.csv": "22591c860561005aee4550cab6c7ec9e3f0052bc6845295b43dfd024b78e431f",
+        "compare/comparison.json": "ae04ab25de7d1ff802d8cdb991b49698535fd3c1d5893c2ba6ad9a59940b0cc9",
+        "compare/pso_trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
+        "compare/de_trace.csv": "95541021bf67356dd39d4bdce9bfc5f8ef7df014a787f9331ea32b7e0969229e",
+        "verify/verify.json": "3ba4051662a1676cdb426cf514a5df1e3035a1a54b64628ceabefac940b7d7f5",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory, day_inputs):
+        predicted, prices = day_inputs
+        root = tmp_path_factory.mktemp("golden")
+        for name, args in self.RUNS.items():
+            assert main([
+                *args, "--predicted", str(predicted), "--prices", str(prices),
+                "--population", "12", "--iterations", "20", "--seed", "9", "--out", str(root / name),
+            ]) == 0
+        return root
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN))
+    def test_bytes(self, outputs, path):
+        assert hashlib.sha256((outputs / path).read_bytes()).hexdigest() == self.GOLDEN[path]
+
+
+class TestManifest:
+    """manifest.json holds every parsed argument by its dest, with the problem
+    parameters resolved, so the run can be repeated from it."""
+
+    def test_optimize_records_its_inputs_and_config(self, trained_dir, synth_dir, tmp_path):
+        model, data = str(trained_dir / "model.json"), str(synth_dir / "synthetic.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"w1": 0.7, "w2": 0.3}))
+        assert main([
+            "optimize", "--model", model, "--data", data, "--day", "2024-01-06", "--config", str(config),
+            "--w2", "0.5", "--population", "10", "--iterations", "10", "--out", str(tmp_path / "out"),
+        ]) == 0
+        parameters = json.loads((tmp_path / "out" / "manifest.json").read_text())["parameters"]
+        assert {key: parameters[key] for key in ("model", "data", "day", "config", "predicted", "prices")} == {
+            "model": model, "data": data, "day": "2024-01-06", "config": str(config),
+            "predicted": None, "prices": None,
+        }
+        # flag, then config key, then default
+        assert {key: parameters[key] for key in ("w1", "w2", "alpha", "gamma_lo", "gamma_hi", "peak_cap")} == {
+            "w1": 0.7, "w2": 0.5, "alpha": 100.0, "gamma_lo": 0.5, "gamma_hi": 1.5, "peak_cap": None,
+        }
+
+    def test_predict_records_data_and_allow_gaps(self, trained_dir, synth_dir, tmp_path):
+        data = str(synth_dir / "synthetic.csv")
+        assert main([
+            "predict", "--model", str(trained_dir / "model.json"), "--data", data,
+            "--day", "2024-01-06", "--allow-gaps", "--out", str(tmp_path),
+        ]) == 0
+        parameters = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+        assert parameters["data"] == data and parameters["allow_gaps"] is True
+
+    @pytest.mark.parametrize("command", ["synth", "train", "predict", "optimize", "sweep", "compare", "verify"])
+    def test_parameters_hold_every_dest(self, day_inputs, synth_dir, trained_dir, tmp_path, command):
+        data = str(synth_dir / "synthetic.csv")
+        day = ["--predicted", str(day_inputs[0]), "--prices", str(day_inputs[1]),
+               "--population", "6", "--iterations", "3"]
+        argv = {
+            "synth": ["--days", "6"],
+            "train": ["--data", data, "--hidden", "4", "--epochs", "1"],
+            "predict": ["--model", str(trained_dir / "model.json"), "--data", data, "--day", "2024-01-06"],
+            "optimize": day,
+            "sweep": [*day, "--weights", "0.5:0.5"],
+            "compare": day,
+            "verify": [*day, "--resolution", "5", "--tolerance", "10"],
+        }[command]
+        assert main([command, *argv, "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        dests = set(vars(build_parser().parse_args([command, *argv]))) - {"func", "command"}
+        assert manifest["command"] == command
+        assert dests <= set(manifest["parameters"])
 
 
 class TestErrors:

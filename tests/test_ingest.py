@@ -105,6 +105,8 @@ class TestLoadDataset:
         ({6: (LOAD_COLUMN, "1_000"), 9: ("wind_speed", "x")}, 8, "bad value '1_000' in column 'load_kwh'"),
         ({6: ("dew_point", "\u0661\u0662")}, 8, "bad value '\u0661\u0662' in column 'dew_point'"),
         ({6: ("temperature", "\uff11")}, 8, "bad value '\uff11' in column 'temperature'"),
+        # the array parse strips U+001C..U+001F around a number, float() does not
+        ({6: (LOAD_COLUMN, "576.525\x1c")}, 8, "bad value '576.525\\x1c' in column 'load_kwh'"),
     ])
     def test_first_faulty_line_wins(self, tmp_path, faults, line, reason):
         rows = make_rows(48)

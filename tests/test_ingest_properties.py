@@ -1,6 +1,7 @@
 """load_dataset against the row-wise reference reader on random CSVs: quoted
 fields, CRLF/LF/CR line endings, blank and whitespace-only lines, short and
-long rows, duplicate header names, a schema mapping, bad cells, naive, fixed,
+long rows, duplicate header names, a schema mapping, bad cells (among them
+numerals padded with the separator controls U+001C..U+001F), naive, fixed,
 switching and mixed UTC offsets, and shuffled rows.
 
 The array parse must give identical timestamps, array bytes and split, or the
@@ -33,9 +34,10 @@ ZONES = {
     "mixed": (None, timezone.utc),
 }
 BAD_TIMESTAMPS = ["yesterday", "", "2024-13-01T00:00:00", "2024-03-09 25:00"]
-BAD_VALUES = ["nan", "-inf", "inf", "1e500", "-3.5", "", "abc", "1.5.2", "0x10"]
+SEPARATORS = "\x1c\x1d\x1e\x1f"   # str.isspace() holds for each; float() rejects them, loadtxt strips them
+BAD_VALUES = ["nan", "-inf", "inf", "1e500", "-3.5", "", "abc", "1.5.2", "0x10", *(f"1.5{c}" for c in SEPARATORS), "\x1d2"]
 FLOAT_ONLY = ["1_000", "2_5.5", "١٢", "７.5"]   # float() reads these, loadtxt does not
-DECOYS = ["decoy", "", "1.5", 'say "hi"', "a,b", "two\r\nlines"]   # quoted at any line ending
+DECOYS = ["decoy", "", "1.5", 'say "hi"', "a,b", "two\r\nlines", "1.5\x1f"]   # quoted at any line ending
 
 
 def stamp(hour, zone):
@@ -69,7 +71,7 @@ def csv_files(draw):
     zones = ZONES[draw(st.sampled_from(sorted(ZONES)))]
     rows = []
     for h in kept:
-        pad = rnd.choice(["", " "])
+        pad = rnd.choice(["", " ", rnd.choice(SEPARATORS)])   # strip() takes all three off a timestamp
         cells = {"timestamp": pad + stamp(h, rnd.choice(zones)) + pad}
         for c in canonical[1:]:
             cells[c] = number(rnd, -50.0 if c in REQUIRED_COLUMNS[1:6] else 0.0)
