@@ -1,8 +1,9 @@
 """Command line front end.
 
-Every subcommand resolves its problem parameters (flag, then config file
-key, then default), derives per-component seeds from the single master
-seed, and drops a manifest.json next to its outputs.  The manifest
+The four problem subcommands (optimize, sweep, compare, verify) resolve
+their problem parameters: flag, then key of the --config file, then
+default.  Every subcommand derives per-component seeds from the single
+master seed and drops a manifest.json next to its outputs.  The manifest
 records every parsed argument under its argparse dest, with the problem
 parameters already resolved, plus the values derived from them (layer
 sizes, window counts, sweep pairs, output path) and the derived seeds.
@@ -417,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     common.add_argument("--out", default=".", help="output directory (default .)")
-    common.add_argument("--config", help="JSON problem config; flags override its keys")
 
     day_inputs = argparse.ArgumentParser(add_help=False)
     day_inputs.add_argument("--predicted", help=f"24-row CSV hour,{PREDICTED_COLUMN}")
@@ -427,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     day_inputs.add_argument("--prices", help=f"24-row CSV hour,{PRICE_COLUMN}")
 
     bounds = argparse.ArgumentParser(add_help=False)
+    bounds.add_argument("--config", help="JSON problem config; flags override its keys")
     bounds.add_argument("--alpha", type=float, help="violation penalty weight")
     bounds.add_argument("--gamma-lo", type=float, help="lower bound factor on predicted load")
     bounds.add_argument("--gamma-hi", type=float, help="upper bound factor on predicted load")

@@ -12,7 +12,7 @@ so a trial only replaces its parent when it is genuinely better.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .profiles import DrProblem, OptimizationResult
 class DeConfig:
     population_size: int = 50
     iterations: int = 100
-    beta_range: tuple[float, float] = (0.2, 0.8)
-    crossover_probability: float = 0.7
     seed: int = 0
+    beta_range: ClassVar[tuple[float, float]] = (0.2, 0.8)
+    crossover_probability: ClassVar[float] = 0.7
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -36,13 +36,6 @@ class DeConfig:
             raise ValueError(f"population_size must be >= 4, got {self.population_size}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        lo, hi = self.beta_range
-        if not 0.0 < lo <= hi:
-            raise ValueError(f"beta_range must satisfy 0 < lo <= hi, got {self.beta_range}")
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ValueError(
-                f"crossover_probability must be in [0, 1], got {self.crossover_probability}"
-            )
 
 
 def draw_parents(size: int, rng: np.random.Generator) -> np.ndarray:

@@ -116,7 +116,6 @@ def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.nd
 
 def load_dataset(
     path,
-    schema: Optional[Mapping[str, str]] = None,
     *,
     split_boundary: Optional[datetime] = None,
     split_fraction: float = 0.85,
@@ -124,24 +123,20 @@ def load_dataset(
 ) -> Dataset:
     """Parse an hourly CSV time series into a validated Dataset.
 
-    ``schema`` maps canonical column names to the file's actual header
-    names (identity by default). Without ``split_boundary`` the split is
-    chronological at ``split_fraction`` of the rows. The first faulty line
-    of the file raises UnparseableRow; Dataset enforces the hourly cadence.
+    Without ``split_boundary`` the split is chronological at
+    ``split_fraction`` of the rows. The first faulty line of the file
+    raises UnparseableRow; Dataset enforces the hourly cadence.
     """
-    column_of = dict(schema) if schema else {}
-    name = lambda canonical: column_of.get(canonical, canonical)
-
     with open(path, newline="") as handle:
         header = next(csv.reader(handle), [])
         for canonical in REQUIRED_COLUMNS:
-            if name(canonical) not in header:
-                raise MissingColumn(name(canonical))
-        has_price = name(PRICE_COLUMN) in header
+            if canonical not in header:
+                raise MissingColumn(canonical)
+        has_price = PRICE_COLUMN in header
         value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
         # a repeated header name refers to its last column
         position = {column: j for j, column in enumerate(header)}
-        columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
+        columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
@@ -153,13 +148,13 @@ def load_dataset(
                 raise ValueError("non-finite or negative value")
             order = sorted(range(len(stamps)), key=stamps.__getitem__)   # TypeError: naive and offset stamps
         except (TypeError, ValueError) as exc:
-            _raise_first_fault(path, columns, value_names, name, exc)
+            _raise_first_fault(path, columns, value_names, exc)
     # loadtxt strips U+001C..U+001F around a number as whitespace; float() does not.
     # The scan reads 64 KiB at a time, so a large file is never held whole.
     with open(path, "rb") as raw:
         chunks = iter(lambda: raw.read(1 << 16), b"")
         if any(control in chunk for chunk in chunks for control in b"\x1c\x1d\x1e\x1f"):
-            _raise_first_fault(path, columns, value_names, name)
+            _raise_first_fault(path, columns, value_names)
     if len(stamps) < 2:
         raise InsufficientData(f"dataset {path} has {len(stamps)} rows; need at least 2")
 
@@ -181,7 +176,7 @@ def load_dataset(
     )
 
 
-def _raise_first_fault(path, columns, value_names, name, rejection: Optional[Exception] = None) -> None:
+def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception] = None) -> None:
     """Re-read a file the array parse rejected and raise UnparseableRow for its first
     faulty row, checking each row in turn: its timestamp, then each value column in
     order, then the signs; then the first row whose UTC offset awareness differs.
@@ -206,9 +201,9 @@ def _raise_first_fault(path, columns, value_names, name, rejection: Optional[Exc
                         raise ValueError(raw)
                     values[canonical] = float(raw)
                 except (TypeError, ValueError) as exc:
-                    raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
+                    raise UnparseableRow(line, f"bad value {raw!r} in column {canonical!r}") from exc
                 if not np.isfinite(values[canonical]):
-                    raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
+                    raise UnparseableRow(line, f"non-finite value in column {canonical!r}")
             for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
                 if values.get(canonical, 0.0) < 0:
                     raise UnparseableRow(line, fault)

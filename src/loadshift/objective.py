@@ -36,27 +36,6 @@ def energy_cost(schedule: HourlyProfile, prices: HourlyProfile) -> float:
     return float(np.dot(schedule.values, prices.values))
 
 
-def load_shift(schedule: HourlyProfile, predicted: HourlyProfile) -> float:
-    """Total absolute hourly deviation from the predicted profile, kWh."""
-    return float(np.sum(np.abs(schedule.values - predicted.values)))
-
-
-def violation(schedule: HourlyProfile, predicted: HourlyProfile, *, symmetric: bool = False) -> float:
-    """Relative excess of total scheduled energy over total predicted.
-
-    One-sided by default: scheduling less total energy than predicted is
-    free. The symmetric variant penalizes deviation in both directions
-    and exists for experimentation only.
-    """
-    total_predicted = float(np.sum(predicted.values))
-    if total_predicted <= 0:
-        raise ZeroPredictedTotal("predicted profile has zero total load")
-    ratio = float(np.sum(schedule.values)) / total_predicted
-    if symmetric:
-        return abs(ratio - 1.0)
-    return max(ratio - 1.0, 0.0)
-
-
 def _terms(problem: DrProblem, schedules: np.ndarray):
     """Vectorized cost/shift/violation/objective for (..., 24) schedules."""
     total_predicted = float(np.sum(problem.predicted.values))

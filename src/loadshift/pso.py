@@ -14,7 +14,7 @@ the walls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -27,19 +27,17 @@ from .profiles import DrProblem, OptimizationResult
 class PsoConfig:
     swarm_size: int = 50
     iterations: int = 100
-    inertia: float = 1.0
-    cognitive: float = 2.0
-    social: float = 2.0
-    v_max_fraction: float = 0.10  # of (upper - lower), per dimension
     seed: int = 0
+    inertia: ClassVar[float] = 1.0
+    cognitive: ClassVar[float] = 2.0
+    social: ClassVar[float] = 2.0
+    v_max_fraction: ClassVar[float] = 0.10  # of (upper - lower), per dimension
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.v_max_fraction <= 0:
-            raise ValueError(f"v_max_fraction must be positive, got {self.v_max_fraction}")
 
 
 @dataclass

@@ -22,15 +22,6 @@ from .ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS
 class SynthConfig:
     days: int = 30
     seed: int = 0
-    start: datetime = datetime(2024, 1, 1, 0, 0)
-    base_load_kwh: float = 900.0
-    load_amplitude_kwh: float = 250.0     # diurnal swing, peak near 17:00
-    temp_coupling_kwh_per_deg: float = 12.0
-    load_noise_kwh: float = 15.0
-    base_price_c: float = 5.0
-    evening_peak_c: float = 6.0           # Gaussian bump centred near 18:30
-    evening_peak_hour: float = 18.5
-    price_noise_c: float = 0.15
     include_price: bool = True
 
     def __post_init__(self):
@@ -63,25 +54,25 @@ def generate_rows(config: SynthConfig) -> list[dict]:
     cold_index = temperature - 0.4 * wind_speed
 
     load = np.clip(
-        config.base_load_kwh
-        + config.load_amplitude_kwh * np.cos(2 * np.pi * (hour - 17) / 24.0)
-        + config.temp_coupling_kwh_per_deg * (temperature - 18.0)
-        + rng.normal(0.0, config.load_noise_kwh, size=n),
+        900.0
+        + 250.0 * np.cos(2 * np.pi * (hour - 17) / 24.0)   # diurnal swing, peak near 17:00
+        + 12.0 * (temperature - 18.0)
+        + rng.normal(0.0, 15.0, size=n),
         50.0,
         None,
     )
     price = np.clip(
-        config.base_price_c
-        + config.evening_peak_c
-        * np.exp(-((hour - config.evening_peak_hour) ** 2) / (2 * 2.0**2))
-        + rng.normal(0.0, config.price_noise_c, size=n),
+        5.0
+        + 6.0 * np.exp(-((hour - 18.5) ** 2) / (2 * 2.0**2))   # Gaussian bump centred near 18:30
+        + rng.normal(0.0, 0.15, size=n),
         0.5,
         None,
     )
 
+    start = datetime(2024, 1, 1)
     rows = []
     for i in range(n):
-        stamp = config.start + timedelta(hours=i)
+        stamp = start + timedelta(hours=i)
         row = {
             "timestamp": stamp.isoformat(),
             "wind_speed": f"{wind_speed[i]:.2f}",

@@ -4,7 +4,7 @@ rows the slow way."""
 
 import csv
 from datetime import datetime, timedelta
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -93,7 +93,6 @@ def reference_grid_search(reduced):
 
 def reference_load_dataset(
     path,
-    schema: Optional[Mapping[str, str]] = None,
     *,
     split_boundary: Optional[datetime] = None,
     split_fraction: float = 0.85,
@@ -102,31 +101,27 @@ def reference_load_dataset(
     """Row-wise reference for ``ingest.load_dataset``: every row is read with
     ``csv`` and every cell with ``float()``.
 
-    ``schema`` maps canonical column names to the file's actual header
-    names (identity by default). Without ``split_boundary`` the split is
-    chronological at ``split_fraction`` of the rows. The first faulty line
-    of the file raises UnparseableRow; Dataset enforces the hourly cadence.
+    Without ``split_boundary`` the split is chronological at
+    ``split_fraction`` of the rows. The first faulty line of the file
+    raises UnparseableRow; Dataset enforces the hourly cadence.
     """
-    column_of = dict(schema) if schema else {}
-    name = lambda canonical: column_of.get(canonical, canonical)
-
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         for canonical in REQUIRED_COLUMNS:
-            if name(canonical) not in header:
-                raise MissingColumn(name(canonical))
+            if canonical not in header:
+                raise MissingColumn(canonical)
         rows, lines = [], []
         for row in reader:
             if row:   # a blank line holds no row
                 rows.append(row)
                 lines.append(reader.line_num)
 
-    has_price = name(PRICE_COLUMN) in header
+    has_price = PRICE_COLUMN in header
     value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
     # a repeated header name refers to its last column
     position = {column: j for j, column in enumerate(header)}
-    columns = {canonical: position[name(canonical)] for canonical in ("timestamp",) + value_names}
+    columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
     column = lambda canonical: [row[columns[canonical]] for row in rows]   # IndexError on a short row
     try:
         stamps = [datetime.fromisoformat(raw.strip()) for raw in column("timestamp")]
@@ -134,7 +129,7 @@ def reference_load_dataset(
     except (ValueError, IndexError):
         values = None
     if values is None or not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
-        _reference_first_fault(rows, lines, columns, value_names, name)
+        _reference_first_fault(rows, lines, columns, value_names)
     if len(rows) < 2:
         raise InsufficientData(f"dataset {path} has {len(rows)} rows; need at least 2")
 
@@ -157,7 +152,7 @@ def reference_load_dataset(
     )
 
 
-def _reference_first_fault(rows, lines, columns, value_names, name) -> None:
+def _reference_first_fault(rows, lines, columns, value_names) -> None:
     """Raise UnparseableRow for the first faulty row, if any, checking each row in
     turn: its timestamp, then each value column in order, then the signs."""
     for row, line in zip(rows, lines):
@@ -172,9 +167,9 @@ def _reference_first_fault(rows, lines, columns, value_names, name) -> None:
             try:
                 values[canonical] = float(raw)
             except (TypeError, ValueError) as exc:
-                raise UnparseableRow(line, f"bad value {raw!r} in column {name(canonical)!r}") from exc
+                raise UnparseableRow(line, f"bad value {raw!r} in column {canonical!r}") from exc
             if not np.isfinite(values[canonical]):
-                raise UnparseableRow(line, f"non-finite value in column {name(canonical)!r}")
+                raise UnparseableRow(line, f"non-finite value in column {canonical!r}")
         for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
             if values.get(canonical, 0.0) < 0:
                 raise UnparseableRow(line, fault)

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib
 import json
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,6 +339,19 @@ class TestErrors:
             main(["optimize", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["synth"],
+        ["train", "--data", "data.csv"],
+        ["predict", "--model", "model.json", "--data", "data.csv", "--day", "2024-01-06"],
+    ])
+    def test_config_is_only_for_problem_commands(self, argv, capsys):
+        # synth, train and predict read no problem parameters: a config file
+        # given to them is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", "config.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config config.json" in capsys.readouterr().err
+
     def test_short_predicted_csv(self, day_inputs, tmp_path, capsys):
         _, prices = day_inputs
         short = tmp_path / "short.csv"
@@ -481,3 +496,11 @@ class TestErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["w1"] == 0.9
         assert manifest["parameters"]["alpha"] == 50.0
+
+
+def test_console_script_runs_cli_main():
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["loadshift"]
+    module, _, attribute = target.partition(":")
+    assert getattr(importlib.import_module(module), attribute) is main

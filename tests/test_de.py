@@ -54,7 +54,9 @@ class TestConfig:
         {"crossover_probability": 1.01},
     ])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # beta_range and crossover_probability are class constants, not constructor arguments
+        error = ValueError if kwargs.keys() <= {"population_size", "iterations"} else TypeError
+        with pytest.raises(error):
             de.DeConfig(**kwargs)
 
 

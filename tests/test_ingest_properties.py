@@ -1,8 +1,8 @@
 """load_dataset against the row-wise reference reader on random CSVs: quoted
 fields, CRLF/LF/CR line endings, blank and whitespace-only lines, short and
-long rows, duplicate header names, a schema mapping, bad cells (among them
-numerals padded with the separator controls U+001C..U+001F), naive, fixed,
-switching and mixed UTC offsets, and shuffled rows.
+long rows, duplicate header names, permuted and unread columns, bad cells
+(among them numerals padded with the separator controls U+001C..U+001F),
+naive, fixed, switching and mixed UTC offsets, and shuffled rows.
 
 The array parse must give identical timestamps, array bytes and split, or the
 same error class, message and line. Two differences are deliberate:
@@ -57,12 +57,8 @@ def csv_files(draw):
     Hypothesis draws the structure; a seeded generator fills in the cells."""
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
     canonical = list(REQUIRED_COLUMNS) + ([PRICE_COLUMN] if draw(st.booleans()) else [])
-    renamed = draw(st.sets(st.sampled_from(canonical)))
-    schema = {c: f"{c} (file)" for c in renamed}
-    used = [schema.get(c, c) for c in canonical]
-    header = draw(st.permutations(used + draw(st.lists(st.sampled_from(used + ["note"]), max_size=3))))
+    header = draw(st.permutations(canonical + draw(st.lists(st.sampled_from(canonical + ["note"]), max_size=3))))
     position = {name: j for j, name in enumerate(header)}   # the last duplicate is read
-    canonical_of = dict(zip(used, canonical))
 
     hours = rnd.randint(0, 40)
     dropped = draw(st.sets(st.integers(0, hours), max_size=2)) if draw(st.booleans()) else set()
@@ -82,7 +78,7 @@ def csv_files(draw):
             cells[rnd.choice(canonical[1:])] = rnd.choice(BAD_VALUES)
         elif fault == "sign":   # load or price; -0.0 is not negative
             cells[rnd.choice(canonical[6:])] = rnd.choice(["-0.5", "-1e-9", "-0.0"])
-        line = [cells[canonical_of[name]] if name in canonical_of and position[name] == j
+        line = [cells[name] if name in cells and position[name] == j
                 else rnd.choice(DECOYS) for j, name in enumerate(header)]
         if fault == "short":
             line = line[: rnd.randrange(len(line))]
@@ -93,7 +89,7 @@ def csv_files(draw):
     planted = None
     clean = [i for i, (_, fault) in enumerate(rows) if fault == "none"]
     if clean and rnd.random() < 0.2:
-        planted = (rnd.choice(FLOAT_ONLY), rnd.choice(used[1:]))
+        planted = (rnd.choice(FLOAT_ONLY), rnd.choice(canonical[1:]))
         rows[rnd.choice(clean)][0][position[planted[1]]] = planted[0]
 
     end = draw(st.sampled_from(["\r\n", "\n", "\r"]))
@@ -109,7 +105,7 @@ def csv_files(draw):
             buffer.write(rnd.choice([" ", "\t", "  "]) + end)
         writer.writerow(line)
 
-    kwargs = {"schema": schema or None, "allow_gaps": draw(st.booleans())}
+    kwargs = {"allow_gaps": draw(st.booleans())}
     if draw(st.booleans()):
         kwargs["split_fraction"] = draw(st.floats(0.0, 1.0))
     else:
@@ -139,7 +135,6 @@ def expected_outcome(path, kwargs, planted):
     """The reference's outcome, moved to the first float-only cell or the first
     row whose offset awareness differs, where those apply."""
     expected = outcome(reference_load_dataset, path, kwargs)
-    schema = kwargs["schema"] or {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -151,7 +146,7 @@ def expected_outcome(path, kwargs, planted):
         if not (expected[0] is UnparseableRow and expected[2] < line):
             return unparseable(line, f"bad value {raw!r} in column {name!r}")
     if expected[0] is TypeError:
-        column = max(j for j, h in enumerate(header) if h == schema.get("timestamp", "timestamp"))
+        column = max(j for j, h in enumerate(header) if h == "timestamp")
         aware = [(n, datetime.fromisoformat(row[column].strip()).tzinfo is not None) for n, row in rows]
         line = next(n for n, is_aware in aware if is_aware != aware[0][1])
         return unparseable(line, "UTC offset awareness differs from the first row's")

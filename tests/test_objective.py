@@ -1,5 +1,7 @@
 """Objective terms, normalization, and problem construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,6 @@ from loadshift.objective import (
     energy_cost,
     evaluate,
     evaluate_batch,
-    load_shift,
-    violation,
 )
 from loadshift.profiles import load_profile, price_profile
 
@@ -47,47 +47,55 @@ class TestEnergyCost:
         assert energy_cost(load_profile(loads), price_profile(prices)) == 20.0
 
 
+def breakdown(schedule, predicted):
+    """``schedule`` scored on a problem built from ``predicted``; its shift and
+    violation terms depend on neither the prices nor the weights."""
+    return evaluate(build_problem(predicted, flat_price(10.0), 0.5, 0.5), schedule)
+
+
 class TestLoadShift:
     def test_identical_profiles(self):
         p = flat_load(7.0)
-        assert load_shift(p, p) == 0.0
+        assert breakdown(p, p).load_shift_kwh == 0.0
 
     def test_uniform_offset(self):
-        assert load_shift(flat_load(11.0), flat_load(10.0)) == 24.0
+        assert breakdown(flat_load(11.0), flat_load(10.0)).load_shift_kwh == 24.0
 
     def test_mixed_signs_use_absolute_value(self):
         predicted = np.full(24, 10.0)
         schedule = predicted.copy()
         schedule[0] += 6.0
         schedule[1] -= 4.0
-        assert load_shift(load_profile(schedule), load_profile(predicted)) == 10.0
+        assert breakdown(load_profile(schedule), load_profile(predicted)).load_shift_kwh == 10.0
 
 
 class TestViolation:
     def test_equal_totals(self):
-        assert violation(flat_load(10.0), flat_load(10.0)) == 0.0
+        assert breakdown(flat_load(10.0), flat_load(10.0)).violation == 0.0
 
     def test_ten_percent_excess(self):
-        assert violation(flat_load(11.0), flat_load(10.0)) == pytest.approx(0.1, abs=1e-12)
+        assert breakdown(flat_load(11.0), flat_load(10.0)).violation == pytest.approx(0.1, abs=1e-12)
 
     def test_deficit_is_free(self):
         # one-sided: scheduling less total energy carries no penalty
-        assert violation(flat_load(9.0), flat_load(10.0)) == 0.0
-
-    def test_symmetric_variant_penalizes_deficit(self):
-        got = violation(flat_load(9.0), flat_load(10.0), symmetric=True)
-        assert got == pytest.approx(0.1, abs=1e-12)
+        assert breakdown(flat_load(9.0), flat_load(10.0)).violation == 0.0
 
     def test_zero_predicted_total_rejected(self):
+        # build_problem refuses a zero profile (its cost normalizer would be
+        # zero), so the zero profile goes into an already built problem
+        problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
+        problem = dataclasses.replace(problem, predicted=flat_load(0.0))
         with pytest.raises(ZeroPredictedTotal):
-            violation(flat_load(1.0), flat_load(0.0))
+            evaluate(problem, flat_load(1.0))
+        with pytest.raises(ZeroPredictedTotal):
+            evaluate_batch(problem, np.ones((2, 24)))
 
     def test_redistribution_without_excess(self):
         predicted = np.full(24, 10.0)
         schedule = predicted.copy()
         schedule[0] += 5.0
         schedule[1] -= 5.0
-        assert violation(load_profile(schedule), load_profile(predicted)) == 0.0
+        assert breakdown(load_profile(schedule), load_profile(predicted)).violation == 0.0
 
 
 class TestBuildProblem:
@@ -249,11 +257,12 @@ class TestProperties:
     def test_violation_ratio_is_scale_invariant(self, seed, scale):
         rng = np.random.default_rng(seed)
         predicted = rng.uniform(10.0, 100.0, size=24)
-        schedule = rng.uniform(10.0, 100.0, size=24)
-        base = violation(load_profile(schedule), load_profile(predicted))
-        scaled = violation(load_profile(scale * schedule),
-                           load_profile(scale * predicted))
-        assert scaled == pytest.approx(base, abs=1e-9)
+        schedules = rng.uniform(10.0, 100.0, size=(4, 24))
+        prices = price_profile(rng.uniform(2.0, 15.0, size=24))
+        base = evaluate_batch(build_problem(load_profile(predicted), prices, 0.5, 0.5), schedules)[2]
+        scaled = evaluate_batch(build_problem(load_profile(scale * predicted), prices, 0.5, 0.5),
+                                scale * schedules)[2]
+        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(random_problem(), st.integers(0, 23))

@@ -53,7 +53,9 @@ class TestConfig:
         {"v_max_fraction": -0.1},
     ])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # the coefficients are class constants, not constructor arguments
+        error = ValueError if kwargs.keys() <= {"swarm_size", "iterations"} else TypeError
+        with pytest.raises(error):
             pso.PsoConfig(**kwargs)
 
 
@@ -71,10 +73,14 @@ class TestVelocityUpdate:
             best_objectives=np.zeros(len(position)),
         )
 
+    # the coefficients are fixed at inertia 1, pulls 2 and 2, and a clamp of
+    # 0.1 box widths: a zero factor silences a pull, and the boxes below are
+    # wide enough that the clamp only binds where a test says so
+
     def test_pure_inertia_when_accelerations_are_zero(self):
-        config = pso.PsoConfig(cognitive=0.0, social=0.0, v_max_fraction=1.0)
+        config = pso.PsoConfig()
         swarm = self.swarm_at([2.0, 3.0], velocity=[0.4, -0.2], best=[9.0, 9.0])
-        rng = ScriptedRng([np.ones((1, 2, 2))])
+        rng = ScriptedRng([np.zeros((1, 2, 2))])
         v = pso.velocity_update(
             swarm, np.array([7.0, 7.0]),
             np.zeros(2), np.full(2, 10.0), config, rng,
@@ -82,7 +88,7 @@ class TestVelocityUpdate:
         np.testing.assert_array_equal(v, [[0.4, -0.2]])
 
     def test_at_both_bests_only_inertia_remains(self):
-        config = pso.PsoConfig(v_max_fraction=1.0)
+        config = pso.PsoConfig()
         x = np.array([4.0, 5.0])
         swarm = self.swarm_at(x, velocity=[0.3, 0.3], best=x.copy())
         rng = ScriptedRng([np.ones((1, 2, 2))])
@@ -93,7 +99,7 @@ class TestVelocityUpdate:
     def test_first_draw_scales_the_personal_pull(self):
         # r1 = 1 on the personal term, r2 = 0 kills the social term; a
         # swapped implementation would chase gbest at 99 instead
-        config = pso.PsoConfig(v_max_fraction=1.0)
+        config = pso.PsoConfig()
         swarm = self.swarm_at([0.0], best=[0.5])
         rng = ScriptedRng([[[[1.0], [0.0]]]])
         v = pso.velocity_update(swarm, np.array([99.0]),
@@ -112,7 +118,7 @@ class TestVelocityUpdate:
     def test_draws_two_per_dimension_batches(self):
         # one draw for the swarm, laid out particle by particle, personal
         # factors before social ones
-        config = pso.PsoConfig(v_max_fraction=1.0)
+        config = pso.PsoConfig()
         swarm = self.swarm_at(np.zeros((3, 24)))
         rng = ScriptedRng([np.zeros((3, 2, 24))])
         pso.velocity_update(swarm, np.ones(24), np.zeros(24), np.ones(24),
@@ -121,10 +127,10 @@ class TestVelocityUpdate:
 
     def test_rows_move_independently(self):
         # each row follows its own best and its own factors
-        config = pso.PsoConfig(social=0.0, v_max_fraction=1.0)
+        config = pso.PsoConfig()
         swarm = self.swarm_at([[0.0], [0.0]], best=[[1.0], [3.0]])
         rng = ScriptedRng([[[[0.5], [0.0]], [[0.25], [0.0]]]])
-        v = pso.velocity_update(swarm, np.zeros(1), np.zeros(1), np.full(1, 10.0),
+        v = pso.velocity_update(swarm, np.zeros(1), np.zeros(1), np.full(1, 100.0),
                                 config, rng)
         np.testing.assert_array_equal(v, [[1.0], [1.5]])
 

@@ -1,5 +1,7 @@
 """Synthetic dataset generator: determinism, realism, compatibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,3 +91,16 @@ class TestWriteCsv:
         write_csv(SynthConfig(days=6, seed=12, include_price=False), path)
         dataset = load_dataset(path)
         assert dataset.price is None
+
+    # sha256 of the 6-day seed-12 file with and without the price column: the
+    # generator's constants, draw order and formatting all show in these bytes
+    GOLDEN = {
+        True: "000b37d3c810eecbdbbe26376cf0df6cbba008459e2f6860031941ddff6bbbc8",
+        False: "31a0d1920bdfaf1748944c8d8b65c573bcc0f78e29e416cdcfd752475d09ab4d",
+    }
+
+    @pytest.mark.parametrize("include_price", [True, False])
+    def test_golden_bytes(self, tmp_path, include_price):
+        path = tmp_path / "synth.csv"
+        write_csv(SynthConfig(days=6, seed=12, include_price=include_price), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[include_price]
