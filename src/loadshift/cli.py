@@ -37,13 +37,8 @@ from .ingest import (
     load_dataset,
     split_windows,
 )
-from .objective import (
-    DEFAULT_ALPHA,
-    DEFAULT_GAMMA_HI,
-    DEFAULT_GAMMA_LO,
-    build_problem,
-)
-from .profiles import load_profile, price_profile
+from .objective import DEFAULT_ALPHA, DEFAULT_GAMMA_HI, DEFAULT_GAMMA_LO, build_problem
+from .profiles import ProfileKind, load_profile, price_profile
 from .report import write_json, write_trace_csv
 from .seeding import derive_seed
 
@@ -65,16 +60,21 @@ _PROBLEM_DEFAULTS = {
 
 def _resolve_problem_parameters(args) -> None:
     """Set each problem parameter the subcommand defines on ``args``: the
-    flag, else the config file key, else the default."""
+    flag, else the config file key, else the default.  A config key for a
+    parameter the subcommand lacks is refused, not ignored."""
     config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
-    unknown = sorted(set(config) - set(_PROBLEM_DEFAULTS))
+    allowed = sorted(key for key in _PROBLEM_DEFAULTS if hasattr(args, key))
+    unknown = sorted(set(config) - set(allowed))
     if unknown:
-        raise LoadshiftError(
-            f"unknown config keys {unknown}; allowed: {sorted(_PROBLEM_DEFAULTS)}"
-        )
-    for key, default in _PROBLEM_DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, config.get(key, default))
+        raise LoadshiftError(f"config keys {unknown} are not parameters of {args.command}; allowed: {allowed}")
+    for key in allowed:
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, _PROBLEM_DEFAULTS[key]))
+
+
+def _bounds(args) -> dict:
+    """build_problem's keyword arguments: every resolved problem parameter but the weights."""
+    return {key: getattr(args, key) for key in _PROBLEM_DEFAULTS if key not in ("w1", "w2")}
 
 
 def _out_dir(args) -> Path:
@@ -159,29 +159,21 @@ def _resolve_day_inputs(args) -> tuple:
         prices = price_profile(
             _read_hourly_column(args.prices, PRICE_COLUMN, MissingPrices)
         )
-    else:
-        if dataset is None and args.data and day is not None:
+    elif args.data and day is not None:
+        if dataset is None:
             dataset = load_dataset(args.data)
-        if dataset is None or dataset.price is None or day is None:
-            raise MissingPrices(
-                "need 24 hourly prices: pass --prices CSV, "
-                "or --data with a price column and --day"
-            )
-        prices = price_profile(dataset.price[dataset.day_indices(day)])
+        prices = dataset.day_profile(day, ProfileKind.PRICE)
+    else:
+        raise MissingPrices(
+            "need 24 hourly prices: pass --prices CSV, "
+            "or --data with a price column and --day"
+        )
     _resolve_problem_parameters(args)
     return predicted, prices
 
 
 def _build_problem_from_args(args):
-    return build_problem(
-        *_resolve_day_inputs(args),
-        args.w1,
-        args.w2,
-        gamma_lo=args.gamma_lo,
-        gamma_hi=args.gamma_hi,
-        peak_cap=args.peak_cap,
-        alpha=args.alpha,
-    )
+    return build_problem(*_resolve_day_inputs(args), args.w1, args.w2, **_bounds(args))
 
 
 # optimizers -----------------------------------------------------------------
@@ -323,16 +315,8 @@ def cmd_sweep(args) -> int:
     else:
         pairs = [(round(i / 10, 1), round(1 - i / 10, 1)) for i in range(11)]
     rows = report.weight_sweep(
-        predicted,
-        prices,
-        pairs,
-        gamma_lo=args.gamma_lo,
-        gamma_hi=args.gamma_hi,
-        peak_cap=args.peak_cap,
-        alpha=args.alpha,
-        master_seed=args.seed,
-        swarm_size=args.population,
-        iterations=args.iterations,
+        predicted, prices, pairs, **_bounds(args),
+        master_seed=args.seed, swarm_size=args.population, iterations=args.iterations,
     )
     write_json({"rows": [row.to_json_dict() for row in rows]}, out / "sweep.json")
     report.write_weight_sweep_csv(rows, out / "sweep.csv")

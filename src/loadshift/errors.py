@@ -38,7 +38,7 @@ class DegenerateFeature(LoadshiftError):
         self.name = name
 
 
-class InsufficientData(LoadshiftError):
+class InsufficientData(LoadshiftError, ValueError):
     pass
 
 
@@ -85,11 +85,11 @@ class ZeroVariance(LoadshiftError):
 
 # objective / problem construction ------------------------------------------
 
-class ZeroPredictedTotal(LoadshiftError):
+class ZeroPredictedTotal(LoadshiftError, ValueError):
     pass
 
 
-class InvalidBounds(LoadshiftError):
+class InvalidBounds(LoadshiftError, ValueError):
     pass
 
 
@@ -117,5 +117,5 @@ class BudgetMismatch(Warning):
     """Warn-level: algorithm comparison budgets differ, rows are flagged."""
 
 
-class MissingPrices(LoadshiftError):
+class MissingPrices(LoadshiftError, ValueError):
     pass

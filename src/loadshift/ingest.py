@@ -127,6 +127,8 @@ def load_dataset(
     ``split_fraction`` of the rows. The first faulty line of the file
     raises UnparseableRow; Dataset enforces the hourly cadence.
     """
+    if not 0 <= split_fraction <= 1:   # NaN included
+        raise LoadshiftError(f"split_fraction must lie in [0, 1], got {split_fraction}")
     with open(path, newline="") as handle:
         header = next(csv.reader(handle), [])
         for canonical in REQUIRED_COLUMNS:

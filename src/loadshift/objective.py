@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidBounds, ZeroPredictedTotal
-from .profiles import DrProblem, HourlyProfile, ProfileKind
+from .errors import InvalidBounds
+from .profiles import DrProblem, HourlyProfile
 
 DEFAULT_GAMMA_LO = 0.5
 DEFAULT_GAMMA_HI = 1.5
@@ -38,12 +38,9 @@ def energy_cost(schedule: HourlyProfile, prices: HourlyProfile) -> float:
 
 def _terms(problem: DrProblem, schedules: np.ndarray):
     """Vectorized cost/shift/violation/objective for (..., 24) schedules."""
-    total_predicted = float(np.sum(problem.predicted.values))
-    if total_predicted <= 0:
-        raise ZeroPredictedTotal("predicted profile has zero total load")
     cost = schedules @ problem.prices.values
     shift = np.abs(schedules - problem.predicted.values).sum(axis=-1)
-    ratio = schedules.sum(axis=-1) / total_predicted
+    ratio = schedules.sum(axis=-1) / float(np.sum(problem.predicted.values))
     viol = np.maximum(ratio - 1.0, 0.0)
     obj = (
         problem.w1 * cost / problem.e_cmax
@@ -89,13 +86,12 @@ def build_problem(
 
     A fully pinned box (gamma_lo = gamma_hi, no slack anywhere) gets
     l_shmax = 1 so the objective stays defined; in-box shift is
-    identically zero there.
+    identically zero there. DrProblem checks the profiles, the weights
+    and the normalizers; this checks only its own arguments.
     """
-    if predicted.kind is not ProfileKind.LOAD or prices.kind is not ProfileKind.PRICE:
-        raise InvalidBounds("build_problem needs a load profile and a price profile")
-    if gamma_lo < 0 or gamma_lo > gamma_hi:
+    if not 0 <= gamma_lo <= gamma_hi:   # NaN included
         raise InvalidBounds(f"need 0 <= gamma_lo <= gamma_hi, got ({gamma_lo}, {gamma_hi})")
-    if peak_cap is not None and peak_cap <= 0:
+    if peak_cap is not None and not peak_cap > 0:
         raise InvalidBounds(f"peak_cap must be positive, got {peak_cap}")
 
     lower = gamma_lo * predicted.values
@@ -103,11 +99,9 @@ def build_problem(
     if peak_cap is not None:
         upper = np.minimum(upper, peak_cap)
     if np.any(upper < lower):
-        raise InvalidBounds("peak_cap pushes an upper bound below the lower bound")
+        raise InvalidBounds(f"peak_cap {peak_cap} pushes an upper bound below the lower bound")
 
     e_cmax = float(np.dot(upper, prices.values))
-    if e_cmax <= 0:
-        raise InvalidBounds("cost normalizer is zero; prices or bounds are degenerate")
     l_shmax = float(np.sum(np.maximum(upper - predicted.values, predicted.values - lower)))
     if l_shmax <= 0:
         l_shmax = 1.0

@@ -12,14 +12,14 @@ concurrent evaluators.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MixedTimezones, NonHourlyCadence
+from .errors import InsufficientData, InvalidBounds, MissingPrices, MixedTimezones, NonHourlyCadence, ZeroPredictedTotal
 
 HOURS_PER_DAY = 24
 
@@ -79,10 +79,9 @@ class Dataset:
 
     Rows are sorted by timestamp. Rows strictly before ``split_boundary``
     are the training partition; every later row is test. Consecutive rows
-    are one hour apart unless ``allow_gaps``; then ``gap_after`` holds the
-    indices i where the step from row i to row i+1 is not one hour. Row
-    lookups are binary searches, over the timestamps or over an int64
-    microsecond copy of them.
+    are one hour apart unless ``allow_gaps``; then any later timestamp
+    may follow. Row lookups are binary searches, over the timestamps or over
+    an int64 microsecond copy of them.
     """
 
     timestamps: tuple
@@ -91,7 +90,6 @@ class Dataset:
     price: Optional[np.ndarray]    # (n,) c/kWh, or None
     split_boundary: datetime
     allow_gaps: bool = False
-    gap_after: frozenset = field(init=False)
 
     def __post_init__(self):
         n = len(self.timestamps)
@@ -116,7 +114,6 @@ class Dataset:
             raise MixedTimezones(f"split boundary {self.split_boundary} and timestamp {self.timestamps[0]} "
                                  "must both carry a UTC offset or neither")
         gaps = steps != _HOUR_MICROS
-        object.__setattr__(self, "gap_after", frozenset(np.flatnonzero(gaps).tolist()))
         # _gaps[i] counts the gaps before row i, so rows a..b hold no gap
         # exactly when _gaps[a] == _gaps[b]
         object.__setattr__(self, "_gaps", np.concatenate(([0], np.cumsum(gaps))))
@@ -129,13 +126,6 @@ class Dataset:
     def n_train(self) -> int:
         """Number of rows strictly before the split boundary."""
         return bisect_left(self.timestamps, self.split_boundary)
-
-    def is_train_row(self, index: int) -> bool:
-        return self.timestamps[index] < self.split_boundary
-
-    def index_of(self, ts: datetime) -> Optional[int]:
-        i = bisect_left(self.timestamps, ts)
-        return i if i < len(self) and self.timestamps[i] == ts else None
 
     def shifted_rows(self, rows: np.ndarray, hours: int) -> np.ndarray:
         """Index of the row ``hours`` after each of ``rows`` (before, if negative); -1 if absent."""
@@ -157,12 +147,12 @@ class Dataset:
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""
-        idx = self.day_indices(day)
-        if len(idx) != HOURS_PER_DAY:
-            raise ValueError(f"dataset does not contain all 24 hours of {day}")
         source = self.load if kind is ProfileKind.LOAD else self.price
         if source is None:
-            raise ValueError("dataset has no price column")
+            raise MissingPrices("dataset has no price column")
+        idx = self.day_indices(day)
+        if len(idx) != HOURS_PER_DAY:
+            raise InsufficientData(f"dataset does not contain all 24 hours of {day}")
         return HourlyProfile(source[idx], kind)
 
 
@@ -173,7 +163,8 @@ class DrProblem:
     ``w1`` weighs the cost term, ``w2`` the shift term, ``alpha`` the
     penalty on scheduling more total energy than predicted. ``e_cmax``
     (cents) and ``l_shmax`` (kWh) scale the two criteria so they are
-    dimensionless and comparable.
+    dimensionless and comparable. Construction checks every field, so
+    each problem that exists is well posed.
     """
 
     predicted: HourlyProfile
@@ -187,20 +178,22 @@ class DrProblem:
     l_shmax: float
 
     def __post_init__(self):
-        if self.predicted.kind is not ProfileKind.LOAD:
-            raise ValueError("predicted profile must be a load profile")
-        if self.prices.kind is not ProfileKind.PRICE:
-            raise ValueError("prices profile must be a price profile")
-        lo = _frozen_array(self.lower_bounds, shape=(HOURS_PER_DAY,))
-        hi = _frozen_array(self.upper_bounds, shape=(HOURS_PER_DAY,))
+        if self.predicted.kind is not ProfileKind.LOAD or self.prices.kind is not ProfileKind.PRICE:
+            raise InvalidBounds("a problem needs a load profile and a price profile")
+        if total(self.predicted) <= 0:
+            raise ZeroPredictedTotal("predicted profile has zero total load")
+        lo, hi = _frozen_array(self.lower_bounds), _frozen_array(self.upper_bounds)
         object.__setattr__(self, "lower_bounds", lo)
         object.__setattr__(self, "upper_bounds", hi)
-        if np.any(lo < 0) or np.any(hi < lo):
-            raise ValueError("bounds must satisfy 0 <= lower <= upper per hour")
-        if self.w1 < 0 or self.w2 < 0:
-            raise ValueError("weights must be nonnegative")
-        if self.e_cmax <= 0 or self.l_shmax <= 0 or self.alpha <= 0:
-            raise ValueError("e_cmax, l_shmax and alpha must be positive")
+        # each comparison below is false for NaN, so NaN fails every check
+        if (lo.shape != (HOURS_PER_DAY,) or hi.shape != lo.shape
+                or not np.all((0 <= lo) & (lo <= hi) & (hi < np.inf))):
+            raise InvalidBounds("bounds must be 24 finite values with 0 <= lower <= upper per hour")
+        if not (0 <= self.w1 < np.inf and 0 <= self.w2 < np.inf):
+            raise InvalidBounds(f"weights must be finite and nonnegative, got ({self.w1}, {self.w2})")
+        if not all(0 < value < np.inf for value in (self.e_cmax, self.l_shmax, self.alpha)):
+            raise InvalidBounds(f"e_cmax, l_shmax and alpha must be finite and positive, "
+                                f"got ({self.e_cmax}, {self.l_shmax}, {self.alpha})")
 
 
 @dataclass(frozen=True)

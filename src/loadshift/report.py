@@ -11,7 +11,7 @@ import json
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import de as de_mod
 from . import pso as pso_mod
@@ -73,31 +73,21 @@ def weight_sweep(
     prices: HourlyProfile,
     weight_pairs: Sequence[tuple],
     *,
-    gamma_lo: float = 0.5,
-    gamma_hi: float = 1.5,
-    peak_cap: Optional[float] = None,
-    alpha: float = 100.0,
     master_seed: int = 0,
     swarm_size: int = 50,
     iterations: int = 100,
+    **bounds,
 ) -> list[WeightSweepRow]:
     """One swarm run per (w1, w2) pair, rows in input order.
 
-    Each row gets its own seed derived from the master seed and the row
-    index, so adding or removing a row never perturbs the others.
+    ``bounds`` are build_problem's keyword arguments (gamma_lo, gamma_hi,
+    peak_cap, alpha), passed on unchanged. Each row gets its own seed
+    derived from the master seed and the row index, so adding or removing
+    a row never perturbs the others.
     """
     rows = []
     for index, (w1, w2) in enumerate(weight_pairs):
-        problem = build_problem(
-            predicted,
-            prices,
-            w1,
-            w2,
-            gamma_lo=gamma_lo,
-            gamma_hi=gamma_hi,
-            peak_cap=peak_cap,
-            alpha=alpha,
-        )
+        problem = build_problem(predicted, prices, w1, w2, **bounds)
         config = pso_mod.PsoConfig(
             swarm_size=swarm_size,
             iterations=iterations,

@@ -8,8 +8,6 @@ replaying everything before it.
 
 import hashlib
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -17,7 +15,3 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     """Stable 64-bit seed for the component named by (label, index)."""
     digest = hashlib.sha256(f"{master_seed}:{label}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") & _MASK64
-
-
-def generator_for(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, label, index))

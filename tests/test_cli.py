@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from loadshift.cli import build_parser, main
-from loadshift.errors import LoadshiftError
+from loadshift.errors import InsufficientData, LoadshiftError
 from loadshift.ingest import load_dataset
 
 
@@ -174,6 +174,17 @@ class TestSweep:
         with open(tmp_path / "sweep.csv", newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 2
 
+    def test_default_grid_has_eleven_pairs(self, day_inputs, tmp_path):
+        predicted, prices = day_inputs
+        assert main([
+            "sweep", "--predicted", str(predicted), "--prices", str(prices),
+            "--population", "6", "--iterations", "3", "--out", str(tmp_path),
+        ]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            assert len(list(csv.DictReader(handle))) == 11
+        pairs = json.loads((tmp_path / "manifest.json").read_text())["parameters"]["pairs"]
+        assert len(pairs) == 11 and pairs[0] == [0.0, 1.0] and pairs[-1] == [1.0, 0.0]
+
 
 class TestCompare:
     def test_outputs_both_algorithms(self, day_inputs, tmp_path, capsys):
@@ -215,6 +226,19 @@ class TestVerify:
         ])
         assert code == 1
         assert "FAIL pso" in capsys.readouterr().out
+
+    def test_zero_oracle_gap_is_absolute(self, day_inputs, tmp_path):
+        # shift only: the clamped prediction scores 0 up to rounding, so no
+        # relative gap exists and the gap is the absolute one
+        predicted, prices = day_inputs
+        assert main([
+            "verify", "--predicted", str(predicted), "--prices", str(prices),
+            "--w1", "0", "--w2", "1", "--resolution", "5", "--population", "6",
+            "--iterations", "3", "--out", str(tmp_path),
+        ]) == 0
+        check = json.loads((tmp_path / "verify.json").read_text())["checks"][0]
+        assert 0.0 <= check["oracle_objective"] <= 1e-12
+        assert check["relative_gap"] == check["objective"] - check["oracle_objective"]
 
 
 class TestGoldenArtifacts:
@@ -471,6 +495,97 @@ class TestErrors:
         ])
         assert code == 1
         assert "price" in capsys.readouterr().err.lower()
+
+    def test_sweep_config_refuses_weights(self, day_inputs, tmp_path, capsys):
+        # sweep takes its weights from --weights only; w1/w2 in its config
+        # would otherwise be silently ignored
+        predicted, prices = day_inputs
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1}))
+        code = main([
+            "sweep", "--predicted", str(predicted), "--prices", str(prices), "--config", str(config),
+            "--weights", "0.4:0.6", "--population", "6", "--iterations", "3", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "['w1', 'w2'] are not parameters of sweep" in err
+        assert not (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "inf", "nan"])
+    def test_split_fraction_outside_unit_interval(self, synth_dir, tmp_path, capsys, fraction):
+        code = main([
+            "train", "--data", str(synth_dir / "synthetic.csv"), "--split-fraction", fraction,
+            "--hidden", "4", "--epochs", "1", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: split_fraction must lie in [0, 1], got {float(fraction)}\n"
+
+    def test_day_absent_from_dataset_names_the_day(self, day_inputs, synth_dir, tmp_path, capsys):
+        predicted, _ = day_inputs
+        argv = [
+            "optimize", "--predicted", str(predicted), "--data", str(synth_dir / "synthetic.csv"),
+            "--day", "2024-02-01", "--out", str(tmp_path),
+        ]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InsufficientData):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: dataset does not contain all 24 hours of 2024-02-01\n"
+
+    def test_dataset_without_prices(self, day_inputs, tmp_path, capsys):
+        predicted, _ = day_inputs
+        assert main(["synth", "--days", "3", "--no-price", "--out", str(tmp_path)]) == 0
+        code = main([
+            "optimize", "--predicted", str(predicted), "--data", str(tmp_path / "synthetic.csv"),
+            "--day", "2024-01-02", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: dataset has no price column\n"
+
+    @pytest.mark.parametrize("rows, message", [
+        ([["when", "predicted_kwh"], ["1", "5.0"]], "required column missing from CSV header: 'hour'"),
+        ([["hour", "predicted_kwh"], ["1", "5.0"], ["two", "5.0"]], "cannot parse CSV line 3: invalid literal"),
+        ([["hour", "predicted_kwh"], ["25", "5.0"]], "cannot parse CSV line 2: hour 25 outside 1..24"),
+    ])
+    def test_bad_hour_column(self, day_inputs, tmp_path, capsys, rows, message):
+        _, prices = day_inputs
+        predicted = tmp_path / "predicted.csv"
+        with open(predicted, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--w1", "nan"], "weights must be finite and nonnegative, got (nan, 0.6)"),
+        (["--alpha", "inf"], "e_cmax, l_shmax and alpha must be finite and positive"),
+        (["--gamma-lo", "nan"], "need 0 <= gamma_lo <= gamma_hi, got (nan, 1.5)"),
+        (["--peak-cap", "nan"], "peak_cap must be positive, got nan"),
+    ])
+    def test_non_finite_problem_parameter(self, day_inputs, tmp_path, capsys, flags, message):
+        predicted, prices = day_inputs
+        code = main([
+            "optimize", "--predicted", str(predicted), "--prices", str(prices), *flags,
+            "--population", "6", "--iterations", "3", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "result.json").exists()
+
+    def test_weight_pair_without_colon(self, day_inputs, tmp_path, capsys):
+        predicted, prices = day_inputs
+        code = main([
+            "sweep", "--predicted", str(predicted), "--prices", str(prices),
+            "--weights", "0.4", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: weight pair '0.4' is not of the form w1:w2\n"
+
+    def test_no_predicted_profile(self, day_inputs, tmp_path, capsys):
+        _, prices = day_inputs
+        code = main(["optimize", "--prices", str(prices), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: need a predicted profile")
 
     def test_unknown_config_key(self, day_inputs, tmp_path, capsys):
         predicted, prices = day_inputs

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from helpers import scan_day_indices, scan_index_of, scan_n_train, scan_windows
+from helpers import scan_day_indices, scan_n_train, scan_windows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,10 +55,6 @@ def test_lookups_and_windows_match_scans(data):
     dates = {ts.date() for ts in dataset.timestamps}
     for day in dates | {min(dates) - timedelta(days=1), max(dates) + timedelta(days=1)}:
         assert list(dataset.day_indices(day)) == scan_day_indices(dataset, day)
-    for i, ts in enumerate(dataset.timestamps):
-        assert dataset.index_of(ts) == i
-        for shift in (timedelta(minutes=30), timedelta(hours=1), -timedelta(hours=24)):
-            assert dataset.index_of(ts + shift) == scan_index_of(dataset, ts + shift)
 
     expected = scan_windows(dataset, lag)
     try:

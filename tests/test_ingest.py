@@ -82,7 +82,8 @@ class TestLoadDataset:
         path = write_rows(tmp_path / "d.csv", rows)
         ds = load_dataset(path, allow_gaps=True)
         assert len(ds.timestamps) == 79
-        assert len(ds.gap_after) == 1
+        rows = np.arange(len(ds) - 1)
+        assert np.count_nonzero(~ds.contiguous(rows, rows + 1)) == 1
 
     def test_unparseable_load_names_line(self, tmp_path):
         rows = make_rows(48)
@@ -141,12 +142,12 @@ class TestLoadDataset:
             zone = timezone(timedelta(hours=-5 if i < 30 else -6))
             row["timestamp"] = (START + timedelta(hours=i)).replace(tzinfo=timezone.utc).astimezone(zone).isoformat()
         ds = load_dataset(write_rows(tmp_path / "d.csv", rows))
-        assert len(ds) == 48 and not ds.gap_after
+        assert len(ds) == 48 and ds.contiguous(0, len(ds) - 1)
         assert ds.timestamps[0].utcoffset() == timedelta(hours=-5)
         assert ds.load[0] == 100.0 and ds.load[-1] == 147.0
         for day in {ts.date() for ts in ds.timestamps}:
             assert list(ds.day_indices(day)) == [i for i, ts in enumerate(ds.timestamps) if ts.date() == day]
-        assert ds.index_of(START.replace(tzinfo=timezone.utc)) == 0
+        assert ds.timestamps[0] == START.replace(tzinfo=timezone.utc)
         assert len(build_windows(ds)) == 1
 
     def test_missing_column(self, tmp_path):
@@ -170,8 +171,7 @@ class TestLoadDataset:
         boundary = START + timedelta(hours=30)
         ds = load_dataset(path, split_boundary=boundary)
         assert ds.n_train == 30
-        assert ds.is_train_row(29)
-        assert not ds.is_train_row(30)
+        assert ds.timestamps[29] < boundary <= ds.timestamps[30]
 
     @pytest.mark.parametrize("aware_rows", [True, False])
     def test_split_boundary_awareness_must_match(self, tmp_path, aware_rows):

@@ -81,14 +81,13 @@ class TestViolation:
         assert breakdown(flat_load(9.0), flat_load(10.0)).violation == 0.0
 
     def test_zero_predicted_total_rejected(self):
-        # build_problem refuses a zero profile (its cost normalizer would be
-        # zero), so the zero profile goes into an already built problem
+        # the problem refuses a zero profile when it is built, so no
+        # evaluation ever divides by a zero total
         problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
-        problem = dataclasses.replace(problem, predicted=flat_load(0.0))
         with pytest.raises(ZeroPredictedTotal):
-            evaluate(problem, flat_load(1.0))
+            dataclasses.replace(problem, predicted=flat_load(0.0))
         with pytest.raises(ZeroPredictedTotal):
-            evaluate_batch(problem, np.ones((2, 24)))
+            build_problem(flat_load(0.0), flat_price(10.0), 0.5, 0.5)
 
     def test_redistribution_without_excess(self):
         predicted = np.full(24, 10.0)
@@ -149,6 +148,50 @@ class TestBuildProblem:
     def test_swapped_profile_kinds_rejected(self):
         with pytest.raises(InvalidBounds):
             build_problem(flat_price(10.0), flat_load(10.0), 0.5, 0.5)
+
+    @pytest.mark.parametrize("bounds", [
+        {"gamma_lo": float("nan")}, {"gamma_hi": float("nan")}, {"peak_cap": float("nan")},
+    ])
+    def test_nan_bound_arguments_rejected(self, bounds):
+        with pytest.raises(InvalidBounds, match="nan"):
+            build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5, **bounds)
+
+    def test_zero_prices_rejected(self):
+        with pytest.raises(InvalidBounds, match="e_cmax"):
+            build_problem(flat_load(10.0), flat_price(0.0), 0.5, 0.5)
+
+
+class TestProblemChecks:
+    """A DrProblem checks itself when it is built, however it is built."""
+
+    @pytest.mark.parametrize("changes", [
+        {"w1": -1.0},
+        {"alpha": 0.0},
+        {"e_cmax": 0.0},
+        {"predicted": flat_price(10.0), "prices": flat_load(10.0)},
+        {"lower_bounds": np.full(24, 16.0)},
+        {"lower_bounds": np.full(24, -1.0)},
+        {"upper_bounds": np.full(23, 15.0)},
+        {"w2": float("nan")},
+        {"w1": float("inf")},
+        {"alpha": float("inf")},
+        {"l_shmax": float("nan")},
+        {"lower_bounds": np.full(24, float("nan"))},
+        {"upper_bounds": np.full(24, float("inf"))},
+    ], ids=["negative-w1", "zero-alpha", "zero-e_cmax", "swapped-kinds", "lower-above-upper",
+            "negative-lower", "23-upper-bounds", "nan-w2", "infinite-w1", "infinite-alpha",
+            "nan-l_shmax", "nan-lower", "infinite-upper"])
+    def test_bad_field_is_invalid_bounds(self, changes):
+        problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
+        with pytest.raises(InvalidBounds):
+            dataclasses.replace(problem, **changes)
+
+    def test_errors_are_still_value_errors(self):
+        problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
+        with pytest.raises(ValueError):
+            dataclasses.replace(problem, w2=-1.0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(problem, predicted=flat_load(0.0))
 
 
 class TestEvaluate:

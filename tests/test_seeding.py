@@ -1,4 +1,4 @@
-from loadshift.seeding import derive_seed, generator_for
+from loadshift.seeding import derive_seed
 
 
 def test_same_inputs_same_seed():
@@ -21,10 +21,3 @@ def test_seed_fits_64_bits():
         seed = derive_seed(master, "label", 7)
         assert 0 <= seed < 2**64
 
-
-def test_generator_reproducible():
-    a = generator_for(9, "x").uniform(size=5)
-    b = generator_for(9, "x").uniform(size=5)
-    assert (a == b).all()
-    c = generator_for(9, "y").uniform(size=5)
-    assert (a != c).any()
