@@ -64,7 +64,17 @@ class EmptyTrainingSet(LoadshiftError):
     pass
 
 
+class InvalidTrainConfig(LoadshiftError, ValueError):
+    pass
+
+
+class InvalidModel(LoadshiftError, ValueError):
+    """A model file of another format, or a model without normalization stats."""
+
+
 class DivergedTraining(LoadshiftError):
+    """The loss went non-finite; ``epoch`` is 1-based, as in training_curve.csv."""
+
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss encountered at epoch {epoch}; "
                          "lower the learning rate")

@@ -23,6 +23,8 @@ from .errors import (
     EmptyTrainingSet,
     InsufficientHistory,
     InvalidArchitecture,
+    InvalidModel,
+    InvalidTrainConfig,
     ZeroVariance,
 )
 from .ingest import (
@@ -86,13 +88,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise InvalidTrainConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise InvalidTrainConfig(f"learning_rate must be positive, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise InvalidTrainConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
+            raise InvalidTrainConfig(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +138,13 @@ def init_model(
 def _forward_batch(weights, biases, X, out=None):
     """Activations per layer for a (batch, input) matrix; last is identity.
 
-    With ``out``, one (rows, units) buffer per layer, each activation is
-    written into the leading rows of its buffer instead of a new array.
+    With ``out``, one (len(X), units) buffer per layer, each activation is
+    written into its buffer instead of a new array.
     """
     activations = [X]
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(activations[k], w.T, out=None if out is None else out[k][: len(X)])
+        z = np.dot(activations[k], w.T, out=None if out is None else out[k])
         z += b
         activations.append(z if k == last else np.tanh(z, out=z))
     return activations
@@ -174,21 +176,23 @@ def backward(model: MlpModel, features, target: float):
     return _backprop(model.weights, activations, residual)
 
 
-def _backprop(weights, activations, delta, out=None):
+def _backprop(weights, activations, delta, out=None, deltas=None):
     """Shared reverse pass; ``delta`` is d(loss)/d(pre-activation output).
 
     Returns (weight_grads, bias_grads), written into ``out`` (the same pair
-    of lists) when given. Overwrites the hidden activations.
+    of lists) when given. With ``deltas``, one (len(delta), units) buffer
+    per layer, the delta passed back into layer k is written into
+    ``deltas[k]``. Overwrites the hidden activations.
     """
     weight_grads, bias_grads = out or ([None] * len(weights), [None] * len(weights))
     for k in range(len(weights) - 1, -1, -1):
-        weight_grads[k] = np.matmul(delta.T, activations[k], out=weight_grads[k])
-        bias_grads[k] = np.sum(delta, axis=0, out=bias_grads[k])
+        weight_grads[k] = np.dot(delta.T, activations[k], out=weight_grads[k])
+        bias_grads[k] = np.add.reduce(delta, axis=0, out=bias_grads[k])
         if k > 0:
             # tanh'(z) = 1 - tanh(z)^2, and activations[k] already is tanh(z)
             slope = np.square(activations[k], out=activations[k])
             np.subtract(1.0, slope, out=slope)
-            delta = delta @ weights[k]
+            delta = np.dot(delta, weights[k], out=None if deltas is None else deltas[k])
             delta *= slope
     return weight_grads, bias_grads
 
@@ -202,12 +206,16 @@ def train(
     """Mini-batch gradient descent with momentum; returns (model, FitReport).
 
     Deterministic for a fixed (model, data, config): the shuffle order is
-    drawn from config.seed and gradients reduce in fixed array order.
+    drawn from config.seed and gradients reduce in fixed array order. An
+    epoch's MSE is the mean over its batches of each window's squared
+    residual before that batch's update; ``train_mse`` and ``test_mse``
+    come from one pass with the final weights. A non-finite loss raises
+    DivergedTraining with the 1-based epoch.
     """
     if not train_windows:
         raise EmptyTrainingSet("no training windows")
     if model.norm_stats is None:
-        raise ValueError("model has no normalization stats; fit them before training")
+        raise InvalidModel("model has no normalization stats; fit them before training")
 
     X, y = window_matrix(train_windows, model.norm_stats)
     if X.shape[1] != model.layer_sizes[0]:
@@ -229,30 +237,40 @@ def train(
     grad_views = (views(grads)[:n_layers], views(grads)[n_layers:])
     rng = np.random.default_rng(config.seed)
     n = len(y)
-    layers = [np.empty((min(config.batch_size, n), w.shape[0])) for w in weights]
+    y_column = y[:, None]
+    # per-layer output and delta buffers, sliced once for a full batch and once for the short last one
+    full = min(config.batch_size, n)
+    outputs = [np.empty((full, w.shape[0])) for w in weights]
+    deltas = [np.empty((full, w.shape[1])) for w in weights]
+    buffers = {rows: ([o[:rows] for o in outputs], [d[:rows] for d in deltas]) for rows in {full, n % full or full}}
+    # each window's residual, taken before its batch's update: the epoch's MSE without another pass
+    residuals = np.empty((n, 1))
 
     epoch_mse = []
-    for epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            activations = _forward_batch(weights, biases, X[batch], layers)
-            residual = activations[-1]
-            residual -= y[batch][:, None]
-            residual /= len(batch)
-            _backprop(weights, activations, residual, grad_views)
+            rows = slice(start, start + config.batch_size)
+            batch = order[rows]
+            batch_outputs, batch_deltas = buffers[len(batch)]
+            activations = _forward_batch(weights, biases, X.take(batch, axis=0), batch_outputs)
+            residual = np.subtract(activations[-1], y_column.take(batch, axis=0), out=residuals[rows])
+            residual = np.divide(residual, len(batch), out=activations[-1])
+            _backprop(weights, activations, residual, grad_views, batch_deltas)
             velocity *= config.momentum
             grads *= config.learning_rate
             velocity -= grads
             params += velocity
-        preds = _forward_batch(weights, biases, X)[-1][:, 0]
-        mse = float(np.mean((preds - y) ** 2))
+        mse = float(np.mean(np.square(residuals)))
         if not np.isfinite(mse):
             raise DivergedTraining(epoch)
         epoch_mse.append(mse)
 
+    preds = _forward_batch(weights, biases, X)[-1][:, 0]
+    train_mse, train_r = metrics(preds, y)
+    if not np.isfinite(train_mse):
+        raise DivergedTraining(config.epochs)
     fitted = replace(model, weights=tuple(weights), biases=tuple(biases))
-    train_mse, train_r = metrics(preds, y)   # the last epoch's predictions
     test_mse = test_r = None
     if X_test is not None:
         test_pred = _forward_batch(weights, biases, X_test)[-1][:, 0]
@@ -275,7 +293,7 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     predictions clamp to zero: load cannot be negative.
     """
     if model.norm_stats is None:
-        raise ValueError("model has no normalization stats")
+        raise InvalidModel("model has no normalization stats")
     day_rows = dataset.day_indices(day)
     if len(day_rows) != 24:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
@@ -339,7 +357,7 @@ def load_model(path) -> MlpModel:
     with open(path) as handle:
         payload = json.load(handle)
     if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"unsupported model format {payload.get('format')!r}")
+        raise InvalidModel(f"unsupported model format {payload.get('format')!r}; expected {MODEL_FORMAT!r}")
     stats = payload.get("norm_stats")
     return MlpModel(
         layer_sizes=tuple(payload["layer_sizes"]),

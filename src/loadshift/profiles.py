@@ -99,7 +99,9 @@ class Dataset:
         if self.price is not None:
             object.__setattr__(self, "price", _frozen_array(self.price, shape=(n,)))
         naive = n == 0 or self.timestamps[0].utcoffset() is None
-        # microseconds since 1970, exact for any datetime; a UTC offset is applied
+        # microseconds since 1970, exact for any datetime; a UTC offset is applied.
+        # np.array(timestamps, dtype="datetime64[us]") gives the same naive values
+        # but took 5x as long (87,600 rows, numpy 2.4), and it warns on offsets
         epoch = _EPOCH if naive else _EPOCH_UTC
         micros = np.fromiter(((ts - epoch) // _MICROSECOND for ts in self.timestamps), np.int64, n)
         steps = np.diff(micros)

@@ -532,6 +532,21 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: dataset does not contain all 24 hours of 2024-02-01\n"
 
+    def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
+        code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
+
+    def test_model_of_another_format_names_it(self, synth30_path, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"format": "something-else/9"}')
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth30_path), "--day", "2024-01-06", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: unsupported model format 'something-else/9'; expected 'loadshift-mlp/1'\n"
+
     def test_dataset_without_prices(self, day_inputs, tmp_path, capsys):
         predicted, _ = day_inputs
         assert main(["synth", "--days", "3", "--no-price", "--out", str(tmp_path)]) == 0

@@ -14,6 +14,9 @@ from loadshift.errors import (
     EmptyTrainingSet,
     InsufficientHistory,
     InvalidArchitecture,
+    InvalidModel,
+    InvalidTrainConfig,
+    LoadshiftError,
     ZeroVariance,
 )
 from loadshift.ingest import (
@@ -26,6 +29,7 @@ from loadshift.ingest import (
     load_dataset,
     normalize,
     split_windows,
+    window_matrix,
 )
 from loadshift.profiles import WEATHER_FEATURES
 
@@ -209,20 +213,110 @@ class TestTrain:
                     model, windows, [],
                     mlp.TrainConfig(epochs=500, learning_rate=1e9, seed=1),
                 )
-        assert exc.value.epoch >= 1
+        # 1-based, as training_curve.csv numbers epochs: the 9th epoch is the
+        # first whose residuals are non-finite
+        assert exc.value.epoch == 9
+        assert "at epoch 9;" in str(exc.value)
+
+    def test_divergence_in_the_last_update_is_caught(self):
+        # one batch, one epoch: the residuals come from the initial weights
+        # and stay finite; only the pass with the final weights overflows
+        rng = np.random.default_rng(4)
+        windows = toy_windows(16, rng, lambda f: f[0])
+        model = mlp.init_model((6, 8, 1), 1, norm_stats=unit_stats(), lag=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergedTraining) as exc:
+                mlp.train(model, windows, [], mlp.TrainConfig(epochs=1, learning_rate=1e300, seed=1))
+        assert exc.value.epoch == 1
+
+    def test_epoch_mse_matches_plain_python_replay(self):
+        rng = np.random.default_rng(6)
+        windows = toy_windows(10, rng, lambda f: 0.5 * f[0] - 0.3 * f[3])
+        model = mlp.init_model((6, 4, 3, 1), 2, norm_stats=unit_stats(), lag=1)
+        config = mlp.TrainConfig(epochs=4, learning_rate=0.05, batch_size=4, seed=3)   # a short last batch
+        _, fit = mlp.train(model, windows, [], config)
+        X, y = window_matrix(windows, model.norm_stats)
+        curve, final_mse = replay_training(model, X.tolist(), y.tolist(), config)
+        assert fit.epoch_mse == pytest.approx(curve, rel=0, abs=1e-12)
+        assert fit.train_mse == pytest.approx(final_mse, rel=0, abs=1e-12)
 
     def test_empty_training_set_rejected(self):
         model = mlp.init_model((6, 2, 1), 0, norm_stats=unit_stats(), lag=1)
         with pytest.raises(EmptyTrainingSet):
             mlp.train(model, [], [], mlp.TrainConfig())
 
+    def test_model_without_stats_rejected(self):
+        rng = np.random.default_rng(0)
+        model = mlp.init_model((6, 2, 1), 0, lag=1)
+        with pytest.raises(InvalidModel, match="no normalization stats"):
+            mlp.train(model, toy_windows(4, rng, lambda f: f[0]), [], mlp.TrainConfig())
+
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            mlp.TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            mlp.TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            mlp.TrainConfig(batch_size=0)
+        for field, value, message in [
+            ("epochs", 0, "epochs must be >= 1, got 0"),
+            ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+            ("batch_size", 0, "batch_size must be >= 1, got 0"),
+            ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
+        ]:
+            with pytest.raises(InvalidTrainConfig, match=message) as exc:
+                mlp.TrainConfig(**{field: value})
+            assert isinstance(exc.value, LoadshiftError) and isinstance(exc.value, ValueError)
+
+
+def replay_training(model, X, y, config):
+    """Plain-Python replay of ``mlp.train``: (epoch MSE curve, final MSE).
+
+    Draws the same permutations; each window's squared residual is taken
+    with the weights before its batch's update, then the batch's mean
+    gradient takes one momentum step.
+    """
+    weights = [w.tolist() for w in model.weights]
+    biases = [b.tolist() for b in model.biases]
+    velocity_w = [[[0.0] * len(row) for row in w] for w in weights]
+    velocity_b = [[0.0] * len(b) for b in biases]
+    last = len(weights) - 1
+
+    def activations(x):
+        acts = [x]
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            z = [sum(wj * a for wj, a in zip(row, acts[-1])) + bj for row, bj in zip(w, b)]
+            acts.append(z if k == last else [math.tanh(v) for v in z])
+        return acts
+
+    rng = np.random.default_rng(config.seed)
+    curve = []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(y))
+        squares = 0.0
+        for start in range(0, len(y), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad_w = [[[0.0] * len(row) for row in w] for w in weights]
+            grad_b = [[0.0] * len(b) for b in biases]
+            for i in batch:
+                acts = activations(X[i])
+                residual = acts[-1][0] - y[i]
+                squares += residual ** 2
+                delta = [residual / len(batch)]
+                for k in range(last, -1, -1):
+                    for u, d in enumerate(delta):
+                        grad_b[k][u] += d
+                        for j, a in enumerate(acts[k]):
+                            grad_w[k][u][j] += d * a
+                    if k > 0:
+                        delta = [
+                            sum(d * weights[k][u][j] for u, d in enumerate(delta)) * (1.0 - a * a)
+                            for j, a in enumerate(acts[k])
+                        ]
+            for k in range(last + 1):
+                for u in range(len(biases[k])):
+                    velocity_b[k][u] = config.momentum * velocity_b[k][u] - config.learning_rate * grad_b[k][u]
+                    biases[k][u] += velocity_b[k][u]
+                    for j in range(len(weights[k][u])):
+                        velocity_w[k][u][j] = config.momentum * velocity_w[k][u][j] - config.learning_rate * grad_w[k][u][j]
+                        weights[k][u][j] += velocity_w[k][u][j]
+        curve.append(squares / len(y))
+    final = sum((activations(x)[-1][0] - t) ** 2 for x, t in zip(X, y)) / len(y)
+    return curve, final
 
 
 def sinusoid_csv(path, days):
@@ -319,7 +413,7 @@ class TestGoldenForecast:
         assert sha256((tmp_path / "model.json").read_bytes()) == \
             "9a286e8a76241bf1e5d8456fb807a9eb5a94e0fe9830ef5bb07e7e3098885e25"
         assert sha256((tmp_path / "fit_report.json").read_bytes()) == \
-            "165ca9d999d137de98a62047f5e3badd07a4ad013fb22f85ef5d9c88c5f039ef"
+            "76454f087450c56b9f81b14638f156774474d51072ae2c8dfcb0ea0f54c3bb3a"
         model = mlp.load_model(tmp_path / "model.json")
         for day, digest in self.DAYS.items():
             assert sha256(mlp.predict_day(model, synth30, day).values.tobytes()) == digest, day
@@ -373,5 +467,5 @@ class TestPersistence:
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidModel, match="unsupported model format 'something-else/9'"):
             mlp.load_model(path)
