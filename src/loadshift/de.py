@@ -16,9 +16,9 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import objective
 from .common import Incumbent, init_positions
-from .errors import NonDistinctParents
-from .objective import evaluate_batch
+from .errors import InvalidOptimizerConfig, NonDistinctParents
 from .profiles import DrProblem, OptimizationResult
 
 
@@ -33,9 +33,10 @@ class DeConfig:
     def __post_init__(self) -> None:
         if self.population_size < 4:
             # rand/1 needs a target plus three distinct parents
-            raise ValueError(f"population_size must be >= 4, got {self.population_size}")
+            raise InvalidOptimizerConfig(
+                f"population_size must be >= 4, got {self.population_size}")
         if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+            raise InvalidOptimizerConfig(f"iterations must be >= 1, got {self.iterations}")
 
 
 def draw_parents(size: int, rng: np.random.Generator) -> np.ndarray:
@@ -94,7 +95,7 @@ def optimize(
     beta_lo, beta_hi = config.beta_range
 
     population = init_positions(problem, size, rng)
-    terms = evaluate_batch(problem, population)
+    terms = objective.evaluate_batch(problem, population)
     objectives = terms[3].copy()
     best = Incumbent(population, terms)
     if on_iteration is not None:
@@ -105,7 +106,7 @@ def optimize(
         beta = rng.uniform(beta_lo, beta_hi, size=(size, 1))
         donors = mutate(population, a, b, c, beta, lower, upper)
         trials = crossover(population, donors, config.crossover_probability, rng)
-        terms = evaluate_batch(problem, trials)
+        objective.evaluate_batch(problem, trials, out=terms)
         better = terms[3] < objectives
         population[better] = trials[better]
         objectives[better] = terms[3][better]

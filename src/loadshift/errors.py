@@ -69,7 +69,8 @@ class InvalidTrainConfig(LoadshiftError, ValueError):
 
 
 class InvalidModel(LoadshiftError, ValueError):
-    """A model file of another format, or a model without normalization stats."""
+    """A model file that is not a JSON object, is of another format or lacks
+    a key, or a model without normalization stats."""
 
 
 class DivergedTraining(LoadshiftError):
@@ -104,6 +105,10 @@ class InvalidBounds(LoadshiftError, ValueError):
 
 
 # optimizers ----------------------------------------------------------------
+
+class InvalidOptimizerConfig(LoadshiftError, ValueError):
+    """A swarm or population size, or an iteration count, out of range."""
+
 
 class NonDistinctParents(LoadshiftError):
     pass

@@ -356,8 +356,13 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     with open(path) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise InvalidModel(f"a model file holds a JSON object, got a JSON {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
         raise InvalidModel(f"unsupported model format {payload.get('format')!r}; expected {MODEL_FORMAT!r}")
+    for key in ("layer_sizes", "weights", "biases", "lag"):
+        if key not in payload:
+            raise InvalidModel(f"model file lacks the key {key!r}")
     stats = payload.get("norm_stats")
     return MlpModel(
         layer_sizes=tuple(payload["layer_sizes"]),

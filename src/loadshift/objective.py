@@ -4,8 +4,9 @@
 
 where cost is the day's energy bill in cents, shift the summed absolute
 hourly deviation from the predicted profile in kWh, and violation the
-one-sided excess of total scheduled over total predicted energy. Pure
-and stateless throughout.
+one-sided excess of total scheduled over total predicted energy.
+Stateless throughout; ``evaluate_batch`` writes into a caller's buffer
+only when given one.
 """
 
 from __future__ import annotations
@@ -36,32 +37,40 @@ def energy_cost(schedule: HourlyProfile, prices: HourlyProfile) -> float:
     return float(np.dot(schedule.values, prices.values))
 
 
-def _terms(problem: DrProblem, schedules: np.ndarray):
-    """Vectorized cost/shift/violation/objective for (..., 24) schedules."""
-    cost = schedules @ problem.prices.values
-    shift = np.abs(schedules - problem.predicted.values).sum(axis=-1)
-    ratio = schedules.sum(axis=-1) / float(np.sum(problem.predicted.values))
-    viol = np.maximum(ratio - 1.0, 0.0)
-    obj = (
-        problem.w1 * cost / problem.e_cmax
-        + problem.w2 * shift / problem.l_shmax
-        + problem.alpha * viol
-    )
-    return cost, shift, viol, obj
+def _terms(problem: DrProblem, schedules: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cost/shift/violation/objective of (..., 24) schedules, written into
+    the rows of ``out``, a (4, ...) array."""
+    cost, shift, viol, obj = (out[i, ...] for i in range(4))
+    np.matmul(schedules, problem.prices.values, out=cost)
+    deviation = schedules - problem.predicted.values
+    np.add.reduce(np.abs(deviation, out=deviation), axis=-1, out=shift)
+    np.add.reduce(schedules, axis=-1, out=viol)
+    viol /= problem.predicted_total   # the ratio of scheduled to predicted energy
+    viol -= 1.0
+    np.maximum(viol, 0.0, out=viol)
+    np.add(problem.w1 * cost / problem.e_cmax, problem.w2 * shift / problem.l_shmax, out=obj)
+    obj += problem.alpha * viol
+    return out
 
 
 def evaluate(problem: DrProblem, schedule: HourlyProfile) -> ObjectiveBreakdown:
     """Full breakdown for one schedule; out-of-bounds schedules evaluate too."""
-    cost, shift, viol, obj = _terms(problem, schedule.values)
+    cost, shift, viol, obj = _terms(problem, schedule.values, np.empty(4))
     return ObjectiveBreakdown(float(cost), float(shift), float(viol), float(obj))
 
 
-def evaluate_batch(problem: DrProblem, schedules: np.ndarray) -> tuple:
-    """(cost, shift, violation, objective) arrays for an (n, 24) batch."""
+def evaluate_batch(
+    problem: DrProblem, schedules: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(4, n) rows of cost, shift, violation and objective for an (n, 24)
+    batch, written into ``out`` when given (the optimizers pass one buffer
+    per run) and returned."""
     schedules = np.asarray(schedules, dtype=float)
     if schedules.ndim != 2 or schedules.shape[1] != 24:
         raise ValueError(f"expected an (n, 24) schedule batch, got {schedules.shape}")
-    return _terms(problem, schedules)
+    if out is None:
+        out = np.empty((4, len(schedules)))
+    return _terms(problem, schedules, out)
 
 
 def build_problem(

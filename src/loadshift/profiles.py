@@ -12,7 +12,7 @@ concurrent evaluators.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
 from typing import Optional, Sequence
@@ -166,7 +166,8 @@ class DrProblem:
     penalty on scheduling more total energy than predicted. ``e_cmax``
     (cents) and ``l_shmax`` (kWh) scale the two criteria so they are
     dimensionless and comparable. Construction checks every field, so
-    each problem that exists is well posed.
+    each problem that exists is well posed, and sets ``predicted_total``,
+    which every objective evaluation divides by.
     """
 
     predicted: HourlyProfile
@@ -178,11 +179,13 @@ class DrProblem:
     alpha: float
     e_cmax: float
     l_shmax: float
+    predicted_total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.predicted.kind is not ProfileKind.LOAD or self.prices.kind is not ProfileKind.PRICE:
             raise InvalidBounds("a problem needs a load profile and a price profile")
-        if total(self.predicted) <= 0:
+        object.__setattr__(self, "predicted_total", total(self.predicted))
+        if self.predicted_total <= 0:
             raise ZeroPredictedTotal("predicted profile has zero total load")
         lo, hi = _frozen_array(self.lower_bounds), _frozen_array(self.upper_bounds)
         object.__setattr__(self, "lower_bounds", lo)

@@ -9,6 +9,15 @@ velocity update and clamp, one position step and clamp, one batch
 evaluation.  Positions that leave the box are clamped back and the
 offending velocity components zeroed so particles do not pile up on
 the walls.
+
+The swarm, the random factors, a difference buffer, the clamp mask,
+the limits repeated to (n, 24) and the (4, n) buffer that
+``objective.evaluate_batch`` fills are allocated once per ``optimize``
+call, and every step writes into them.  Each step keeps the operands
+and the order of the plain update expressions, so seeded runs are
+bit-identical to them.  The ``Swarm`` handed to ``on_iteration`` is
+that same state, changed in place by the next iteration: a callback
+must copy anything it keeps.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
+from . import objective
 from .common import Incumbent, init_positions
-from .objective import evaluate_batch
+from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
 
@@ -35,9 +45,9 @@ class PsoConfig:
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
-            raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
+            raise InvalidOptimizerConfig(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+            raise InvalidOptimizerConfig(f"iterations must be >= 1, got {self.iterations}")
 
 
 @dataclass
@@ -50,41 +60,83 @@ class Swarm:
     best_objectives: np.ndarray
 
 
+@dataclass
+class Workspace:
+    """Scratch arrays of one run, allocated once: the (n, 2, dims) random
+    factors and their pull coefficients, an (n, dims) difference buffer
+    and clamp mask, and the velocity and box limits repeated to (n, dims),
+    so that every step is a ufunc on arrays of one shape."""
+
+    factors: np.ndarray
+    diff: np.ndarray
+    clamped: np.ndarray
+    pulls: np.ndarray
+    v_max: np.ndarray
+    neg_v_max: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    @classmethod
+    def for_swarm(cls, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
+                  config: PsoConfig):
+        dims = len(lower)
+
+        def rows(limit):
+            out = np.empty((n, dims))
+            out[...] = limit
+            return out
+
+        pulls = np.empty((n, 2, dims))
+        pulls[:, 0] = config.cognitive
+        pulls[:, 1] = config.social
+        return cls(
+            factors=np.empty((n, 2, dims)),
+            diff=np.empty((n, dims)),
+            clamped=np.empty((n, dims), dtype=bool),
+            pulls=pulls,
+            v_max=rows(v_max),
+            neg_v_max=rows(-v_max),
+            lower=rows(lower),
+            upper=rows(upper),
+        )
+
+
 def velocity_update(
     swarm: Swarm,
     gbest_position: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
     config: PsoConfig,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """New velocities with fresh per-dimension random factors, clamped to
-    +-v_max_fraction * (upper - lower).
+    work: Workspace,
+) -> None:
+    """Move ``swarm.velocities`` in place with fresh per-dimension random
+    factors, then clamp them to +-v_max_fraction * (upper - lower).
 
     One (n, 2, dims) draw: for each particle in turn, the factors of the
     personal pull and then those of the social pull."""
-    n, dims = swarm.positions.shape
-    r = rng.uniform(size=(n, 2, dims))
-    v = (
-        config.inertia * swarm.velocities
-        + config.cognitive * r[:, 0] * (swarm.best_positions - swarm.positions)
-        + config.social * r[:, 1] * (gbest_position - swarm.positions)
-    )
-    v_max = config.v_max_fraction * (upper - lower)
-    return np.clip(v, -v_max, v_max)
+    r, diff, v = work.factors, work.diff, swarm.velocities
+    rng.random(out=r)
+    r *= work.pulls
+    np.multiply(config.inertia, v, out=v)
+    np.subtract(swarm.best_positions, swarm.positions, out=diff)
+    diff *= r[:, 0]
+    v += diff
+    np.subtract(gbest_position, swarm.positions, out=diff)
+    diff *= r[:, 1]
+    v += diff
+    np.maximum(v, work.neg_v_max, out=v)
+    np.minimum(v, work.v_max, out=v)
 
 
-def position_update(
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step then clamp.  Components clamped to a bound get zero velocity
-    so the particle does not keep pushing into the wall."""
-    moved = positions + velocities
-    clamped = np.clip(moved, lower, upper)
-    return clamped, np.where(clamped == moved, velocities, 0.0)
+def position_update(swarm: Swarm, work: Workspace) -> None:
+    """Step then clamp ``swarm.positions`` in place.  Components clamped to
+    a bound get zero velocity so the particle does not keep pushing into
+    the wall."""
+    moved, positions = work.diff, swarm.positions
+    np.add(positions, swarm.velocities, out=moved)
+    np.maximum(moved, work.lower, out=positions)
+    np.minimum(positions, work.upper, out=positions)
+    np.not_equal(positions, moved, out=work.clamped)
+    np.copyto(swarm.velocities, 0.0, where=work.clamped)
 
 
 def optimize(
@@ -103,26 +155,27 @@ def optimize(
     rng = np.random.default_rng(config.seed)
     lower = problem.lower_bounds
     upper = problem.upper_bounds
+    v_max = config.v_max_fraction * (upper - lower)
+    work = Workspace.for_swarm(config.swarm_size, lower, upper, v_max, config)
 
     positions = init_positions(problem, config.swarm_size, rng)
-    v_max = config.v_max_fraction * (upper - lower)
     velocities = rng.uniform(-v_max, v_max, size=positions.shape)
-    terms = evaluate_batch(problem, positions)
+    terms = objective.evaluate_batch(problem, positions)
     swarm = Swarm(positions, velocities, positions.copy(), terms[3].copy())
     best = Incumbent(positions, terms)
+    improved = np.empty(config.swarm_size, dtype=bool)
+    improved_rows = improved[:, None]
     if on_iteration is not None:
         on_iteration(0, swarm)
 
     for iteration in range(1, config.iterations + 1):
-        velocities = velocity_update(swarm, best.position, lower, upper, config, rng)
-        swarm.positions, swarm.velocities = position_update(
-            swarm.positions, velocities, lower, upper
-        )
-        terms = evaluate_batch(problem, swarm.positions)
-        improved = terms[3] < swarm.best_objectives
-        swarm.best_positions[improved] = swarm.positions[improved]
-        swarm.best_objectives[improved] = terms[3][improved]
-        best.offer(swarm.positions, terms)
+        velocity_update(swarm, best.position, config, rng, work)
+        position_update(swarm, work)
+        objective.evaluate_batch(problem, positions, out=terms)
+        np.less(terms[3], swarm.best_objectives, out=improved)
+        np.copyto(swarm.best_positions, positions, where=improved_rows)
+        np.copyto(swarm.best_objectives, terms[3], where=improved)
+        best.offer(positions, terms)
         if on_iteration is not None:
             on_iteration(iteration, swarm)
 

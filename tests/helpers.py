@@ -1,6 +1,6 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
-row-by-row grid search, the row-wise CSV reader, and scans that find Dataset
-rows the slow way."""
+objective as plain expressions, the row-by-row grid search, the row-wise CSV
+reader, and scans that find Dataset rows the slow way."""
 
 import csv
 from datetime import datetime, timedelta
@@ -43,6 +43,19 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+def plain_terms(problem, schedules):
+    """(4, ...) cost, shift, violation and objective of (..., 24) schedules,
+    one allocating expression per term: the reference the in-place
+    evaluation must match bit for bit."""
+    cost = schedules @ problem.prices.values
+    shift = np.abs(schedules - problem.predicted.values).sum(axis=-1)
+    ratio = schedules.sum(axis=-1) / float(np.sum(problem.predicted.values))
+    viol = np.maximum(ratio - 1.0, 0.0)
+    obj = (problem.w1 * cost / problem.e_cmax + problem.w2 * shift / problem.l_shmax
+           + problem.alpha * viol)
+    return np.array([cost, shift, viol, obj])
 
 
 _CHUNK = 65_536

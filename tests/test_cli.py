@@ -537,6 +537,31 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err == "error: epochs must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "a model file holds a JSON object, got a JSON list"),
+        ('{"format": "loadshift-mlp/1"}', "model file lacks the key 'layer_sizes'"),
+    ])
+    def test_malformed_model_names_the_fault(self, synth30_path, tmp_path, capsys, text, message):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth30_path), "--day", "2024-01-06", "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--population", "1"], "swarm_size must be >= 2, got 1"),
+        (["--algorithm", "de", "--population", "3"], "population_size must be >= 4, got 3"),
+        (["--iterations", "0"], "iterations must be >= 1, got 0"),
+    ])
+    def test_optimizer_budget_out_of_range(self, day_inputs, tmp_path, capsys, flags, message):
+        predicted, prices = day_inputs
+        code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices),
+                     *flags, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_model_of_another_format_names_it(self, synth30_path, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text('{"format": "something-else/9"}')

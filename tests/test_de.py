@@ -1,11 +1,14 @@
 """Differential evolution: operators, invariants, convergence."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from helpers import corner_optimum
 
 from loadshift import de
-from loadshift.errors import NonDistinctParents
+from loadshift.errors import InvalidOptimizerConfig, NonDistinctParents
 from loadshift.objective import build_problem, evaluate
 from loadshift.profiles import load_profile, price_profile
 
@@ -55,7 +58,8 @@ class TestConfig:
     ])
     def test_bad_values_rejected(self, kwargs):
         # beta_range and crossover_probability are class constants, not constructor arguments
-        error = ValueError if kwargs.keys() <= {"population_size", "iterations"} else TypeError
+        error = (InvalidOptimizerConfig if kwargs.keys() <= {"population_size", "iterations"}
+                 else TypeError)
         with pytest.raises(error):
             de.DeConfig(**kwargs)
 
@@ -247,3 +251,54 @@ class TestOptimize:
         result = de.optimize(problem, de.DeConfig(seed=4))
         assert result.objective >= best - 1e-12
         assert result.objective == pytest.approx(best, abs=1e-6)
+
+
+def sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestGoldenRuns:
+    """Default-budget runs pinned to the last bit, on the problems of the
+    swarm's golden runs: the capped fixture and a random uncapped day, both
+    at the cost-heavy weights (0.8, 0.2), where every run improves 29-49
+    times.  Any change in the draw order or in the floating-point
+    expression of a generation shows here."""
+
+    GOLDEN = {
+        ("capped", 0): ("0.5735348209467241",
+                        "c93478269b51364ab6cd31b0d1f13f3f8a40adde244b774a85b624d46d9563f5",
+                        "ab078e03b89daeda25ac5a21b23b9dbe28ee37529ef337c8ae5b765f41216c29"),
+        ("capped", 1): ("0.5736389706536573",
+                        "44d8b77c8c75f50f375c406700ff116616872119b96b896d437adcd3ed23dfc5",
+                        "6c77736e19225cd03fc0716ccb39fa0936b97f617e61586f66b0c0e99cb471be"),
+        ("capped", 2): ("0.5736614804533763",
+                        "cb882b0d7f010212606cee1b38cc4abc8db60a42e4f485516a91e5e6830c1f65",
+                        "a66a6af07a36359c0b819952043af9b004cb6152a6ff05aa36f320bbcc8971b0"),
+        ("uncapped", 0): ("0.4551112685784234",
+                          "9e90b72eafe267d3bf39a4b36036bfb3497b8d28b9f0a29647a5c641389dd1ae",
+                          "696ab5acc4e3c4000d8d2b7ec1e98efe471793b88c7f55dbbaa50832ae8462c1"),
+        ("uncapped", 1): ("0.4552125350404121",
+                          "0ee804b0368ce7074c63d3e3bce3aa60ebb83e6a24f49c84c85f49dc8d170b07",
+                          "d04f0e4a24fd639ce606d0c055336a568177778bc14cbd726e0dfadc7575ed9c"),
+        ("uncapped", 2): ("0.45487931827101924",
+                          "4ea0d33cbb0637258d3deb76316b0cc006b41ca80a80c9c76e35ad7b7646bc98",
+                          "4c9bfc2f5792c51854f83b091ee48882d35323acc15c635a50d39d2f91c3a38e"),
+    }
+
+    @pytest.fixture
+    def problems(self, capped_problem):
+        rng = np.random.default_rng(2718)
+        uncapped = make_problem(rng.uniform(50, 150, size=24),
+                                rng.uniform(3, 12, size=24), 0.8, 0.2)
+        return {
+            "capped": dataclasses.replace(capped_problem, w1=0.8, w2=0.2),
+            "uncapped": uncapped,
+        }
+
+    @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+    def test_run_is_bit_identical(self, problems, name, seed):
+        result = de.optimize(problems[name], de.DeConfig(seed=seed))
+        objective, trace_hash, schedule_hash = self.GOLDEN[name, seed]
+        assert repr(result.objective) == objective
+        assert sha256([t.objective for t in result.trace]) == trace_hash
+        assert sha256(result.best_schedule.values) == schedule_hash

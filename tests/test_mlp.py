@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 from datetime import date, datetime, timedelta
 
@@ -468,4 +469,24 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
         with pytest.raises(InvalidModel, match="unsupported model format 'something-else/9'"):
+            mlp.load_model(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "a model file holds a JSON object, got a JSON list"),
+        ('"loadshift-mlp/1"', "a model file holds a JSON object, got a JSON str"),
+    ])
+    def test_top_level_that_is_not_an_object_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidModel, match=message):
+            mlp.load_model(path)
+
+    @pytest.mark.parametrize("key", ["layer_sizes", "weights", "biases", "lag"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "model.json"
+        mlp.save_model(mlp.init_model((6, 2, 1), 0, lag=1), path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidModel, match=f"model file lacks the key '{key}'"):
             mlp.load_model(path)

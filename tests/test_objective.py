@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import plain_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -250,6 +251,34 @@ class TestEvaluate:
             evaluate_batch(problem, np.zeros(24))
         with pytest.raises(ValueError):
             evaluate_batch(problem, np.zeros((3, 23)))
+
+
+class TestOutBuffer:
+    @pytest.fixture
+    def problem_and_batch(self):
+        rng = np.random.default_rng(31)
+        predicted = load_profile(rng.uniform(50.0, 200.0, size=24))
+        problem = build_problem(predicted, price_profile(rng.uniform(2.0, 15.0, size=24)),
+                                0.8, 0.2, peak_cap=0.9 * float(predicted.values.max()))
+        # some rows above the predicted total, so the penalty term is live
+        return problem, rng.uniform(0.5 * problem.lower_bounds, 1.4 * problem.upper_bounds,
+                                    size=(50, 24))
+
+    def test_writes_the_allocating_calls_bits_into_the_buffer(self, problem_and_batch):
+        problem, batch = problem_and_batch
+        expected = evaluate_batch(problem, batch)
+        buf = np.full((4, len(batch)), np.nan)
+        assert evaluate_batch(problem, batch, out=buf) is buf
+        assert buf.tobytes() == expected.tobytes()
+        assert np.any(buf[2] > 0) and np.any(buf[2] == 0)
+
+    def test_every_term_matches_the_plain_expression_bit_for_bit(self, problem_and_batch):
+        problem, batch = problem_and_batch
+        assert evaluate_batch(problem, batch).tobytes() == plain_terms(problem, batch).tobytes()
+        single = evaluate(problem, load_profile(batch[0]))
+        expected = plain_terms(problem, batch[0])
+        assert [single.cost_cents, single.load_shift_kwh, single.violation,
+                single.objective] == expected.tolist()
 
 
 @st.composite

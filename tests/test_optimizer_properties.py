@@ -1,4 +1,5 @@
-"""Invariants both population optimizers keep on random capped problems."""
+"""Invariants both population optimizers keep on random capped problems,
+and their results against the exact optimum on synthetic days."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshift import de, pso
-from loadshift.objective import build_problem
+from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, peak, price_profile
 
 RUNS = {
@@ -47,3 +48,38 @@ def test_result_invariants(name, problem, seed):
     assert again.best_schedule.values.tobytes() == schedule.tobytes()
     assert again.trace == result.trace
     assert again.objective == result.objective
+
+
+DEFAULT_RUNS = {
+    "pso": lambda problem, seed: pso.optimize(problem, pso.PsoConfig(seed=seed)),
+    "de": lambda problem, seed: de.optimize(problem, de.DeConfig(seed=seed)),
+}
+
+
+@pytest.fixture(scope="module")
+def cost_heavy_days(synth30):
+    """Three synthetic days at w1 = 0.8, uncapped and capped at 90% of the
+    predicted peak, the actual load standing in for the forecast."""
+    days = sorted({t.date() for t in synth30.timestamps})
+    problems = []
+    for day in (days[5], days[14], days[23]):
+        predicted = synth30.day_profile(day)
+        prices = price_profile(synth30.price[synth30.day_indices(day)])
+        for cap in (None, 0.9 * peak(predicted)):
+            problems.append(build_problem(predicted, prices, 0.8, 0.2, peak_cap=cap))
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_RUNS))
+def test_default_budget_improves_on_member_zero_and_respects_the_optimum(
+        name, cost_heavy_days):
+    for seed, problem in enumerate(cost_heavy_days):
+        member_zero = np.clip(problem.predicted.values, problem.lower_bounds,
+                              problem.upper_bounds)
+        start = float(evaluate_batch(problem, member_zero[None, :])[3, 0])
+        _, optimum = corner_optimum(problem)
+        # the premise: the seeded member is not already optimal
+        assert optimum < start
+        result = DEFAULT_RUNS[name](problem, seed)
+        assert result.objective < start
+        assert result.objective >= optimum - 1e-9

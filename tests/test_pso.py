@@ -5,23 +5,26 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import corner_optimum
+from helpers import corner_optimum, plain_terms
 
 from loadshift import pso
+from loadshift.common import init_positions
+from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate
 from loadshift.profiles import load_profile, price_profile
 
 
 class ScriptedRng:
-    """Stands in for a Generator; returns queued arrays from uniform()."""
+    """Stands in for a Generator; random(out=) fills ``out`` with queued arrays."""
 
     def __init__(self, draws):
         self.draws = [np.asarray(d, dtype=float) for d in draws]
-        self.sizes = []
+        self.shapes = []
 
-    def uniform(self, size=None):
-        self.sizes.append(size)
-        return self.draws.pop(0)
+    def random(self, out):
+        self.shapes.append(out.shape)
+        out[...] = self.draws.pop(0)
+        return out
 
 
 def make_problem(predicted, prices, w1=0.5, w2=0.5, **kwargs):
@@ -54,9 +57,16 @@ class TestConfig:
     ])
     def test_bad_values_rejected(self, kwargs):
         # the coefficients are class constants, not constructor arguments
-        error = ValueError if kwargs.keys() <= {"swarm_size", "iterations"} else TypeError
+        error = (InvalidOptimizerConfig if kwargs.keys() <= {"swarm_size", "iterations"}
+                 else TypeError)
         with pytest.raises(error):
             pso.PsoConfig(**kwargs)
+
+
+def workspace(n, lower, upper, config=None):
+    config = config or pso.PsoConfig()
+    return pso.Workspace.for_swarm(n, lower, upper, config.v_max_fraction * (upper - lower),
+                                   config)
 
 
 class TestVelocityUpdate:
@@ -73,47 +83,49 @@ class TestVelocityUpdate:
             best_objectives=np.zeros(len(position)),
         )
 
+    def update(self, swarm, gbest, lower, upper, draws):
+        """One velocity update with scripted factors; returns the velocities."""
+        config = pso.PsoConfig()
+        velocities = swarm.velocities
+        rng = ScriptedRng(draws)
+        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), config, rng,
+                            workspace(len(swarm.positions), lower, upper, config))
+        assert swarm.velocities is velocities   # moved in place
+        return swarm.velocities
+
     # the coefficients are fixed at inertia 1, pulls 2 and 2, and a clamp of
     # 0.1 box widths: a zero factor silences a pull, and the boxes below are
     # wide enough that the clamp only binds where a test says so
 
     def test_pure_inertia_when_accelerations_are_zero(self):
-        config = pso.PsoConfig()
         swarm = self.swarm_at([2.0, 3.0], velocity=[0.4, -0.2], best=[9.0, 9.0])
-        rng = ScriptedRng([np.zeros((1, 2, 2))])
-        v = pso.velocity_update(
-            swarm, np.array([7.0, 7.0]),
-            np.zeros(2), np.full(2, 10.0), config, rng,
-        )
+        v = self.update(swarm, [7.0, 7.0], np.zeros(2), np.full(2, 10.0),
+                        [np.zeros((1, 2, 2))])
         np.testing.assert_array_equal(v, [[0.4, -0.2]])
 
     def test_at_both_bests_only_inertia_remains(self):
-        config = pso.PsoConfig()
         x = np.array([4.0, 5.0])
         swarm = self.swarm_at(x, velocity=[0.3, 0.3], best=x.copy())
-        rng = ScriptedRng([np.ones((1, 2, 2))])
-        v = pso.velocity_update(swarm, x.copy(), np.zeros(2), np.full(2, 10.0),
-                                config, rng)
+        v = self.update(swarm, x.copy(), np.zeros(2), np.full(2, 10.0), [np.ones((1, 2, 2))])
         np.testing.assert_array_equal(v, [[0.3, 0.3]])
 
     def test_first_draw_scales_the_personal_pull(self):
         # r1 = 1 on the personal term, r2 = 0 kills the social term; a
         # swapped implementation would chase gbest at 99 instead
-        config = pso.PsoConfig()
         swarm = self.swarm_at([0.0], best=[0.5])
-        rng = ScriptedRng([[[[1.0], [0.0]]]])
-        v = pso.velocity_update(swarm, np.array([99.0]),
-                                np.zeros(1), np.full(1, 100.0), config, rng)
+        v = self.update(swarm, [99.0], np.zeros(1), np.full(1, 100.0), [[[[1.0], [0.0]]]])
         np.testing.assert_array_equal(v, [[1.0]])
 
     def test_clamped_to_box_fraction(self):
         # raw velocity 2 * 1 * (1 - 0) = 2, box width 1, fraction 0.1
-        config = pso.PsoConfig()
         swarm = self.swarm_at([0.0])
-        rng = ScriptedRng([[[[0.0], [1.0]]]])
-        v = pso.velocity_update(swarm, np.array([1.0]),
-                                np.zeros(1), np.ones(1), config, rng)
+        v = self.update(swarm, [1.0], np.zeros(1), np.ones(1), [[[[0.0], [1.0]]]])
         np.testing.assert_array_equal(v, [[0.1]])
+
+    def test_clamped_from_below_too(self):
+        swarm = self.swarm_at([1.0])
+        v = self.update(swarm, [0.0], np.zeros(1), np.ones(1), [[[[0.0], [1.0]]]])
+        np.testing.assert_array_equal(v, [[-0.1]])
 
     def test_draws_two_per_dimension_batches(self):
         # one draw for the swarm, laid out particle by particle, personal
@@ -121,62 +133,66 @@ class TestVelocityUpdate:
         config = pso.PsoConfig()
         swarm = self.swarm_at(np.zeros((3, 24)))
         rng = ScriptedRng([np.zeros((3, 2, 24))])
-        pso.velocity_update(swarm, np.ones(24), np.zeros(24), np.ones(24),
-                            config, rng)
-        assert rng.sizes == [(3, 2, 24)]
+        pso.velocity_update(swarm, np.ones(24), config, rng,
+                            workspace(3, np.zeros(24), np.ones(24), config))
+        assert rng.shapes == [(3, 2, 24)]
 
     def test_rows_move_independently(self):
         # each row follows its own best and its own factors
-        config = pso.PsoConfig()
         swarm = self.swarm_at([[0.0], [0.0]], best=[[1.0], [3.0]])
-        rng = ScriptedRng([[[[0.5], [0.0]], [[0.25], [0.0]]]])
-        v = pso.velocity_update(swarm, np.zeros(1), np.zeros(1), np.full(1, 100.0),
-                                config, rng)
+        v = self.update(swarm, [0.0], np.zeros(1), np.full(1, 100.0),
+                        [[[[0.5], [0.0]], [[0.25], [0.0]]]])
         np.testing.assert_array_equal(v, [[1.0], [1.5]])
+
+
+def step(positions, velocities, lower, upper):
+    """One in-place position update of a swarm at ``positions``; returns
+    the positions and velocities, shaped like the inputs."""
+    shape = np.shape(positions)
+    positions = np.atleast_2d(np.array(positions, dtype=float))
+    velocities = np.atleast_2d(np.array(velocities, dtype=float))
+    swarm = pso.Swarm(positions, velocities, positions.copy(), np.zeros(len(positions)))
+    pso.position_update(swarm, workspace(len(positions), lower, upper))
+    assert swarm.positions is positions and swarm.velocities is velocities
+    return positions.reshape(shape), velocities.reshape(shape)
 
 
 class TestPositionUpdate:
     def test_zero_velocity_is_a_fixed_point(self):
         x = np.array([1.0, 2.0, 3.0])
-        moved, v = pso.position_update(x, np.zeros(3), np.zeros(3), np.full(3, 10.0))
+        moved, v = step(x, np.zeros(3), np.zeros(3), np.full(3, 10.0))
         np.testing.assert_array_equal(moved, x)
         np.testing.assert_array_equal(v, np.zeros(3))
 
     def test_free_move_keeps_velocity(self):
-        moved, v = pso.position_update(
-            np.array([1.0, 2.0]), np.array([0.5, -0.5]),
-            np.zeros(2), np.full(2, 10.0),
-        )
+        moved, v = step([1.0, 2.0], [0.5, -0.5], np.zeros(2), np.full(2, 10.0))
         np.testing.assert_array_equal(moved, [1.5, 1.5])
         np.testing.assert_array_equal(v, [0.5, -0.5])
 
     def test_upper_overshoot_clamps_and_zeroes(self):
-        moved, v = pso.position_update(
-            np.array([9.0]), np.array([5.0]), np.zeros(1), np.array([10.0])
-        )
+        moved, v = step([9.0], [5.0], np.zeros(1), np.array([10.0]))
         np.testing.assert_array_equal(moved, [10.0])
         np.testing.assert_array_equal(v, [0.0])
 
     def test_lower_overshoot_clamps_and_zeroes(self):
-        moved, v = pso.position_update(
-            np.array([1.0]), np.array([-5.0]), np.zeros(1), np.array([10.0])
-        )
+        moved, v = step([1.0], [-5.0], np.zeros(1), np.array([10.0]))
         np.testing.assert_array_equal(moved, [0.0])
         np.testing.assert_array_equal(v, [0.0])
 
+    def test_landing_on_a_wall_keeps_the_velocity(self):
+        # clamping changes nothing, so the particle was not pushed back
+        moved, v = step([9.0], [1.0], np.zeros(1), np.array([10.0]))
+        np.testing.assert_array_equal(moved, [10.0])
+        np.testing.assert_array_equal(v, [1.0])
+
     def test_mixed_components_zero_only_the_clamped_ones(self):
-        moved, v = pso.position_update(
-            np.array([9.0, 5.0]), np.array([5.0, 1.0]),
-            np.zeros(2), np.full(2, 10.0),
-        )
+        moved, v = step([9.0, 5.0], [5.0, 1.0], np.zeros(2), np.full(2, 10.0))
         np.testing.assert_array_equal(moved, [10.0, 6.0])
         np.testing.assert_array_equal(v, [0.0, 1.0])
 
     def test_whole_swarm_clamps_per_row_and_column(self):
-        moved, v = pso.position_update(
-            np.array([[9.0, 5.0], [1.0, 5.0]]), np.array([[5.0, 1.0], [-5.0, 9.0]]),
-            np.zeros(2), np.array([10.0, 12.0]),
-        )
+        moved, v = step([[9.0, 5.0], [1.0, 5.0]], [[5.0, 1.0], [-5.0, 9.0]],
+                        np.zeros(2), np.array([10.0, 12.0]))
         np.testing.assert_array_equal(moved, [[10.0, 6.0], [0.0, 12.0]])
         np.testing.assert_array_equal(v, [[0.0, 1.0], [0.0, 0.0]])
 
@@ -257,6 +273,22 @@ class TestOptimize:
         pso.optimize(problem, config, on_iteration=audit)
         assert seen == list(range(config.iterations + 1))
 
+    def test_callback_sees_one_swarm_changed_in_place(self):
+        # the state is moved in place, so a callback that keeps anything
+        # must copy it: a kept reference reads the latest iteration
+        problem = flat_problem(0.7, 0.3)
+        kept = []
+
+        def keep(iteration, swarm):
+            kept.append((swarm, swarm.positions, swarm.positions.copy()))
+
+        pso.optimize(problem, pso.PsoConfig(swarm_size=6, iterations=3, seed=1),
+                     on_iteration=keep)
+        first_swarm, first_positions, first_copy = kept[0]
+        assert all(s is first_swarm and p is first_positions for s, p, _ in kept)
+        assert not np.array_equal(first_copy, kept[-1][2])
+        np.testing.assert_array_equal(first_positions, kept[-1][2])
+
     def test_cost_only_run_parks_on_the_cheap_corner(self):
         # with w2 = 0 every hour wants its lower bound; wall clamping
         # lands there exactly and the ratio of bounds fixes the score
@@ -279,6 +311,71 @@ class TestOptimize:
         # swarm only approaches, so the gap closes but never hits zero
         assert result.objective >= best - 1e-12
         assert result.objective == pytest.approx(best, abs=1e-4)
+
+
+def reference_states(problem, config):
+    """The swarm's rules as allocating expressions, as first written with
+    np.clip and boolean indexing: a copy of the state after every iteration."""
+    rng = np.random.default_rng(config.seed)
+    lower, upper = problem.lower_bounds, problem.upper_bounds
+    x = init_positions(problem, config.swarm_size, rng)
+    v_max = config.v_max_fraction * (upper - lower)
+    v = rng.uniform(-v_max, v_max, size=x.shape)
+    obj = plain_terms(problem, x)[3]
+    pbest, pbest_obj = x.copy(), obj.copy()
+    g = int(np.argmin(obj))
+    gbest, gbest_obj = x[g].copy(), obj[g]
+    states = [(x.copy(), v.copy(), pbest.copy(), pbest_obj.copy())]
+    for _ in range(config.iterations):
+        r = rng.uniform(size=(len(x), 2, x.shape[1]))
+        v = np.clip(config.inertia * v
+                    + config.cognitive * r[:, 0] * (pbest - x)
+                    + config.social * r[:, 1] * (gbest - x), -v_max, v_max)
+        moved = x + v
+        x = np.clip(moved, lower, upper)
+        v = np.where(x == moved, v, 0.0)
+        obj = plain_terms(problem, x)[3]
+        improved = obj < pbest_obj
+        pbest[improved] = x[improved]
+        pbest_obj[improved] = obj[improved]
+        g = int(np.argmin(obj))
+        if obj[g] < gbest_obj:
+            gbest, gbest_obj = x[g].copy(), obj[g]
+        states.append((x.copy(), v.copy(), pbest.copy(), pbest_obj.copy()))
+    return states
+
+
+class TestInPlaceSteps:
+    """The in-place steps give the allocating rules' bits at every iteration,
+    signed zeros included, on boxes with zero-width hours too."""
+
+    @pytest.fixture
+    def problems(self, capped_problem):
+        rng = np.random.default_rng(99)
+        two_free = np.zeros(24)
+        two_free[:2] = 10.0
+        return [
+            dataclasses.replace(capped_problem, w1=0.8, w2=0.2),
+            make_problem(rng.uniform(50, 150, size=24), rng.uniform(3, 12, size=24), 0.3, 0.7),
+            make_problem(two_free, rng.uniform(3, 12, size=24), 0.8, 0.2),
+            flat_problem(1.0, 0.0),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_state_matches_the_allocating_rules(self, problems, seed):
+        config = pso.PsoConfig(swarm_size=12, iterations=40, seed=seed)
+        for problem in problems:
+            seen = []
+
+            def keep(iteration, swarm):
+                seen.append(tuple(a.tobytes() for a in (
+                    swarm.positions, swarm.velocities,
+                    swarm.best_positions, swarm.best_objectives)))
+
+            pso.optimize(problem, config, on_iteration=keep)
+            expected = [tuple(a.tobytes() for a in state)
+                        for state in reference_states(problem, config)]
+            assert seen == expected
 
 
 def sha256(array):
