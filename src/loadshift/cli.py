@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, de, mlp, pso, report, synth
-from .errors import InsufficientData, InvalidGrid, LoadshiftError, MissingColumn, MissingPrices, UnparseableRow
+from .errors import (InsufficientData, InvalidArgument, InvalidGrid, LoadshiftError, MissingColumn,
+                     MissingPrices, UnparseableRow)
 from .gridsearch import ReducedProblem, grid_search, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
@@ -58,11 +59,40 @@ _PROBLEM_DEFAULTS = {
 
 # parameter resolution -------------------------------------------------------
 
+def _parse_flag(flag: str, text: str, parse):
+    """``parse(text)``, with a ValueError turned into an InvalidArgument
+    that names the flag and the value."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InvalidArgument(f"{flag} {text!r}: {exc}") from None
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(item) for item in text.split(","))
+
+
+def _read_config(path) -> dict:
+    """A --config file: a JSON object whose values are finite numbers, or
+    null for peak_cap.  Booleans are not numbers here."""
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
+        raise InvalidArgument(f"config {path} is not a JSON file: {exc}") from None
+    if not isinstance(config, dict):
+        raise InvalidArgument(f"config {path} must hold a JSON object, got {json.dumps(config)}")
+    for key, value in config.items():
+        if not (type(value) is float and np.isfinite(value)) and (key, value) != ("peak_cap", None):
+            kind = "a finite number or null" if key == "peak_cap" else "a finite number"
+            raise InvalidArgument(f"config {path}: {key!r} must be {kind}, got {json.dumps(value)}")
+    return config
+
+
 def _resolve_problem_parameters(args) -> None:
     """Set each problem parameter the subcommand defines on ``args``: the
     flag, else the config file key, else the default.  A config key for a
     parameter the subcommand lacks is refused, not ignored."""
-    config = json.loads(Path(args.config).read_text(encoding="utf-8")) if args.config else {}
+    config = _read_config(args.config) if args.config else {}
     allowed = sorted(key for key in _PROBLEM_DEFAULTS if hasattr(args, key))
     unknown = sorted(set(config) - set(allowed))
     if unknown:
@@ -140,7 +170,7 @@ def _resolve_day_inputs(args) -> tuple:
     """(predicted, prices) from either a trained model + dataset + day or
     plain 24-row CSVs; then the problem parameters, resolved onto ``args``."""
     dataset = None
-    day = date.fromisoformat(args.day) if args.day else None
+    day = _parse_flag("--day", args.day, date.fromisoformat) if args.day else None
     if args.predicted:
         predicted = load_profile(
             _read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData)
@@ -207,8 +237,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    split_boundary = _parse_flag("--split", args.split, datetime.fromisoformat) if args.split else None
+    hidden = _parse_flag("--hidden", args.hidden, _ints)
     out = _out_dir(args)
-    split_boundary = datetime.fromisoformat(args.split) if args.split else None
     dataset = load_dataset(
         args.data,
         split_boundary=split_boundary,
@@ -219,7 +250,6 @@ def cmd_train(args) -> int:
     windows = build_windows(dataset, lag=args.lag)
     train_windows, test_windows = split_windows(windows)
 
-    hidden = tuple(int(s) for s in args.hidden.split(","))
     sizes = (len(dataset.weather[0]) + args.lag,) + hidden + (1,)
     init_seed = derive_seed(args.seed, "mlp-init")
     shuffle_seed = derive_seed(args.seed, "mlp-shuffle")
@@ -248,10 +278,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    day = _parse_flag("--day", args.day, date.fromisoformat)
     out = _out_dir(args)
     model = mlp.load_model(args.model)
     dataset = load_dataset(args.data, allow_gaps=args.allow_gaps)
-    day = date.fromisoformat(args.day)
     predicted = mlp.predict_day(model, dataset, day)
     actual = dataset.day_profile(day)
     _write_hourly_csv(
@@ -311,7 +341,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     predicted, prices = _resolve_day_inputs(args)
     if args.weights:
-        pairs = _parse_weights(args.weights)
+        pairs = _parse_flag("--weights", args.weights, _parse_weights)
     else:
         pairs = [(round(i / 10, 1), round(1 - i / 10, 1)) for i in range(11)]
     rows = report.weight_sweep(
@@ -349,7 +379,7 @@ def cmd_compare(args) -> int:
 def cmd_verify(args) -> int:
     out = _out_dir(args)
     problem = _build_problem_from_args(args)
-    free_hours = tuple(int(h) for h in args.free_hours.split(","))
+    free_hours = _parse_flag("--free-hours", args.free_hours, _ints)
     for hour in free_hours:
         if not 1 <= hour <= 24:
             raise InvalidGrid(f"free hour {hour} outside 1..24")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objective import evaluate
+from . import objective
 from .profiles import DrProblem, OptimizationResult, TracePoint, load_profile, peak
 
 
@@ -18,40 +18,56 @@ def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> n
     return positions
 
 
-class Incumbent:
-    """Best schedule seen so far, plus the trace of its objective terms.
+class Search:
+    """What every population-optimizer run shares: the RNG, the initial
+    positions and their scores, the greedy keep of each scored batch, and
+    the best schedule seen so far with the trace of its objective terms,
+    one point per iteration from the initial positions (iteration 0) on.
 
-    Each ``offer`` of a scored batch appends one trace point.  The
-    incumbent moves to the batch's lowest objective only when that is
+    The incumbent moves to a batch's lowest objective only when that is
     strictly lower, so on ties the earlier member keeps it.
     """
 
-    def __init__(self, batch: np.ndarray, terms: tuple):
-        self.position = None
-        self.terms = ()
+    def __init__(self, problem: DrProblem, seed: int, size: int):
+        self.problem, self.seed = problem, seed
+        self.rng = np.random.default_rng(seed)
+        self.positions = init_positions(problem, size, self.rng)
+        self.terms = objective.evaluate_batch(problem, self.positions)
+        self.improved = np.empty(size, dtype=bool)
         self.trace: list[TracePoint] = []
-        self.offer(batch, terms)
+        self.offer(self.positions)
 
-    def offer(self, batch: np.ndarray, terms: tuple) -> None:
-        """``terms`` is the (cost, shift, violation, objective) of ``batch``."""
-        i = int(np.argmin(terms[3]))
-        if self.position is None or terms[3][i] < self.terms[3]:
+    def offer(self, batch: np.ndarray) -> None:
+        """Append one trace point for ``batch``, scored in ``self.terms``; the
+        first batch offered always sets the incumbent."""
+        objectives = self.terms[3]
+        i = int(np.argmin(objectives))
+        if not self.trace or objectives[i] < self.best[3]:
             self.position = batch[i].copy()
-            self.terms = tuple(float(t[i]) for t in terms)
-        cost, shift, viol, obj = self.terms
+            self.best = tuple(float(t[i]) for t in self.terms)
+        cost, shift, viol, obj = self.best
         self.trace.append(TracePoint(len(self.trace), obj, cost, shift, viol))
 
-    def result(self, problem: DrProblem, seed: int) -> OptimizationResult:
+    def keep(self, batch: np.ndarray, kept: np.ndarray, kept_objectives: np.ndarray) -> None:
+        """Score ``batch``, let each row that is strictly better than its row
+        of ``kept`` replace it, and offer the batch."""
+        terms = objective.evaluate_batch(self.problem, batch, out=self.terms)
+        np.less(terms[3], kept_objectives, out=self.improved)
+        np.copyto(kept, batch, where=self.improved[:, None])
+        np.copyto(kept_objectives, terms[3], where=self.improved)
+        self.offer(batch)
+
+    def result(self) -> OptimizationResult:
         schedule = load_profile(self.position)
-        breakdown = evaluate(problem, schedule)
+        breakdown = objective.evaluate(self.problem, schedule)
         return OptimizationResult(
             best_schedule=schedule,
             objective=breakdown.objective,
             cost_cents=breakdown.cost_cents,
             load_shift_kwh=breakdown.load_shift_kwh,
             violation=breakdown.violation,
-            peak_before_kw=peak(problem.predicted),
+            peak_before_kw=peak(self.problem.predicted),
             peak_after_kw=peak(schedule),
             trace=tuple(self.trace),
-            rng_seed=seed,
+            rng_seed=self.seed,
         )

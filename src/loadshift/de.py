@@ -1,12 +1,15 @@
 """Differential evolution (rand/1/bin) on the same problem and budget as
 the swarm, for head-to-head comparisons.
 
-The population is one (n, 24) array and every generation is built as a
-whole: one draw each of the parent triples, the scale factors, the
-forced crossover indices and the crossover mask, then one batch
-evaluation.  The scale factor is not fixed: each member's mutation draws
-its own uniformly from ``beta_range``.  Selection is greedy and strict,
-so a trial only replaces its parent when it is genuinely better.
+The population is one (n, 24) array and each generation is built as a
+whole from one (n, 5 + 24) uniform draw: per member, three columns pick
+the parents, one the scale factor (uniform in ``beta_range``), one the
+forced crossover component and 24 the crossover mask.  The trials are
+scored in one batch, and selection is greedy and strict: a trial only
+replaces its target when it is genuinely better.  Every step writes into
+buffers allocated once per ``optimize`` call; the population handed to
+``on_iteration`` is changed in place by the next generation, so a
+callback must copy anything it keeps.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from . import objective
-from .common import Incumbent, init_positions
+from .common import Search
 from .errors import InvalidOptimizerConfig, NonDistinctParents
 from .profiles import DrProblem, OptimizationResult
 
@@ -39,41 +41,92 @@ class DeConfig:
             raise InvalidOptimizerConfig(f"iterations must be >= 1, got {self.iterations}")
 
 
-def draw_parents(size: int, rng: np.random.Generator) -> np.ndarray:
-    """(size, 3) parent indices: row i holds three distinct members in
-    random order, none of them member i."""
-    keys = rng.uniform(size=(size, size))
-    np.fill_diagonal(keys, 2.0)  # above every draw, so never among the three smallest
-    return np.argsort(keys, axis=1)[:, :3]
+class Workspace:
+    """Scratch arrays of one run of n members in ``len(lower)`` dimensions,
+    allocated once: a generation's (n, 5 + dims) uniforms; the parent
+    indices, stored one role per row as (3, n), with the spans and the
+    two (n,) helpers of their draw; the gathered (3, n, dims) parents; the
+    donors and the crossover mask; the forced components' flat indices;
+    and the box limits repeated to (n, dims)."""
+
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray):
+        dims = len(lower)
+        self.draws = np.empty((n, 5 + dims))
+        self.parents = np.empty((3, n), dtype=np.intp)
+        self.spans = np.array([[n - 1], [n - 2], [n - 3]])
+        self.after = np.arange(1, n + 1)   # offsets count from member i + 1
+        self.skip = np.empty(n, dtype=bool)
+        self.taken = np.empty(n, dtype=np.intp)
+        self.picked = np.empty((3, n, dims))
+        self.donors = np.empty((n, dims))
+        self.keep = np.empty((n, dims), dtype=bool)
+        self.forced = np.empty(n, dtype=np.intp)
+        self.row_starts = np.arange(0, n * dims, dims)
+        self.lower = np.tile(lower, (n, 1))
+        self.upper = np.tile(upper, (n, 1))
 
 
-def mutate(
-    population: np.ndarray, a, b, c, beta, lower: np.ndarray, upper: np.ndarray
-) -> np.ndarray:
-    """Donors pop[a] + beta * (pop[b] - pop[c]), clamped into the box.
+def draw_parents(uniforms: np.ndarray, work: Workspace) -> np.ndarray:
+    """(n, 3) parent indices from (n, 3) uniforms in [0, 1), written into
+    ``work.parents``: row i holds three distinct members in random order,
+    none of them member i, each ordered triple equally likely.
 
-    ``a``, ``b``, ``c`` are indices or index arrays, and ``beta`` a scalar
-    or a column of per-donor factors."""
-    if np.any((a == b) | (a == c) | (b == c)):
-        raise NonDistinctParents(f"parent indices must be distinct, got {(a, b, c)}")
-    donor = population[a] + beta * (population[b] - population[c])
-    return np.clip(donor, lower, upper)
+    Row i counts offsets k1, k2, k3 from member i + 1 (mod n), drawn
+    without replacement from 0..n-2: k1 = floor(u0 (n - 1)), then
+    k2 = floor(u1 (n - 2)) raised by one if it is >= k1, then
+    k3 = floor(u2 (n - 3)) raised past min(k1, k2) and then max(k1, k2)."""
+    n = len(uniforms)
+    k, skip, taken = work.parents, work.skip, work.taken
+    # a float-to-int cast truncates, which is floor on these nonnegative products
+    np.multiply(uniforms.T, work.spans, out=k, casting="unsafe")
+    k1, k2, k3 = k
+    np.greater_equal(k2, k1, out=skip)
+    k2 += skip
+    np.minimum(k1, k2, out=taken)
+    np.greater_equal(k3, taken, out=skip)
+    k3 += skip
+    np.maximum(k1, k2, out=taken)
+    np.greater_equal(k3, taken, out=skip)
+    k3 += skip
+    k += work.after
+    np.remainder(k, n, out=k)
+    return k.T
 
 
-def crossover(
-    targets: np.ndarray,
-    donors: np.ndarray,
-    crossover_probability: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Binomial crossover of (n, dims) targets and donors, with one forced
-    donor component per row so every trial differs from its target in at
-    least one position."""
-    n, dims = targets.shape
-    forced = rng.integers(dims, size=n)
-    r = rng.uniform(size=(n, dims))
-    take_donor = (r <= crossover_probability) | (np.arange(dims) == forced[:, None])
-    return np.where(take_donor, donors, targets)
+def mutate(population: np.ndarray, parents: np.ndarray, beta: np.ndarray,
+           work: Workspace) -> np.ndarray:
+    """Donors pop[a] + beta * (pop[b] - pop[c]) for the (a, b, c) rows of
+    ``parents``, clamped into the box, written into ``work.donors``.
+    ``beta`` is a column of per-donor factors."""
+    a, b, c = parents.T
+    repeated = (a == b) | (a == c) | (b == c)
+    if repeated.any():
+        raise NonDistinctParents(f"parent indices must be distinct, got {parents[repeated].tolist()}")
+    picked, donors = work.picked, work.donors
+    np.take(population, parents.T, axis=0, out=picked)
+    np.subtract(picked[1], picked[2], out=donors)
+    donors *= beta
+    donors += picked[0]
+    np.maximum(donors, work.lower, out=donors)
+    np.minimum(donors, work.upper, out=donors)
+    return donors
+
+
+def crossover(targets: np.ndarray, donors: np.ndarray, uniforms: np.ndarray,
+              crossover_probability: float, work: Workspace) -> np.ndarray:
+    """Binomial crossover of (n, dims) targets and donors, in place: the
+    donors become the trials.  Column 0 of the (n, 1 + dims) ``uniforms``
+    forces one donor component per row, so every trial differs from its
+    target in at least one position; component j also comes from the donor
+    where column 1 + j is at most ``crossover_probability``."""
+    dims = donors.shape[1]
+    forced, keep = work.forced, work.keep
+    np.multiply(uniforms[:, 0], dims, out=forced, casting="unsafe")
+    forced += work.row_starts
+    np.greater(uniforms[:, 1:], crossover_probability, out=keep)
+    np.put(keep, forced, False)
+    np.copyto(donors, targets, where=keep)
+    return donors
 
 
 def optimize(
@@ -88,30 +141,25 @@ def optimize(
     """
     if config is None:
         config = DeConfig()
-    rng = np.random.default_rng(config.seed)
-    lower = problem.lower_bounds
-    upper = problem.upper_bounds
-    size = config.population_size
     beta_lo, beta_hi = config.beta_range
-
-    population = init_positions(problem, size, rng)
-    terms = objective.evaluate_batch(problem, population)
-    objectives = terms[3].copy()
-    best = Incumbent(population, terms)
+    work = Workspace(config.population_size, problem.lower_bounds, problem.upper_bounds)
+    draws = work.draws
+    beta = draws[:, 3:4]
+    search = Search(problem, config.seed, config.population_size)
+    population = search.positions
+    objectives = search.terms[3].copy()
     if on_iteration is not None:
         on_iteration(0, population)
 
     for iteration in range(1, config.iterations + 1):
-        a, b, c = draw_parents(size, rng).T
-        beta = rng.uniform(beta_lo, beta_hi, size=(size, 1))
-        donors = mutate(population, a, b, c, beta, lower, upper)
-        trials = crossover(population, donors, config.crossover_probability, rng)
-        objective.evaluate_batch(problem, trials, out=terms)
-        better = terms[3] < objectives
-        population[better] = trials[better]
-        objectives[better] = terms[3][better]
-        best.offer(trials, terms)
+        search.rng.random(out=draws)
+        parents = draw_parents(draws[:, :3], work)
+        beta *= beta_hi - beta_lo
+        beta += beta_lo
+        trials = mutate(population, parents, beta, work)
+        crossover(population, trials, draws[:, 4:], config.crossover_probability, work)
+        search.keep(trials, population, objectives)
         if on_iteration is not None:
             on_iteration(iteration, population)
 
-    return best.result(problem, config.seed)
+    return search.result()

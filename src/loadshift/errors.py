@@ -134,3 +134,10 @@ class BudgetMismatch(Warning):
 
 class MissingPrices(LoadshiftError, ValueError):
     pass
+
+
+# command line --------------------------------------------------------------
+
+class InvalidArgument(LoadshiftError):
+    """A flag value or a ``--config`` file the command line cannot use; the
+    message names the flag and its value, or the file and the key."""

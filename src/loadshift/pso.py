@@ -27,8 +27,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from . import objective
-from .common import Incumbent, init_positions
+from .common import Search
 from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
@@ -60,45 +59,23 @@ class Swarm:
     best_objectives: np.ndarray
 
 
-@dataclass
 class Workspace:
     """Scratch arrays of one run, allocated once: the (n, 2, dims) random
     factors and their pull coefficients, an (n, dims) difference buffer
     and clamp mask, and the velocity and box limits repeated to (n, dims),
     so that every step is a ufunc on arrays of one shape."""
 
-    factors: np.ndarray
-    diff: np.ndarray
-    clamped: np.ndarray
-    pulls: np.ndarray
-    v_max: np.ndarray
-    neg_v_max: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    @classmethod
-    def for_swarm(cls, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
-                  config: PsoConfig):
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
+                 config: PsoConfig):
         dims = len(lower)
-
-        def rows(limit):
-            out = np.empty((n, dims))
-            out[...] = limit
-            return out
-
-        pulls = np.empty((n, 2, dims))
-        pulls[:, 0] = config.cognitive
-        pulls[:, 1] = config.social
-        return cls(
-            factors=np.empty((n, 2, dims)),
-            diff=np.empty((n, dims)),
-            clamped=np.empty((n, dims), dtype=bool),
-            pulls=pulls,
-            v_max=rows(v_max),
-            neg_v_max=rows(-v_max),
-            lower=rows(lower),
-            upper=rows(upper),
-        )
+        self.factors = np.empty((n, 2, dims))
+        self.pulls = np.tile([[config.cognitive], [config.social]], (n, 1, dims))
+        self.diff = np.empty((n, dims))
+        self.clamped = np.empty((n, dims), dtype=bool)
+        self.v_max = np.tile(v_max, (n, 1))
+        self.neg_v_max = np.tile(-v_max, (n, 1))
+        self.lower = np.tile(lower, (n, 1))
+        self.upper = np.tile(upper, (n, 1))
 
 
 def velocity_update(
@@ -152,31 +129,22 @@ def optimize(
     with the initial swarm (iteration 0)."""
     if config is None:
         config = PsoConfig()
-    rng = np.random.default_rng(config.seed)
     lower = problem.lower_bounds
     upper = problem.upper_bounds
     v_max = config.v_max_fraction * (upper - lower)
-    work = Workspace.for_swarm(config.swarm_size, lower, upper, v_max, config)
-
-    positions = init_positions(problem, config.swarm_size, rng)
-    velocities = rng.uniform(-v_max, v_max, size=positions.shape)
-    terms = objective.evaluate_batch(problem, positions)
-    swarm = Swarm(positions, velocities, positions.copy(), terms[3].copy())
-    best = Incumbent(positions, terms)
-    improved = np.empty(config.swarm_size, dtype=bool)
-    improved_rows = improved[:, None]
+    work = Workspace(config.swarm_size, lower, upper, v_max, config)
+    search = Search(problem, config.seed, config.swarm_size)
+    positions = search.positions
+    velocities = search.rng.uniform(-v_max, v_max, size=positions.shape)
+    swarm = Swarm(positions, velocities, positions.copy(), search.terms[3].copy())
     if on_iteration is not None:
         on_iteration(0, swarm)
 
     for iteration in range(1, config.iterations + 1):
-        velocity_update(swarm, best.position, config, rng, work)
+        velocity_update(swarm, search.position, config, search.rng, work)
         position_update(swarm, work)
-        objective.evaluate_batch(problem, positions, out=terms)
-        np.less(terms[3], swarm.best_objectives, out=improved)
-        np.copyto(swarm.best_positions, positions, where=improved_rows)
-        np.copyto(swarm.best_objectives, terms[3], where=improved)
-        best.offer(positions, terms)
+        search.keep(positions, swarm.best_positions, swarm.best_objectives)
         if on_iteration is not None:
             on_iteration(iteration, swarm)
 
-    return best.result(problem, config.seed)
+    return search.result()

@@ -1,6 +1,7 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
-objective as plain expressions, the row-by-row grid search, the row-wise CSV
-reader, and scans that find Dataset rows the slow way."""
+objective and a DE generation as plain expressions, the row-by-row grid
+search, the row-wise CSV reader, and scans that find Dataset rows the slow
+way."""
 
 import csv
 from datetime import datetime, timedelta
@@ -56,6 +57,33 @@ def plain_terms(problem, schedules):
     obj = (problem.w1 * cost / problem.e_cmax + problem.w2 * shift / problem.l_shmax
            + problem.alpha * viol)
     return np.array([cost, shift, viol, obj])
+
+
+def de_generation(problem, population, objectives, uniforms, config):
+    """One DE/rand/1/bin generation from its (n, 5 + 24) uniforms, one
+    allocating expression per step: the reference the in-place generation
+    must match bit for bit.  Columns 0-2 of ``uniforms`` pick the parents,
+    3 the scale factor, 4 the forced component and the rest the crossover
+    mask.  Returns the next population and its objectives."""
+    n, dims = population.shape
+    k1 = np.floor(uniforms[:, 0] * (n - 1)).astype(int)
+    k2 = np.floor(uniforms[:, 1] * (n - 2)).astype(int)
+    k2 = k2 + (k2 >= k1)
+    k3 = np.floor(uniforms[:, 2] * (n - 3)).astype(int)
+    k3 = k3 + (k3 >= np.minimum(k1, k2))
+    k3 = k3 + (k3 >= np.maximum(k1, k2))
+    a, b, c = ((np.arange(n) + 1 + k) % n for k in (k1, k2, k3))
+    beta_lo, beta_hi = config.beta_range
+    beta = beta_lo + (beta_hi - beta_lo) * uniforms[:, 3:4]
+    donors = np.clip(population[a] + beta * (population[b] - population[c]),
+                     problem.lower_bounds, problem.upper_bounds)
+    forced = np.floor(uniforms[:, 4] * dims).astype(int)
+    take = (uniforms[:, 5:] <= config.crossover_probability) | (np.arange(dims) == forced[:, None])
+    trials = np.where(take, donors, population)
+    trial_objectives = plain_terms(problem, trials)[3]
+    better = trial_objectives < objectives
+    return (np.where(better[:, None], trials, population),
+            np.where(better, trial_objectives, objectives))
 
 
 _CHUNK = 65_536

@@ -246,7 +246,11 @@ class TestGoldenArtifacts:
 
     Recorded before the optimizer dispatch, parameter resolution, manifest
     and CSV writing of the CLI were each folded into one place; a byte that
-    moves in any of them shows here.  The runs use the cost-heavy pair
+    moves in any of them shows here.  The DE files (``de/*``,
+    ``compare/comparison.json`` and ``compare/de_trace.csv``) were
+    re-recorded when DE moved to one uniform draw per generation; the rest
+    kept their bytes, ``verify/verify.json`` too, because both optimizers
+    reach the grid optimum exactly there.  The runs use the cost-heavy pair
     (0.9, 0.1), where every trace moves: at (0.4, 0.6) the clamped
     prediction is already optimal, and at (0.8, 0.2) the swarm's is flat.
     """
@@ -266,19 +270,19 @@ class TestGoldenArtifacts:
         "pso/trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
         "pso/load_comparison.csv": "febecf4e6465453c1cbe030bc33755dbbdce6d9b642109bb59b0d9d905448afa",
         "pso/cost_comparison.csv": "fe00b9ca478cea1a543cdfec987a6fb9ec62f4d527c9eef1ba30e48555f97441",
-        "de/result.json": "67a57280f821f82d93f30720bfb438a33c9d12cdaff7358555272b3bdc8ae08e",
-        "de/trace.csv": "95541021bf67356dd39d4bdce9bfc5f8ef7df014a787f9331ea32b7e0969229e",
-        "de/load_comparison.csv": "0fa0ee6600fdb549d9e4b10e988299bec94cb519f629eba5bd37605e1f6da1f6",
-        "de/cost_comparison.csv": "bfceefff5c6249bc443804a411f6e0d458a51e1047565677a0265490cbefdb55",
+        "de/result.json": "5e709e1e580af23dd6889f451f7d173c8a4938df4bf5dc8017a9004757170f30",
+        "de/trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
+        "de/load_comparison.csv": "d64b3d41fb9008bdde469ac54ee27f24aae4410e35984ee1f6ea976b9af4dc42",
+        "de/cost_comparison.csv": "5ffb2b543cfbf65b8355ee977e2cfa8b5f14e0eb4e36b61933d777b2cc329a6a",
         "pso_capped/result.json": "ec376e7b29397c7bb51e1061e1109b062a7c8338f7894540f8c530916818df32",
         "pso_capped/trace.csv": "7220eb9b9f30594babd06a70ac26e889b76fe6c95a35783085baf8dd96972550",
         "pso_capped/load_comparison.csv": "d54bea3351929f0a629e6f8d85707b88252900127f0f3e720b38752d28b1ab7b",
         "pso_capped/cost_comparison.csv": "200b17ef67c01de1d8f5118652debc4f2739fb726114f3805b4ccaf9d4e5d4f2",
         "sweep/sweep.json": "9f9e04b3c441f079cc6057f979689af3ebe3a4d39c09b53e40b704fd073276d4",
         "sweep/sweep.csv": "22591c860561005aee4550cab6c7ec9e3f0052bc6845295b43dfd024b78e431f",
-        "compare/comparison.json": "ae04ab25de7d1ff802d8cdb991b49698535fd3c1d5893c2ba6ad9a59940b0cc9",
+        "compare/comparison.json": "f5d0206984c784014e2fa8972dedb0ef86f4aff0ac238b81e239666370c0e047",
         "compare/pso_trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
-        "compare/de_trace.csv": "95541021bf67356dd39d4bdce9bfc5f8ef7df014a787f9331ea32b7e0969229e",
+        "compare/de_trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
         "verify/verify.json": "3ba4051662a1676cdb426cf514a5df1e3035a1a54b64628ceabefac940b7d7f5",
     }
 
@@ -638,10 +642,50 @@ class TestErrors:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"w1": "x"}', ": 'w1' must be a finite number, got \"x\""),
+        ('{"alpha": null}', ": 'alpha' must be a finite number, got null"),
+        ("5", " must hold a JSON object, got 5.0"),
+        ('{"peak_cap": true}', ": 'peak_cap' must be a finite number or null, got true"),
+        ("w1 = 0.9", " is not a JSON file: Expecting value: line 1 column 1"),
+    ])
+    def test_config_of_the_wrong_form_names_the_file_and_the_fault(
+            self, day_inputs, tmp_path, capsys, text, message):
+        predicted, prices = day_inputs
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main([
+            "optimize", "--predicted", str(predicted), "--prices", str(prices),
+            "--config", str(config), "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: config {config}{message}")
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["verify", "--free-hours", "a"], "--free-hours 'a': invalid literal for int() with base 10: 'a'"),
+        (["sweep", "--weights", "a:b"], "--weights 'a:b': could not convert string to float: 'a'"),
+    ])
+    def test_unparseable_problem_flag_names_it(self, day_inputs, tmp_path, capsys, flags, message):
+        predicted, prices = day_inputs
+        code = main([*flags, "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["predict", "--model", "model.json", "--day", "bad"], "--day 'bad': Invalid isoformat string: 'bad'"),
+        (["train", "--split", "bad"], "--split 'bad': Invalid isoformat string: 'bad'"),
+        (["train", "--hidden", "a"], "--hidden 'a': invalid literal for int() with base 10: 'a'"),
+    ])
+    def test_unparseable_data_flag_names_it(self, synth30_path, tmp_path, capsys, flags, message):
+        code = main([*flags, "--data", str(synth30_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_supplies_problem_parameters(self, day_inputs, tmp_path):
         predicted, prices = day_inputs
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1, "alpha": 50.0}))
+        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1, "alpha": 50.0, "peak_cap": None}))
         code = main([
             "optimize", "--predicted", str(predicted), "--prices", str(prices),
             "--config", str(config), "--population", "10", "--iterations", "10",
@@ -651,6 +695,7 @@ class TestErrors:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["w1"] == 0.9
         assert manifest["parameters"]["alpha"] == 50.0
+        assert manifest["parameters"]["peak_cap"] is None
 
 
 def test_console_script_runs_cli_main():

@@ -65,8 +65,7 @@ class TestConfig:
 
 def workspace(n, lower, upper, config=None):
     config = config or pso.PsoConfig()
-    return pso.Workspace.for_swarm(n, lower, upper, config.v_max_fraction * (upper - lower),
-                                   config)
+    return pso.Workspace(n, lower, upper, config.v_max_fraction * (upper - lower), config)
 
 
 class TestVelocityUpdate:
