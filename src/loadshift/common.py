@@ -42,10 +42,10 @@ class Search:
         first batch offered always sets the incumbent."""
         objectives = self.terms[3]
         i = int(np.argmin(objectives))
-        if not self.trace or objectives[i] < self.best[3]:
-            self.position = batch[i].copy()
-            self.best = tuple(float(t[i]) for t in self.terms)
-        cost, shift, viol, obj = self.best
+        if not self.trace or objectives[i] < self.best_terms[3]:
+            self.best_position = batch[i].copy()
+            self.best_terms = tuple(float(t[i]) for t in self.terms)
+        cost, shift, viol, obj = self.best_terms
         self.trace.append(TracePoint(len(self.trace), obj, cost, shift, viol))
 
     def keep(self, batch: np.ndarray, kept: np.ndarray, kept_objectives: np.ndarray) -> None:
@@ -58,7 +58,7 @@ class Search:
         self.offer(batch)
 
     def result(self) -> OptimizationResult:
-        schedule = load_profile(self.position)
+        schedule = load_profile(self.best_position)
         breakdown = objective.evaluate(self.problem, schedule)
         return OptimizationResult(
             best_schedule=schedule,

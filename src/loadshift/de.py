@@ -59,7 +59,7 @@ class Workspace:
         self.taken = np.empty(n, dtype=np.intp)
         self.picked = np.empty((3, n, dims))
         self.donors = np.empty((n, dims))
-        self.keep = np.empty((n, dims), dtype=bool)
+        self.keep_target = np.empty((n, dims), dtype=bool)
         self.forced = np.empty(n, dtype=np.intp)
         self.row_starts = np.arange(0, n * dims, dims)
         self.lower = np.tile(lower, (n, 1))
@@ -120,12 +120,12 @@ def crossover(targets: np.ndarray, donors: np.ndarray, uniforms: np.ndarray,
     target in at least one position; component j also comes from the donor
     where column 1 + j is at most ``crossover_probability``."""
     dims = donors.shape[1]
-    forced, keep = work.forced, work.keep
+    forced, keep_target = work.forced, work.keep_target
     np.multiply(uniforms[:, 0], dims, out=forced, casting="unsafe")
     forced += work.row_starts
-    np.greater(uniforms[:, 1:], crossover_probability, out=keep)
-    np.put(keep, forced, False)
-    np.copyto(donors, targets, where=keep)
+    np.greater(uniforms[:, 1:], crossover_probability, out=keep_target)
+    np.put(keep_target, forced, False)
+    np.copyto(donors, targets, where=keep_target)
     return donors
 
 

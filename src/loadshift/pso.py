@@ -141,7 +141,7 @@ def optimize(
         on_iteration(0, swarm)
 
     for iteration in range(1, config.iterations + 1):
-        velocity_update(swarm, search.position, config, search.rng, work)
+        velocity_update(swarm, search.best_position, config, search.rng, work)
         position_update(swarm, work)
         search.keep(positions, swarm.best_positions, swarm.best_objectives)
         if on_iteration is not None:
