@@ -27,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, de, mlp, pso, report, synth
-from .errors import (InsufficientData, InvalidArgument, InvalidGrid, LoadshiftError, MissingColumn,
-                     MissingPrices, UnparseableRow)
-from .gridsearch import ReducedProblem, grid_search, pinned_problem
+from .errors import InsufficientData, InvalidArgument, LoadshiftError, MissingColumn, MissingPrices, UnparseableRow
+from .exact import exact_optimum, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
     PRICE_COLUMN,
@@ -70,6 +69,18 @@ def _parse_flag(flag: str, text: str, parse):
 
 def _ints(text: str) -> tuple:
     return tuple(int(item) for item in text.split(","))
+
+
+def _free_hours(text: str) -> list:
+    """--free-hours as sorted indices 0..23.  Each fault names the hour as
+    typed, 1..24; parsing already refuses an empty list."""
+    hours = _parse_flag("--free-hours", text, _ints)
+    for hour in hours:
+        if not 1 <= hour <= 24:
+            raise InvalidArgument(f"free hour {hour} outside 1..24")
+        if hours.count(hour) > 1:
+            raise InvalidArgument(f"--free-hours {text!r}: hour {hour} appears twice")
+    return sorted(hour - 1 for hour in hours)
 
 
 def _read_config(path) -> dict:
@@ -377,15 +388,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    free_hours = _free_hours(args.free_hours)
     out = _out_dir(args)
-    problem = _build_problem_from_args(args)
-    free_hours = _parse_flag("--free-hours", args.free_hours, _ints)
-    for hour in free_hours:
-        if not 1 <= hour <= 24:
-            raise InvalidGrid(f"free hour {hour} outside 1..24")
-    reduced = ReducedProblem(problem, tuple(h - 1 for h in free_hours), args.resolution)
-    oracle_schedule, oracle_objective = grid_search(reduced)
-    pinned = pinned_problem(reduced)
+    pinned = pinned_problem(_build_problem_from_args(args), free_hours)
+    oracle_schedule, oracle_objective = exact_optimum(pinned)
 
     algorithms = ["pso", "de"] if args.algorithm == "both" else [args.algorithm]
     seeds = {f"verify-{name}": derive_seed(args.seed, f"verify-{name}") for name in algorithms}
@@ -415,8 +421,7 @@ def cmd_verify(args) -> int:
     write_json(
         {
             "checks": checks,
-            "free_hours": [h + 1 for h in reduced.free_hours],
-            "grid_resolution": args.resolution,
+            "free_hours": [h + 1 for h in free_hours],
             "oracle_schedule_kwh": [float(v) for v in oracle_schedule.values],
         },
         out / "verify.json",
@@ -511,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify", parents=[common, day_inputs, weights, bounds, budget],
-        help="check optimizer quality against exhaustive search",
+        help="check optimizer quality against the exact optimum",
     )
-    p.add_argument("--free-hours", default="18,19", help="comma-separated hours 1..24 left free (max 4)")
-    p.add_argument("--resolution", type=int, default=101, help="grid points per free hour")
+    p.add_argument("--free-hours", default="18,19", help="comma-separated distinct hours 1..24 left free")
+    # accepted and ignored: command lines written for the grid oracle still run
+    p.add_argument("--resolution", help=argparse.SUPPRESS)
     p.add_argument("--tolerance", type=float, default=0.01, help="relative gap to pass")
     p.add_argument("--algorithm", choices=["pso", "de", "both"], default="pso")
     p.set_defaults(func=cmd_verify)
@@ -526,7 +532,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (LoadshiftError, OSError, ValueError) as exc:
+    except (LoadshiftError, OSError, UnicodeDecodeError) as exc:   # the last: an input file that is not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,6 +42,10 @@ class InsufficientData(LoadshiftError, ValueError):
     pass
 
 
+class InvalidSynthConfig(LoadshiftError, ValueError):
+    """A synthetic data set too short to hold one lag window."""
+
+
 class MixedTimezones(LoadshiftError):
     """A naive split boundary on offset timestamps, or the other way round."""
 
@@ -65,7 +69,7 @@ class EmptyTrainingSet(LoadshiftError):
 
 
 class InvalidTrainConfig(LoadshiftError, ValueError):
-    pass
+    """A training setting or a lag out of range."""
 
 
 class InvalidModel(LoadshiftError, ValueError):

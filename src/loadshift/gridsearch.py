@@ -1,19 +1,22 @@
 """Exhaustive grid search over a handful of free hours.
 
-This is the reference answer the stochastic optimizers are judged
-against.  All but a few hours are pinned to the predicted profile, the
-free hours are discretized between their bounds, and every combination
-is screened; the few near the screen minimum are scored exactly.  No
-randomness anywhere, so the result is a fixed point for a given problem.
+An exhaustive reference, independent of the closed form in ``exact``:
+the acceptance gate and the benchmark's smoke test judge the stochastic
+optimizers against it.  All but a few hours are pinned to the predicted
+profile, the free hours are discretized between their bounds, and every
+combination is screened; the few near the screen minimum are scored
+exactly.  No randomness anywhere, so the result is a fixed point for a
+given problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from . import exact
 from .errors import GridTooLarge, InvalidGrid
 from .objective import evaluate_batch
 from .profiles import HOURS_PER_DAY, DrProblem, HourlyProfile, load_profile
@@ -65,10 +68,7 @@ def pinned_problem(reduced: ReducedProblem) -> DrProblem:
     """The same objective restricted to the free hours: bounds of every
     pinned hour collapse to the pinned value.  Normalizers are kept from
     the base problem so objective values stay comparable."""
-    base, hours = reduced.base, list(reduced.free_hours)
-    lower, upper = reduced.pinned_schedule(), reduced.pinned_schedule()
-    lower[hours], upper[hours] = base.lower_bounds[hours], base.upper_bounds[hours]
-    return replace(base, lower_bounds=lower, upper_bounds=upper)
+    return exact.pinned_problem(reduced.base, reduced.free_hours)
 
 
 def _grid_sums(vectors, start: float) -> np.ndarray:

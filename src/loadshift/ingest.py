@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DegenerateFeature,
     InsufficientData,
+    InvalidTrainConfig,
     LoadshiftError,
     MissingColumn,
     UnparseableRow,
@@ -240,7 +241,7 @@ def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> Windows:
     dataset this yields max(0, rows - lag - 24 + 1) windows.
     """
     if lag < 1:
-        raise ValueError("lag must be >= 1")
+        raise InvalidTrainConfig(f"lag must be >= 1, got {lag}")
     ends = np.arange(lag - 1, len(dataset))
     targets = dataset.shifted_rows(ends, HORIZON_HOURS)
     keep = (targets >= 0) & dataset.contiguous(ends - lag + 1, ends)

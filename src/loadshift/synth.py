@@ -15,6 +15,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
+from .errors import InvalidSynthConfig
 from .ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS
 
 
@@ -26,7 +27,7 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.days < 3:
-            raise ValueError(f"need at least 3 days for lag windows, got {self.days}")
+            raise InvalidSynthConfig(f"days must be >= 3 for lag windows, got {self.days}")
 
 
 def generate_rows(config: SynthConfig) -> list[dict]:

@@ -1,7 +1,7 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
 objective and a DE generation as plain expressions, the row-by-row grid
 search, the row-wise CSV reader, and scans that find Dataset rows the slow
-way."""
+way; and the writer of the CLI's hourly CSVs."""
 
 import csv
 from datetime import datetime, timedelta
@@ -44,6 +44,15 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+def write_hourly_csv(path, column, values):
+    """A 24-row ``hour,<column>`` CSV, as the CLI's --predicted and --prices read."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["hour", column])
+        for hour, value in enumerate(values, start=1):
+            writer.writerow([hour, repr(float(value))])
 
 
 def plain_terms(problem, schedules):

@@ -9,18 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import write_hourly_csv
 
 from loadshift.cli import build_parser, main
 from loadshift.errors import InsufficientData, LoadshiftError
 from loadshift.ingest import load_dataset
-
-
-def write_hourly_csv(path, column, values):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["hour", column])
-        for hour, value in enumerate(values, start=1):
-            writer.writerow([hour, repr(float(value))])
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +243,9 @@ class TestGoldenArtifacts:
     ``compare/comparison.json`` and ``compare/de_trace.csv``) were
     re-recorded when DE moved to one uniform draw per generation; the rest
     kept their bytes, ``verify/verify.json`` too, because both optimizers
-    reach the grid optimum exactly there.  The runs use the cost-heavy pair
+    reach the grid optimum exactly there.  ``verify/verify.json`` was
+    re-recorded when the exact solver replaced the grid oracle: it lost its
+    ``grid_resolution`` line and nothing else.  The runs use the cost-heavy pair
     (0.9, 0.1), where every trace moves: at (0.4, 0.6) the clamped
     prediction is already optimal, and at (0.8, 0.2) the swarm's is flat.
     """
@@ -283,7 +278,7 @@ class TestGoldenArtifacts:
         "compare/comparison.json": "f5d0206984c784014e2fa8972dedb0ef86f4aff0ac238b81e239666370c0e047",
         "compare/pso_trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
         "compare/de_trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
-        "verify/verify.json": "3ba4051662a1676cdb426cf514a5df1e3035a1a54b64628ceabefac940b7d7f5",
+        "verify/verify.json": "eea071fd484dc15bd84b74236b498d28e526ad73b43ebacfa1f64c97d9c82170",
     }
 
     @pytest.fixture(scope="class")
@@ -439,7 +434,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flags, message", [
         (["--free-hours", "0"], "free hour 0 outside 1..24"),
-        (["--resolution", "1"], "grid_resolution must be >= 2, got 1"),
+        (["--free-hours", "18,18"], "--free-hours '18,18': hour 18 appears twice"),
         (["--free-hours", "18,25"], "free hour 25 outside 1..24"),
     ])
     def test_bad_verify_grid_is_a_loadshift_error(self, day_inputs, tmp_path, capsys, flags, message):
@@ -535,6 +530,25 @@ class TestErrors:
             args.func(args)
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: dataset does not contain all 24 hours of 2024-02-01\n"
+
+    @pytest.mark.parametrize("days", ["2", "0", "-5"])
+    def test_too_few_synthetic_days_names_the_fault(self, tmp_path, capsys, days):
+        assert main(["synth", "--days", days, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: days must be >= 3 for lag windows, got {days}\n"
+
+    @pytest.mark.parametrize("lag", ["0", "-3"])
+    def test_lag_below_one_names_the_fault(self, synth30_path, tmp_path, capsys, lag):
+        code = main(["train", "--data", str(synth30_path), "--lag", lag, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: lag must be >= 1, got {lag}\n"
+
+    def test_file_that_is_not_utf8_text(self, day_inputs, tmp_path, capsys):
+        _, prices = day_inputs
+        predicted = tmp_path / "predicted.csv"
+        predicted.write_bytes(b"hour,predicted_kwh\n1,\xff\n")
+        code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
         code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])

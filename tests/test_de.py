@@ -177,6 +177,12 @@ class TestCrossover:
         # draws <= 0.7 take the donor, index 0 is forced
         np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0, 7.0]])
 
+    def test_uniform_at_the_rate_takes_the_donor(self):
+        # "at most crossover_probability": a draw of exactly 0.7 takes the donor
+        rate = de.DeConfig.crossover_probability
+        trial = crossover(np.zeros((1, 3)), np.full((1, 3), 7.0), [0], [[0.9, rate, np.nextafter(rate, 1.0)]], rate)
+        np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0]])
+
     def test_identical_parents_are_a_fixed_point(self):
         x = np.array([[3.0, 1.0, 4.0]])
         trial = crossover(x.copy(), x.copy(), [1], [[0.1, 0.9, 0.5]], 0.7)
