@@ -28,7 +28,7 @@ from .errors import (
     MissingColumn,
     UnparseableRow,
 )
-from .profiles import WEATHER_FEATURES, Dataset
+from .profiles import WEATHER_FEATURES, Dataset, time_axis, to_datetime
 
 LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
@@ -130,47 +130,61 @@ def load_dataset(
     """
     if not 0 <= split_fraction <= 1:   # NaN included
         raise LoadshiftError(f"split_fraction must lie in [0, 1], got {split_fraction}")
-    with open(path, newline="") as handle:
-        header = next(csv.reader(handle), [])
-        for canonical in REQUIRED_COLUMNS:
-            if canonical not in header:
-                raise MissingColumn(canonical)
-        has_price = PRICE_COLUMN in header
-        value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
-        # a repeated header name refers to its last column
-        position = {column: j for j, column in enumerate(header)}
-        columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
-                table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns], delimiter=",",
-                                   comments=None, quotechar='"', usecols=list(columns.values()), ndmin=1)
-            stamps = [datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]]
-            values = np.column_stack([table[c] for c in value_names])
-            if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
-                raise ValueError("non-finite or negative value")
-            order = sorted(range(len(stamps)), key=stamps.__getitem__)   # TypeError: naive and offset stamps
-        except (TypeError, ValueError) as exc:
-            _raise_first_fault(path, columns, value_names, exc)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle), [])
+            for canonical in REQUIRED_COLUMNS:
+                if canonical not in header:
+                    raise MissingColumn(canonical)
+            has_price = PRICE_COLUMN in header
+            value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
+            # a repeated header name refers to its last column
+            position = {column: j for j, column in enumerate(header)}
+            columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
+                    table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
+                                       delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
+                                       ndmin=1)
+                micros, offsets = _canonical_micros(table["timestamp"]), None
+                if micros is None:   # time_axis raises TypeError on naive and offset stamps together
+                    micros, offsets = time_axis([datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]])
+                values = np.column_stack([table[c] for c in value_names])
+                if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+                    raise ValueError("non-finite or negative value")
+            except (TypeError, ValueError) as exc:
+                _raise_first_fault(path, columns, value_names, exc)
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
     # loadtxt strips U+001C..U+001F around a number as whitespace; float() does not.
-    # The scan reads 64 KiB at a time, so a large file is never held whole.
+    # fromisoformat reads a NUL as the end of its text. The scan reads 64 KiB at a
+    # time, so a large file is never held whole.
     with open(path, "rb") as raw:
         chunks = iter(lambda: raw.read(1 << 16), b"")
-        if any(control in chunk for chunk in chunks for control in b"\x1c\x1d\x1e\x1f"):
+        if any(control in chunk for chunk in chunks for control in b"\x00\x1c\x1d\x1e\x1f"):
             _raise_first_fault(path, columns, value_names)
-    if len(stamps) < 2:
-        raise InsufficientData(f"dataset {path} has {len(stamps)} rows; need at least 2")
+    n = len(micros)
+    if n < 2:
+        raise InsufficientData(f"dataset {path} has {n} rows; need at least 2")
 
-    timestamps = tuple(stamps[i] for i in order)
-    values = values[order]
+    order = np.argsort(micros, kind="stable")   # sorted()'s order of the timestamps
+    micros, values = micros[order], values[order]
+    if offsets is not None:
+        offsets = offsets[order]
 
     if split_boundary is None:
-        cut = int(split_fraction * len(stamps))
-        split_boundary = timestamps[cut] if cut < len(stamps) else timestamps[-1] + timedelta(hours=1)
+        cut = int(split_fraction * n)
+        row = min(cut, n - 1)
+        split_boundary = to_datetime(micros[row], None if offsets is None else offsets[row])
+        if cut == n:   # no test row: the boundary lies an hour past the last row
+            split_boundary += timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
     return Dataset(
-        timestamps=timestamps,
+        micros=micros,
+        offsets=offsets,
         weather=values[:, :n_weather],
         load=values[:, n_weather],
         price=values[:, n_weather + 1] if has_price else None,
@@ -179,20 +193,74 @@ def load_dataset(
     )
 
 
+# a canonical timestamp and the newline that joins it to the next; "0" stands for any digit
+_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00\n", np.uint8)
+_DIGITS = np.flatnonzero(_CANONICAL == ord("0"))
+_SEPARATORS = np.flatnonzero(_CANONICAL != ord("0"))
+# indexed by the two-digit month 0..99; 0 days in a month that does not exist
+_DAYS_IN_MONTH = np.zeros(100, np.int32)
+_DAYS_IN_MONTH[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+_DAYS_BEFORE_MONTH = np.concatenate(([0, 0], np.cumsum(_DAYS_IN_MONTH[1:12]))).astype(np.int32)
+_DAYS_BEFORE_1970 = 719_162   # from 0001-01-01
+
+
+def _canonical_micros(stamps) -> Optional[np.ndarray]:
+    """Microseconds since 1970 of timestamps that are each exactly
+    ``YYYY-MM-DDTHH:MM:SS``, read from their fixed digit positions in one array
+    pass; None if any has another form or names no valid time, and then
+    ``fromisoformat`` reads them and names the fault."""
+    n = len(stamps)
+    text = ("\n".join(stamps) + "\n").encode()
+    if len(text) != n * len(_CANONICAL):
+        return None
+    chars = np.frombuffer(text, np.uint8).reshape(n, len(_CANONICAL))
+    # Each byte must be a digit or the template's separator. So no stamp holds a
+    # newline, and the n newlines of the join end the rows at exactly column 19.
+    digits = chars[:, _DIGITS] - np.uint8(ord("0"))   # a byte below "0" wraps above 9
+    if not ((digits <= 9).all() and (chars[:, _SEPARATORS] == _CANONICAL[_SEPARATORS]).all()):
+        return None
+    pairs = digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]   # century, year of century, month, ..., second
+    year = pairs[:, 0] * np.int32(100) + pairs[:, 1]
+    month, day, hour, minute, second = pairs[:, 2:].T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    valid = ((year >= 1) & (day >= 1) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))
+             & (hour < 24) & (minute < 60) & (second < 60))
+    if not valid.all():
+        return None
+    before = year - 1
+    days = (365 * before + before // 4 - before // 100 + before // 400 - _DAYS_BEFORE_1970
+            + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1)
+    return (((days.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
+
+
+def _raise_not_utf8(path) -> None:
+    """Raise UnparseableRow for the first line of a file that is not UTF-8 text."""
+    with open(path, "rb") as raw:
+        data = raw.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())   # the lines up to and with the bad byte
+        raise UnparseableRow(line, f"not UTF-8 text ({exc.reason})") from None
+
+
 def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception] = None) -> None:
     """Re-read a file the array parse rejected and raise UnparseableRow for its first
     faulty row, checking each row in turn: its timestamp, then each value column in
     order, then the signs; then the first row whose UTC offset awareness differs.
     Without a ``rejection`` a file with no faulty row passes."""
     first_line = {}   # UTC offset awareness -> first line with it
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         next(reader, [])
         for row in filter(None, reader):   # a blank line holds no row
             line = reader.line_num
             cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
             try:
-                first_line.setdefault(datetime.fromisoformat(cell("timestamp").strip()).utcoffset() is not None, line)
+                stamp = cell("timestamp").strip()
+                if "\x00" in stamp:
+                    raise ValueError(f"Invalid isoformat string: {stamp!r}")
+                first_line.setdefault(datetime.fromisoformat(stamp).utcoffset() is not None, line)
             except (ValueError, AttributeError) as exc:
                 raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
             values = {}

@@ -304,11 +304,10 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     if faulty.any():
         h = int(np.argmax(faulty))
         fault = f"missing load history {HORIZON_HOURS + model.lag}h" if lag_starts[h] < 0 else "gap inside the lag window"
-        raise InsufficientHistory(f"{fault} before {dataset.timestamps[day_rows[h]]}")
+        raise InsufficientHistory(f"{fault} before {dataset.timestamp(day_rows[h])}")
     lagged = sliding_window_view(dataset.load, model.lag)[lag_starts]
     features = np.hstack([dataset.weather[day_rows], lagged])
-    # one single-row pass per hour: a batched matmul may round differently
-    raw = np.array([forward(model, x) for x in normalize_features(features, model.norm_stats)])
+    raw = _forward_batch(model.weights, model.biases, normalize_features(features, model.norm_stats))[-1][:, 0]
     predictions = denormalize(raw, model.norm_stats[LOAD_COLUMN])
     return load_profile(np.maximum(predictions, 0.0))
 
@@ -354,8 +353,11 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
-    with open(path) as handle:
-        payload = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
+        raise InvalidModel(f"model {path} is not a JSON file: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidModel(f"a model file holds a JSON object, got a JSON {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:

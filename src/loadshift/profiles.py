@@ -11,10 +11,10 @@ concurrent evaluators.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,11 +28,31 @@ WEATHER_FEATURES = ("wind_speed", "temperature", "heat_index", "cold_index", "de
 _HOUR_MICROS = 3_600_000_000
 _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
+_DAY_MICROS = 24 * _HOUR_MICROS
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _frozen_array(values, shape=None) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def time_axis(timestamps: Sequence[datetime]) -> tuple:
+    """(micros, offsets) of datetimes that are all naive or all carry a UTC
+    offset: int64 microseconds since 1970, of wall time or of UTC, and each
+    one's UTC offset in microseconds, or None when they are naive. Mixing
+    naive and offset datetimes raises TypeError."""
+    n = len(timestamps)
+    if n == 0 or timestamps[0].utcoffset() is None:
+        return np.fromiter(((ts - _EPOCH) // _MICROSECOND for ts in timestamps), np.int64, n), None
+    micros = np.fromiter(((ts - _EPOCH_UTC) // _MICROSECOND for ts in timestamps), np.int64, n)
+    return micros, np.fromiter((ts.utcoffset() // _MICROSECOND for ts in timestamps), np.int64, n)
+
+
+def to_datetime(micros, offset=None) -> datetime:
+    """The datetime ``micros`` after 1970: naive wall time, or UTC time shown
+    at a fixed ``offset`` (microseconds)."""
+    wall = _EPOCH + timedelta(microseconds=int(micros) + int(offset or 0))
+    return wall if offset is None else wall.replace(tzinfo=timezone(timedelta(microseconds=int(offset))))
+
+
+def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     if shape is not None and arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
     arr.flags.writeable = False
@@ -77,14 +97,17 @@ def total(profile: HourlyProfile) -> float:
 class Dataset:
     """Aligned hourly time series of weather, load and (optionally) price.
 
-    Rows are sorted by timestamp. Rows strictly before ``split_boundary``
-    are the training partition; every later row is test. Consecutive rows
-    are one hour apart unless ``allow_gaps``; then any later timestamp
-    may follow. Row lookups are binary searches, over the timestamps or over
-    an int64 microsecond copy of them.
+    Time is held as arrays: ``micros`` counts microseconds since 1970, of
+    wall time for naive rows or of UTC for rows that carry a UTC offset,
+    and ``offsets`` holds each row's UTC offset in microseconds, or is None
+    for naive rows. Rows are sorted by time. Rows strictly before
+    ``split_boundary`` are the training partition; every later row is test.
+    Consecutive rows are one hour apart unless ``allow_gaps``; then any
+    later time may follow. Row lookups are binary searches over ``micros``.
     """
 
-    timestamps: tuple
+    micros: np.ndarray             # (n,) int64
+    offsets: Optional[np.ndarray]  # (n,) int64, or None
     weather: np.ndarray            # (n, 5), columns in WEATHER_FEATURES order
     load: np.ndarray               # (n,) kWh
     price: Optional[np.ndarray]    # (n,) c/kWh, or None
@@ -92,48 +115,60 @@ class Dataset:
     allow_gaps: bool = False
 
     def __post_init__(self):
-        n = len(self.timestamps)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
+        micros = _frozen_array(self.micros, dtype=np.int64)
+        n = len(micros)
+        object.__setattr__(self, "micros", micros)
+        if self.offsets is not None:
+            object.__setattr__(self, "offsets", _frozen_array(self.offsets, shape=(n,), dtype=np.int64))
         object.__setattr__(self, "weather", _frozen_array(self.weather, shape=(n, len(WEATHER_FEATURES))))
         object.__setattr__(self, "load", _frozen_array(self.load, shape=(n,)))
         if self.price is not None:
             object.__setattr__(self, "price", _frozen_array(self.price, shape=(n,)))
-        naive = n == 0 or self.timestamps[0].utcoffset() is None
-        # microseconds since 1970, exact for any datetime; a UTC offset is applied.
-        # np.array(timestamps, dtype="datetime64[us]") gives the same naive values
-        # but took 5x as long (87,600 rows, numpy 2.4), and it warns on offsets
-        epoch = _EPOCH if naive else _EPOCH_UTC
-        micros = np.fromiter(((ts - epoch) // _MICROSECOND for ts in self.timestamps), np.int64, n)
         steps = np.diff(micros)
         faulty = steps <= 0 if self.allow_gaps else steps != _HOUR_MICROS
         if faulty.any():
             i = int(np.argmax(faulty))
-            earlier, later = self.timestamps[i : i + 2]
+            earlier, later = self.timestamp(i), self.timestamp(i + 1)
             if steps[i] <= 0:
                 raise NonHourlyCadence(later, "duplicate or out-of-order timestamp")
             raise NonHourlyCadence(later, f"expected {earlier + timedelta(hours=1)} one hour after {earlier}")
-        if n and naive != (self.split_boundary.utcoffset() is None):
-            raise MixedTimezones(f"split boundary {self.split_boundary} and timestamp {self.timestamps[0]} "
+        if n and (self.offsets is None) != (self.split_boundary.utcoffset() is None):
+            raise MixedTimezones(f"split boundary {self.split_boundary} and timestamp {self.timestamp(0)} "
                                  "must both carry a UTC offset or neither")
         gaps = steps != _HOUR_MICROS
         # _gaps[i] counts the gaps before row i, so rows a..b hold no gap
         # exactly when _gaps[a] == _gaps[b]
         object.__setattr__(self, "_gaps", np.concatenate(([0], np.cumsum(gaps))))
-        object.__setattr__(self, "_micros", micros)
+
+    @classmethod
+    def from_timestamps(cls, timestamps: Sequence[datetime], weather, load, price, split_boundary: datetime,
+                        allow_gaps: bool = False) -> "Dataset":
+        """A Dataset from sorted datetimes, all naive or all with a UTC offset."""
+        micros, offsets = time_axis(timestamps)
+        return cls(micros, offsets, weather, load, price, split_boundary, allow_gaps)
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.micros)
 
-    @property
+    def timestamp(self, row: int) -> datetime:
+        """The timestamp of one row, with its UTC offset as a fixed-offset zone."""
+        return to_datetime(self.micros[row], None if self.offsets is None else self.offsets[row])
+
+    @cached_property
+    def timestamps(self) -> tuple:
+        """Every row's timestamp, built on first use."""
+        return tuple(map(self.timestamp, range(len(self))))
+
+    @cached_property
     def n_train(self) -> int:
         """Number of rows strictly before the split boundary."""
-        return bisect_left(self.timestamps, self.split_boundary)
+        return int(np.searchsorted(self.micros, time_axis([self.split_boundary])[0][0]))
 
     def shifted_rows(self, rows: np.ndarray, hours: int) -> np.ndarray:
         """Index of the row ``hours`` after each of ``rows`` (before, if negative); -1 if absent."""
-        want = self._micros[rows] + hours * _HOUR_MICROS
-        found = np.minimum(np.searchsorted(self._micros, want), len(self) - 1)
-        return np.where(self._micros[found] == want, found, -1)
+        want = self.micros[rows] + hours * _HOUR_MICROS
+        found = np.minimum(np.searchsorted(self.micros, want), len(self) - 1)
+        return np.where(self.micros[found] == want, found, -1)
 
     def contiguous(self, first: np.ndarray, last: np.ndarray) -> np.ndarray:
         """Whether each span of rows first..last holds no gap."""
@@ -142,10 +177,11 @@ class Dataset:
     def day_indices(self, day: date) -> np.ndarray:
         """Row indices of the hours of ``day``, in time order."""
         # a UTC offset is less than a day, so the day's rows lie within a
-        # day either side of its span in naive time
-        start = (day - _EPOCH.date()).days * 24 * _HOUR_MICROS
-        lo, hi = np.searchsorted(self._micros, (start - 24 * _HOUR_MICROS, start + 48 * _HOUR_MICROS))
-        return np.array([i for i in range(lo, hi) if self.timestamps[i].date() == day], dtype=np.intp)
+        # day either side of its span in wall time
+        days = (day - _EPOCH.date()).days
+        lo, hi = np.searchsorted(self.micros, ((days - 1) * _DAY_MICROS, (days + 2) * _DAY_MICROS))
+        wall = self.micros[lo:hi] if self.offsets is None else self.micros[lo:hi] + self.offsets[lo:hi]
+        return lo + np.flatnonzero(wall // _DAY_MICROS == days)
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""

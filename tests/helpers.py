@@ -1,7 +1,7 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
 objective and a DE generation as plain expressions, the row-by-row grid
-search, the row-wise CSV reader, and scans that find Dataset rows the slow
-way; and the writer of the CLI's hourly CSVs."""
+search, the row-wise CSV reader, the one-row-at-a-time forecast, and scans
+that find Dataset rows the slow way; and the writer of the CLI's hourly CSVs."""
 
 import csv
 from datetime import datetime, timedelta
@@ -10,7 +10,8 @@ from typing import Optional
 import numpy as np
 
 from loadshift.errors import InsufficientData, MissingColumn, UnparseableRow
-from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS
+from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize_features
+from loadshift.mlp import forward
 from loadshift.objective import evaluate_batch
 from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile
 
@@ -192,7 +193,7 @@ def reference_load_dataset(
         split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
-    return Dataset(
+    return Dataset.from_timestamps(
         timestamps=timestamps,
         weather=values[:, :n_weather],
         load=values[:, n_weather],
@@ -254,3 +255,18 @@ def scan_windows(dataset, lag, horizon=24):
         if target is not None:
             pairs.append((end, target))
     return pairs
+
+
+def reference_predict_day(model, dataset, day):
+    """One-row-at-a-time reference for ``mlp.predict_day`` on a gap-free
+    dataset and a day with its full lag history: each hour of ``day`` is
+    found by a scan, the row 24 hours before it by timestamp, and the hour
+    is forecast with a single-sample ``mlp.forward``."""
+    predictions = []
+    for row in scan_day_indices(dataset, day):
+        end = scan_index_of(dataset, dataset.timestamps[row] - 24 * HOUR)
+        lagged = dataset.load[end - model.lag + 1 : end + 1]
+        features = np.concatenate([dataset.weather[row], lagged])
+        raw = forward(model, normalize_features(features, model.norm_stats))
+        predictions.append(max(float(denormalize(raw, model.norm_stats[LOAD_COLUMN])), 0.0))
+    return np.array(predictions)

@@ -214,8 +214,8 @@ class TestVerify:
         predicted, prices = day_inputs
         code = main([
             "verify", "--predicted", str(predicted), "--prices", str(prices),
-            "--w1", "0.4", "--w2", "0.6", "--population", "4",
-            "--iterations", "1", "--tolerance=-1.0", "--out", str(tmp_path),
+            "--w1", "0.8", "--w2", "0.2", "--population", "4",
+            "--iterations", "1", "--tolerance", "0", "--out", str(tmp_path),
         ])
         assert code == 1
         assert "FAIL pso" in capsys.readouterr().out
@@ -450,6 +450,19 @@ class TestErrors:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, day_inputs, tmp_path, capsys, tolerance):
+        predicted, prices = day_inputs
+        out = tmp_path / "out"
+        code = main([
+            "verify", "--predicted", str(predicted), "--prices", str(prices),
+            "--tolerance", tolerance, "--out", str(out),
+        ])
+        assert code == 1
+        value = repr(float(tolerance))
+        assert capsys.readouterr().err == f"error: --tolerance {value}: must be a finite number >= 0\n"
+        assert not out.exists()
+
     def test_naive_split_on_offset_timestamps(self, synth_dir, tmp_path, capsys):
         # 72 rows at UTC-06:00, split at a naive time
         with open(synth_dir / "synthetic.csv", newline="", encoding="utf-8") as handle:
@@ -548,7 +561,26 @@ class TestErrors:
         predicted.write_bytes(b"hour,predicted_kwh\n1,\xff\n")
         code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr().err.startswith(f"error: {predicted} is not UTF-8 text: 'utf-8' codec can't decode")
+
+    def test_data_file_that_is_not_utf8_text_names_its_line(self, synth_dir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        lines = (synth_dir / "synthetic.csv").read_bytes().splitlines(keepends=True)
+        lines[30] = lines[30].replace(b",", b"\xff,", 1)
+        data.write_bytes(b"".join(lines))
+        code = main(["train", "--data", str(data), "--hidden", "4", "--epochs", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot parse CSV line 31: not UTF-8 text (invalid start byte)\n"
+
+    def test_model_file_that_is_not_utf8_text_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes((trained_dir / "model.json").read_bytes().replace(b'"lag"', b'"l\xffag"'))
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-05",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: model {model} is not a JSON file: 'utf-8' codec")
 
     def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
         code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])

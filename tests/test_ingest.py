@@ -1,10 +1,12 @@
 import csv
+import sys
 import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from helpers import reference_load_dataset
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loadshift.errors import (
@@ -18,6 +20,7 @@ from loadshift.errors import (
 )
 from loadshift.ingest import (
     FeatureScale,
+    _canonical_micros,
     LOAD_COLUMN,
     REQUIRED_COLUMNS,
     build_windows,
@@ -192,6 +195,61 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.price is not None
         assert ds.price[0] == 5.0
+
+
+EPOCH = datetime(1970, 1, 1)
+CANONICAL_TIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59))
+
+
+class TestCanonicalTimestamps:
+    """The array parse of ``YYYY-MM-DDTHH:MM:SS`` stamps against fromisoformat."""
+
+    @given(st.lists(CANONICAL_TIMES.map(lambda ts: ts.replace(microsecond=0)), min_size=1, max_size=20))
+    @example([datetime(2024, 2, 29, 23, 59, 59), datetime(2000, 2, 29), datetime(1900, 2, 28, 12),
+              datetime(1900, 3, 1), datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)])
+    def test_micros_equal_fromisoformat(self, times):
+        stamps = [ts.isoformat() for ts in times]
+        micros = _canonical_micros(stamps)
+        assert micros.dtype == np.int64
+        assert micros.tolist() == [(datetime.fromisoformat(s) - EPOCH) // timedelta(microseconds=1) for s in stamps]
+
+    @pytest.mark.parametrize("stamp", [
+        "2023-02-29T00:00:00", "1900-02-29T00:00:00", "2024-04-31T00:00:00", "2024-00-10T00:00:00",
+        "2024-13-01T00:00:00", "2024-01-00T00:00:00", "2024-01-01T24:00:00", "2024-01-01T00:60:00",
+        "2024-01-01T00:00:60", "0000-01-01T00:00:00",
+    ])
+    def test_canonical_shaped_bad_stamp_fails_as_before(self, tmp_path, stamp):
+        rows = make_rows(48)
+        rows[7]["timestamp"] = stamp
+        path = write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(UnparseableRow) as exc:
+            reference_load_dataset(path)
+        with pytest.raises(UnparseableRow) as got:
+            load_dataset(path)
+        assert (got.value.line_number, str(got.value)) == (9, str(exc.value))
+        assert str(got.value).startswith("cannot parse CSV line 9: bad timestamp: ")
+
+    @pytest.mark.parametrize("stamp", [
+        "2024-01-01T07:00:00" + "0" * 14,
+        # fromisoformat reads the NUL as the end of the text; the csv module of Python 3.10 refuses a NUL
+        pytest.param("2024-01-01T07:00:00\x00", marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv")),
+    ])
+    def test_longer_stamp_is_refused_not_truncated(self, tmp_path, stamp):
+        assert _canonical_micros(["2024-01-01T06:00:00", stamp]) is None
+        rows = make_rows(48)
+        rows[7]["timestamp"] = stamp
+        with pytest.raises(UnparseableRow) as exc:
+            load_dataset(write_rows(tmp_path / "d.csv", rows))
+        assert str(exc.value) == f"cannot parse CSV line 9: bad timestamp: Invalid isoformat string: {stamp!r}"
+
+    def test_canonical_file_equals_row_wise_reader(self, tmp_path):
+        rows = make_rows(48)
+        rows.insert(20, rows.pop(3))
+        path = write_rows(tmp_path / "d.csv", rows)
+        got, expected = load_dataset(path), reference_load_dataset(path)
+        assert got.micros.tolist() == expected.micros.tolist() and got.offsets is expected.offsets is None
+        assert got.load.tobytes() == expected.load.tobytes()
+        assert got.split_boundary == expected.split_boundary == START + timedelta(hours=40)
 
 
 class TestNormalizer:

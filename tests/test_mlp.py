@@ -6,6 +6,9 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from helpers import reference_predict_day
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadshift import mlp
 from loadshift.cli import main
@@ -392,17 +395,35 @@ class TestPredictDay:
         assert np.max(np.abs(predicted.values - actual.values)) < 1.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 30), min_size=0, max_size=3),
+       gain=st.floats(0.1, 4.0), day=st.integers(2, 29))
+def test_predict_day_matches_the_one_row_reference(synth30, seed, hidden, gain, day):
+    """The batched forecast may round apart from 24 single-row passes, but only
+    in the last places."""
+    base = mlp.init_model((29, *hidden, 1), seed, norm_stats=fit_normalizer(synth30), lag=24)
+    model = mlp.MlpModel(base.layer_sizes, tuple(gain * w for w in base.weights), base.biases,
+                         norm_stats=base.norm_stats, lag=24)
+    day = date(2024, 1, 1) + timedelta(days=day)
+    np.testing.assert_allclose(mlp.predict_day(model, synth30, day).values,
+                               reference_predict_day(model, synth30, day), rtol=1e-12, atol=0)
+
+
 class TestGoldenForecast:
     """The forecast artifacts at a fixed seed, pinned byte for byte: a change
     to the float operations of training or prediction, or to their order,
     shows here. The digests were taken with numpy's bundled OpenBLAS on
-    x86-64; another BLAS may sum a matmul in another order."""
+    x86-64; another BLAS may sum a matmul in another order. The forecast
+    digests moved when ``predict_day`` went from 24 single-row passes to one
+    batched pass, which rounds some hours apart in the last place (see
+    ``test_predict_day_matches_the_one_row_reference``); the model and fit
+    report digests did not."""
 
     DAYS = {
-        date(2024, 1, 3): "9465a988f2da1bcf65cdffcc5313a86b4eb085838910261859ff5369761dc629",
-        date(2024, 1, 17): "e8f5210bade5999694d623551df42564f801ce2f2b0b4a290c49d608b71dff4b",
-        date(2024, 1, 26): "2d43a933c346198c298a2d74cff9e21a549700d0350fbf8a0c86a4f59923a1aa",
-        date(2024, 1, 30): "5bb352e5ced2e8f123dcbe1ad0c18ff3fe15af84eb542a05466cbfd053515880",
+        date(2024, 1, 3): "746a16f784b38a528b2a20c48b4eb9b00bb1e4441553fab7c6c808425ace4d49",
+        date(2024, 1, 17): "864c40f068b3568710cff9f58b8415a5baf598f8a202ce0e249d45ee5e5e9a4b",
+        date(2024, 1, 26): "bf3ba705599f8acc3b9b40aef2421c36293595a68e426a0a5402a1cabd360833",
+        date(2024, 1, 30): "7d2961d2ef621c605dc7f8893b0f022f98090bcbce8a83e11b2766bc8faf5365",
     }
 
     def test_model_fit_report_and_forecasts(self, synth30_path, synth30, tmp_path):
