@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from datetime import date, datetime
@@ -144,32 +143,31 @@ def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
 
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
     """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    header = reader.fieldnames or []
-    for needed in ("hour", column):
-        if needed not in header:
-            raise MissingColumn(needed)
-    values = np.full(24, np.nan)
-    for line, row in enumerate(reader, start=2):
-        try:
-            hour = int(row["hour"])
-            value = float(row[column])
-        except (TypeError, ValueError) as exc:
-            raise UnparseableRow(line, str(exc)) from None
-        if not 1 <= hour <= 24:
-            raise UnparseableRow(line, f"hour {hour} outside 1..24")
-        if not np.isfinite(value):
-            raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
-        if value < 0:
-            raise UnparseableRow(line, f"{column} {row[column]!r} is negative")
-        if not np.isnan(values[hour - 1]):
-            raise UnparseableRow(line, f"hour {hour} appears twice")
-        values[hour - 1] = value
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames or []
+            for needed in ("hour", column):
+                if needed not in header:
+                    raise MissingColumn(needed)
+            values = np.full(24, np.nan)
+            for line, row in enumerate(reader, start=2):
+                try:
+                    hour = int(row["hour"])
+                    value = float(row[column])
+                except (TypeError, ValueError) as exc:
+                    raise UnparseableRow(line, str(exc)) from None
+                if not 1 <= hour <= 24:
+                    raise UnparseableRow(line, f"hour {hour} outside 1..24")
+                if not np.isfinite(value):
+                    raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
+                if value < 0:
+                    raise UnparseableRow(line, f"{column} {row[column]!r} is negative")
+                if not np.isnan(values[hour - 1]):
+                    raise UnparseableRow(line, f"hour {hour} appears twice")
+                values[hour - 1] = value
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
     missing = [int(h) + 1 for h in np.flatnonzero(np.isnan(values))]
     if missing:
         raise missing_error(f"{path}: no value for hours {missing}")

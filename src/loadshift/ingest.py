@@ -28,7 +28,7 @@ from .errors import (
     MissingColumn,
     UnparseableRow,
 )
-from .profiles import WEATHER_FEATURES, Dataset, time_axis, to_datetime
+from .profiles import WEATHER_FEATURES, Dataset, time_axis
 
 LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
@@ -147,9 +147,8 @@ def load_dataset(
                     table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
                                        delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
                                        ndmin=1)
-                micros, offsets = _canonical_micros(table["timestamp"]), None
-                if micros is None:   # time_axis raises TypeError on naive and offset stamps together
-                    micros, offsets = time_axis([datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]])
+                stamps = [datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]]
+                micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
                 values = np.column_stack([table[c] for c in value_names])
                 if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
                     raise ValueError("non-finite or negative value")
@@ -176,10 +175,7 @@ def load_dataset(
 
     if split_boundary is None:
         cut = int(split_fraction * n)
-        row = min(cut, n - 1)
-        split_boundary = to_datetime(micros[row], None if offsets is None else offsets[row])
-        if cut == n:   # no test row: the boundary lies an hour past the last row
-            split_boundary += timedelta(hours=1)
+        split_boundary = stamps[order[cut]] if cut < n else stamps[order[-1]] + timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
     return Dataset(
@@ -191,46 +187,6 @@ def load_dataset(
         split_boundary=split_boundary,
         allow_gaps=allow_gaps,
     )
-
-
-# a canonical timestamp and the newline that joins it to the next; "0" stands for any digit
-_CANONICAL = np.frombuffer(b"0000-00-00T00:00:00\n", np.uint8)
-_DIGITS = np.flatnonzero(_CANONICAL == ord("0"))
-_SEPARATORS = np.flatnonzero(_CANONICAL != ord("0"))
-# indexed by the two-digit month 0..99; 0 days in a month that does not exist
-_DAYS_IN_MONTH = np.zeros(100, np.int32)
-_DAYS_IN_MONTH[1:13] = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-_DAYS_BEFORE_MONTH = np.concatenate(([0, 0], np.cumsum(_DAYS_IN_MONTH[1:12]))).astype(np.int32)
-_DAYS_BEFORE_1970 = 719_162   # from 0001-01-01
-
-
-def _canonical_micros(stamps) -> Optional[np.ndarray]:
-    """Microseconds since 1970 of timestamps that are each exactly
-    ``YYYY-MM-DDTHH:MM:SS``, read from their fixed digit positions in one array
-    pass; None if any has another form or names no valid time, and then
-    ``fromisoformat`` reads them and names the fault."""
-    n = len(stamps)
-    text = ("\n".join(stamps) + "\n").encode()
-    if len(text) != n * len(_CANONICAL):
-        return None
-    chars = np.frombuffer(text, np.uint8).reshape(n, len(_CANONICAL))
-    # Each byte must be a digit or the template's separator. So no stamp holds a
-    # newline, and the n newlines of the join end the rows at exactly column 19.
-    digits = chars[:, _DIGITS] - np.uint8(ord("0"))   # a byte below "0" wraps above 9
-    if not ((digits <= 9).all() and (chars[:, _SEPARATORS] == _CANONICAL[_SEPARATORS]).all()):
-        return None
-    pairs = digits[:, 0::2] * np.uint8(10) + digits[:, 1::2]   # century, year of century, month, ..., second
-    year = pairs[:, 0] * np.int32(100) + pairs[:, 1]
-    month, day, hour, minute, second = pairs[:, 2:].T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    valid = ((year >= 1) & (day >= 1) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))
-             & (hour < 24) & (minute < 60) & (second < 60))
-    if not valid.all():
-        return None
-    before = year - 1
-    days = (365 * before + before // 4 - before // 100 + before // 400 - _DAYS_BEFORE_1970
-            + _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day - 1)
-    return (((days.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000
 
 
 def _raise_not_utf8(path) -> None:

@@ -37,7 +37,7 @@ from .ingest import (
     normalize_features,
     window_matrix,
 )
-from .profiles import Dataset, HourlyProfile, load_profile
+from .profiles import WEATHER_FEATURES, Dataset, HourlyProfile, load_profile
 
 MODEL_FORMAT = "loadshift-mlp/1"
 
@@ -294,6 +294,10 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     """
     if model.norm_stats is None:
         raise InvalidModel("model has no normalization stats")
+    n_features = len(WEATHER_FEATURES) + model.lag
+    if n_features != model.layer_sizes[0]:
+        raise DimensionMismatch(f"lag {model.lag} gives {n_features} features but model input is "
+                                f"{model.layer_sizes[0]}")
     day_rows = dataset.day_indices(day)
     if len(day_rows) != 24:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")

@@ -44,13 +44,6 @@ def time_axis(timestamps: Sequence[datetime]) -> tuple:
     return micros, np.fromiter((ts.utcoffset() // _MICROSECOND for ts in timestamps), np.int64, n)
 
 
-def to_datetime(micros, offset=None) -> datetime:
-    """The datetime ``micros`` after 1970: naive wall time, or UTC time shown
-    at a fixed ``offset`` (microseconds)."""
-    wall = _EPOCH + timedelta(microseconds=int(micros) + int(offset or 0))
-    return wall if offset is None else wall.replace(tzinfo=timezone(timedelta(microseconds=int(offset))))
-
-
 def _frozen_array(values, shape=None, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     if shape is not None and arr.shape != shape:
@@ -140,19 +133,14 @@ class Dataset:
         # exactly when _gaps[a] == _gaps[b]
         object.__setattr__(self, "_gaps", np.concatenate(([0], np.cumsum(gaps))))
 
-    @classmethod
-    def from_timestamps(cls, timestamps: Sequence[datetime], weather, load, price, split_boundary: datetime,
-                        allow_gaps: bool = False) -> "Dataset":
-        """A Dataset from sorted datetimes, all naive or all with a UTC offset."""
-        micros, offsets = time_axis(timestamps)
-        return cls(micros, offsets, weather, load, price, split_boundary, allow_gaps)
-
     def __len__(self) -> int:
         return len(self.micros)
 
     def timestamp(self, row: int) -> datetime:
         """The timestamp of one row, with its UTC offset as a fixed-offset zone."""
-        return to_datetime(self.micros[row], None if self.offsets is None else self.offsets[row])
+        offset = 0 if self.offsets is None else int(self.offsets[row])
+        wall = _EPOCH + timedelta(microseconds=int(self.micros[row]) + offset)
+        return wall if self.offsets is None else wall.replace(tzinfo=timezone(timedelta(microseconds=offset)))
 
     @cached_property
     def timestamps(self) -> tuple:

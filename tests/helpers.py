@@ -13,7 +13,7 @@ from loadshift.errors import InsufficientData, MissingColumn, UnparseableRow
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize_features
 from loadshift.mlp import forward
 from loadshift.objective import evaluate_batch
-from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile
+from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile, time_axis
 
 
 def corner_optimum(problem):
@@ -193,8 +193,8 @@ def reference_load_dataset(
         split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
-    return Dataset.from_timestamps(
-        timestamps=timestamps,
+    return Dataset(
+        *time_axis(timestamps),
         weather=values[:, :n_weather],
         load=values[:, n_weather],
         price=values[:, n_weather + 1] if has_price else None,

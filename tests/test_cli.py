@@ -582,6 +582,19 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: model {model} is not a JSON file: 'utf-8' codec")
 
+    def test_model_whose_lag_disagrees_with_its_input_layer(self, trained_dir, synth_dir, tmp_path, capsys):
+        payload = json.loads((trained_dir / "model.json").read_text())
+        payload["lag"] -= 1
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-05",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: lag {payload['lag']} gives {payload['lag'] + 5} features "
+                                           f"but model input is {payload['layer_sizes'][0]}\n")
+
     def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
         code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])
         assert code == 1

@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 from helpers import reference_load_dataset
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from loadshift.errors import (
@@ -20,7 +20,6 @@ from loadshift.errors import (
 )
 from loadshift.ingest import (
     FeatureScale,
-    _canonical_micros,
     LOAD_COLUMN,
     REQUIRED_COLUMNS,
     build_windows,
@@ -197,21 +196,8 @@ class TestLoadDataset:
         assert ds.price[0] == 5.0
 
 
-EPOCH = datetime(1970, 1, 1)
-CANONICAL_TIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59))
-
-
-class TestCanonicalTimestamps:
-    """The array parse of ``YYYY-MM-DDTHH:MM:SS`` stamps against fromisoformat."""
-
-    @given(st.lists(CANONICAL_TIMES.map(lambda ts: ts.replace(microsecond=0)), min_size=1, max_size=20))
-    @example([datetime(2024, 2, 29, 23, 59, 59), datetime(2000, 2, 29), datetime(1900, 2, 28, 12),
-              datetime(1900, 3, 1), datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)])
-    def test_micros_equal_fromisoformat(self, times):
-        stamps = [ts.isoformat() for ts in times]
-        micros = _canonical_micros(stamps)
-        assert micros.dtype == np.int64
-        assert micros.tolist() == [(datetime.fromisoformat(s) - EPOCH) // timedelta(microseconds=1) for s in stamps]
+class TestTimestamps:
+    """load_dataset's reading of timestamps against the row-wise reader."""
 
     @pytest.mark.parametrize("stamp", [
         "2023-02-29T00:00:00", "1900-02-29T00:00:00", "2024-04-31T00:00:00", "2024-00-10T00:00:00",
@@ -234,15 +220,14 @@ class TestCanonicalTimestamps:
         # fromisoformat reads the NUL as the end of the text; the csv module of Python 3.10 refuses a NUL
         pytest.param("2024-01-01T07:00:00\x00", marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv")),
     ])
-    def test_longer_stamp_is_refused_not_truncated(self, tmp_path, stamp):
-        assert _canonical_micros(["2024-01-01T06:00:00", stamp]) is None
+    def test_longer_stamp_is_refused(self, tmp_path, stamp):
         rows = make_rows(48)
         rows[7]["timestamp"] = stamp
         with pytest.raises(UnparseableRow) as exc:
             load_dataset(write_rows(tmp_path / "d.csv", rows))
         assert str(exc.value) == f"cannot parse CSV line 9: bad timestamp: Invalid isoformat string: {stamp!r}"
 
-    def test_canonical_file_equals_row_wise_reader(self, tmp_path):
+    def test_unsorted_file_equals_row_wise_reader(self, tmp_path):
         rows = make_rows(48)
         rows.insert(20, rows.pop(3))
         path = write_rows(tmp_path / "d.csv", rows)
