@@ -151,7 +151,8 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
                 if needed not in header:
                     raise MissingColumn(needed)
             values = np.full(24, np.nan)
-            for line, row in enumerate(reader, start=2):
+            for row in reader:
+                line = reader.line_num   # blank lines hold no row but count
                 try:
                     hour = int(row["hour"])
                     value = float(row[column])

@@ -106,13 +106,23 @@ def denormalize(y, scale: FeatureScale):
     return scale.lo + (y + 1.0) * (scale.hi - scale.lo) / 2.0
 
 
-def normalize_features(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Normalize window feature rows: weather columns by their own scales,
-    lag columns by the load scale, with normalize's arithmetic per element."""
-    lag = features.shape[-1] - len(WEATHER_FEATURES)
+def feature_scaling(stats: NormalizationStats, lag: int) -> tuple:
+    """(lo, span) vectors of the 5 + ``lag`` window feature columns: weather
+    columns by their own scales, lag columns by the load scale."""
     scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * lag
     lo, hi = np.array([(scale.lo, scale.hi) for scale in scales]).T
-    return -1.0 + 2.0 * (features - lo) / (hi - lo)
+    return lo, hi - lo
+
+
+def normalize_features(features: np.ndarray, scaling: tuple, out=None) -> np.ndarray:
+    """Normalize window feature rows by ``feature_scaling``'s (lo, span), with
+    normalize's arithmetic per element, into ``out`` (``features`` itself may be it)."""
+    lo, span = scaling
+    out = np.subtract(features, lo, out=out)
+    out *= 2.0
+    out /= span
+    out -= 1.0
+    return out
 
 
 def load_dataset(
@@ -295,4 +305,5 @@ def window_matrix(windows: Windows, stats: NormalizationStats) -> tuple:
     """
     if not windows:
         raise InsufficientData("no windows to assemble")
-    return normalize_features(windows.features, stats), normalize(windows.targets, stats[LOAD_COLUMN])
+    scaling = feature_scaling(stats, windows.features.shape[1] - len(WEATHER_FEATURES))
+    return normalize_features(windows.features, scaling), normalize(windows.targets, stats[LOAD_COLUMN])

@@ -12,10 +12,11 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from datetime import date
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     DimensionMismatch,
@@ -34,6 +35,7 @@ from .ingest import (
     NormalizationStats,
     Windows,
     denormalize,
+    feature_scaling,
     normalize_features,
     window_matrix,
 )
@@ -76,6 +78,11 @@ class MlpModel:
             raise InvalidArchitecture("need one weight matrix per layer transition")
         object.__setattr__(self, "weights", tuple(frozen_w))
         object.__setattr__(self, "biases", tuple(frozen_b))
+
+    @cached_property
+    def scaling(self) -> tuple:
+        """``feature_scaling`` of the model's input columns, built on first use."""
+        return feature_scaling(self.norm_stats, self.lag)
 
 
 @dataclass(frozen=True)
@@ -150,14 +157,17 @@ def _forward_batch(weights, biases, X, out=None):
     return activations
 
 
-def forward(model: MlpModel, features) -> float:
-    """Single-sample prediction in normalized units."""
+def _sample_activations(model: MlpModel, features) -> list:
+    """``_forward_batch``'s activations for one feature vector."""
     x = np.asarray(features, dtype=float)
     if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch(
-            f"expected feature vector of length {model.layer_sizes[0]}, got shape {x.shape}"
-        )
-    return float(_forward_batch(model.weights, model.biases, x[None, :])[-1][0, 0])
+        raise DimensionMismatch(f"expected feature vector of length {model.layer_sizes[0]}, got shape {x.shape}")
+    return _forward_batch(model.weights, model.biases, x[None, :])
+
+
+def forward(model: MlpModel, features) -> float:
+    """Single-sample prediction in normalized units."""
+    return float(_sample_activations(model, features)[-1][0, 0])
 
 
 def backward(model: MlpModel, features, target: float):
@@ -166,12 +176,7 @@ def backward(model: MlpModel, features, target: float):
     Returns (weight_grads, bias_grads) with the same shapes as the model
     parameters.
     """
-    x = np.asarray(features, dtype=float)
-    if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch(
-            f"expected feature vector of length {model.layer_sizes[0]}, got shape {x.shape}"
-        )
-    activations = _forward_batch(model.weights, model.biases, x[None, :])
+    activations = _sample_activations(model, features)
     residual = activations[-1] - float(target)   # d(loss)/d(output), shape (1, 1)
     return _backprop(model.weights, activations, residual)
 
@@ -222,9 +227,6 @@ def train(
         raise DimensionMismatch(
             f"windows have {X.shape[1]} features but model input is {model.layer_sizes[0]}"
         )
-    X_test = y_test = None
-    if test_windows:
-        X_test, y_test = window_matrix(test_windows, model.norm_stats)
 
     # flat parameter, gradient and velocity arrays, viewed per layer: one momentum step is 4 array ops
     shapes = [p.shape for p in model.weights + model.biases]
@@ -272,7 +274,8 @@ def train(
         raise DivergedTraining(config.epochs)
     fitted = replace(model, weights=tuple(weights), biases=tuple(biases))
     test_mse = test_r = None
-    if X_test is not None:
+    if test_windows:
+        X_test, y_test = window_matrix(test_windows, model.norm_stats)
         test_pred = _forward_batch(weights, biases, X_test)[-1][:, 0]
         test_mse, test_r = metrics(test_pred, y_test)
     report = FitReport(
@@ -290,7 +293,9 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
 
     Needs the day's weather rows plus a contiguous ``lag``-hour load
     history ending 24 hours before each target hour. Negative raw
-    predictions clamp to zero: load cannot be negative.
+    predictions clamp to zero: load cannot be negative. When the day's rows
+    and the ``24 + lag`` before them are consecutive hours, the lag windows
+    are one strided view of the load; otherwise each is found and checked.
     """
     if model.norm_stats is None:
         raise InvalidModel("model has no normalization stats")
@@ -302,16 +307,20 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     if len(day_rows) != 24:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
 
-    lag_ends = dataset.shifted_rows(day_rows, -HORIZON_HOURS)
-    lag_starts = lag_ends - model.lag + 1      # negative when lag_ends is -1: no such row
-    faulty = (lag_starts < 0) | ~dataset.contiguous(np.maximum(lag_starts, 0), lag_ends)
-    if faulty.any():
-        h = int(np.argmax(faulty))
-        fault = f"missing load history {HORIZON_HOURS + model.lag}h" if lag_starts[h] < 0 else "gap inside the lag window"
-        raise InsufficientHistory(f"{fault} before {dataset.timestamp(day_rows[h])}")
-    lagged = sliding_window_view(dataset.load, model.lag)[lag_starts]
-    features = np.hstack([dataset.weather[day_rows], lagged])
-    raw = _forward_batch(model.weights, model.biases, normalize_features(features, model.norm_stats))[-1][:, 0]
+    first, last = day_rows[0] - HORIZON_HOURS - model.lag + 1, day_rows[-1]
+    if last - day_rows[0] == 23 and first >= 0 and dataset.contiguous(first, last):
+        lagged = as_strided(dataset.load[first:], (24, model.lag), dataset.load.strides * 2, writeable=False)
+    else:
+        lag_ends = dataset.shifted_rows(day_rows, -HORIZON_HOURS)
+        lag_starts = lag_ends - model.lag + 1      # negative when lag_ends is -1: no such row
+        faulty = (lag_starts < 0) | ~dataset.contiguous(np.maximum(lag_starts, 0), lag_ends)
+        if faulty.any():
+            h = int(np.argmax(faulty))
+            fault = f"missing load history {HORIZON_HOURS + model.lag}h" if lag_starts[h] < 0 else "gap inside the lag window"
+            raise InsufficientHistory(f"{fault} before {dataset.timestamp(day_rows[h])}")
+        lagged = dataset.load[lag_starts[:, None] + np.arange(model.lag)]
+    features = np.concatenate([dataset.weather[day_rows], lagged], axis=1)
+    raw = _forward_batch(model.weights, model.biases, normalize_features(features, model.scaling, out=features))[-1][:, 0]
     predictions = denormalize(raw, model.norm_stats[LOAD_COLUMN])
     return load_profile(np.maximum(predictions, 0.0))
 
@@ -327,16 +336,17 @@ def metrics(predicted, actual) -> tuple:
     a = np.asarray(actual, dtype=float)
     if p.shape != a.shape or p.ndim != 1 or p.size == 0:
         raise DimensionMismatch(f"need equal nonzero-length 1-d series, got {p.shape} vs {a.shape}")
+    # numpy's sums, not np.dot: BLAS splits a long dot product across threads, which moves its last bits
     mse = float(np.mean((p - a) ** 2))
     a_dev = a - a.mean()
     p_dev = p - p.mean()
-    a_ss = float(np.dot(a_dev, a_dev))
-    p_ss = float(np.dot(p_dev, p_dev))
+    a_ss = float(np.sum(a_dev * a_dev))
+    p_ss = float(np.sum(p_dev * p_dev))
     if a_ss == 0.0:
         raise ZeroVariance(mse)
     if p_ss == 0.0:
         return mse, 0.0
-    r = float(np.dot(p_dev, a_dev) / math.sqrt(p_ss * a_ss))
+    r = float(np.sum(p_dev * a_dev) / math.sqrt(p_ss * a_ss))
     return mse, max(-1.0, min(1.0, r))
 
 

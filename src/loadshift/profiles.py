@@ -67,9 +67,9 @@ class HourlyProfile:
     def __post_init__(self):
         arr = _frozen_array(self.values, shape=(HOURS_PER_DAY,))
         object.__setattr__(self, "values", arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("hourly profile contains non-finite values")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("hourly profile contains negative values")
 
     def __len__(self) -> int:

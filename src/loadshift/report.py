@@ -129,30 +129,23 @@ def compare_algorithms(
         )
 
     baseline_cents = energy_cost(problem.predicted, problem.prices)
-    baseline_peak = peak(problem.predicted)
 
-    rows = []
-    results = []
-    for name, result in (
-        ("pso", pso_mod.optimize(problem, pso_config)),
-        ("de", de_mod.optimize(problem, de_config)),
-    ):
-        rows.append(
-            ComparisonRow(
-                algorithm=name,
-                total_cost_dollars=result.cost_cents / 100.0,
-                cost_reduction_pct=cost_reduction(baseline_cents, result.cost_cents),
-                peak_reduction_pct=result.peak_reduction_pct,
-                budget_matched=matched,
-            )
+    results = (pso_mod.optimize(problem, pso_config), de_mod.optimize(problem, de_config))
+    rows = tuple(
+        ComparisonRow(
+            algorithm=name,
+            total_cost_dollars=result.cost_cents / 100.0,
+            cost_reduction_pct=cost_reduction(baseline_cents, result.cost_cents),
+            peak_reduction_pct=result.peak_reduction_pct,
+            budget_matched=matched,
         )
-        results.append(result)
-
+        for name, result in zip(("pso", "de"), results)
+    )
     return ComparisonReport(
         baseline_cost_dollars=baseline_cents / 100.0,
-        baseline_peak_kw=baseline_peak,
-        rows=tuple(rows),
-        results=tuple(results),
+        baseline_peak_kw=peak(problem.predicted),
+        rows=rows,
+        results=results,
     )
 
 

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from loadshift.errors import InsufficientData, MissingColumn, UnparseableRow
-from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize_features
+from loadshift.errors import InsufficientData, InsufficientHistory, MissingColumn, UnparseableRow
+from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize
 from loadshift.mlp import forward
 from loadshift.objective import evaluate_batch
 from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile, time_axis
@@ -258,15 +258,25 @@ def scan_windows(dataset, lag, horizon=24):
 
 
 def reference_predict_day(model, dataset, day):
-    """One-row-at-a-time reference for ``mlp.predict_day`` on a gap-free
-    dataset and a day with its full lag history: each hour of ``day`` is
-    found by a scan, the row 24 hours before it by timestamp, and the hour
-    is forecast with a single-sample ``mlp.forward``."""
+    """One-row-at-a-time reference for ``mlp.predict_day``: each hour of
+    ``day`` is found by a scan, the row 24 hours before it by timestamp, its
+    lag window is checked hour by hour, and the hour is forecast with a
+    single-sample ``mlp.forward`` on features normalized one by one. Raises
+    InsufficientHistory for the first hour without a full lag history."""
+    rows = scan_day_indices(dataset, day)
+    if len(rows) != 24:
+        raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
+    stats = model.norm_stats
+    scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * model.lag
     predictions = []
-    for row in scan_day_indices(dataset, day):
+    for row in rows:
         end = scan_index_of(dataset, dataset.timestamps[row] - 24 * HOUR)
-        lagged = dataset.load[end - model.lag + 1 : end + 1]
-        features = np.concatenate([dataset.weather[row], lagged])
-        raw = forward(model, normalize_features(features, model.norm_stats))
-        predictions.append(max(float(denormalize(raw, model.norm_stats[LOAD_COLUMN])), 0.0))
+        if end is None or end < model.lag - 1:
+            raise InsufficientHistory(f"missing load history {24 + model.lag}h before {dataset.timestamps[row]}")
+        span = dataset.timestamps[end - model.lag + 1 : end + 1]
+        if any(b - a != HOUR for a, b in zip(span, span[1:])):
+            raise InsufficientHistory(f"gap inside the lag window before {dataset.timestamps[row]}")
+        features = np.concatenate([dataset.weather[row], dataset.load[end - model.lag + 1 : end + 1]])
+        raw = forward(model, [normalize(x, scale) for x, scale in zip(features, scales)])
+        predictions.append(max(float(denormalize(raw, stats[LOAD_COLUMN])), 0.0))
     return np.array(predictions)

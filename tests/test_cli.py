@@ -659,6 +659,14 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_bad_hour_row_after_a_blank_line_names_its_line(self, day_inputs, tmp_path, capsys):
+        _, prices = day_inputs
+        predicted = tmp_path / "predicted.csv"
+        predicted.write_text("hour,predicted_kwh\n1,5\n\n2,abc\n", encoding="utf-8")
+        code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot parse CSV line 4: could not convert string to float")
+
     @pytest.mark.parametrize("flags, message", [
         (["--w1", "nan"], "weights must be finite and nonnegative, got (nan, 0.6)"),
         (["--alpha", "inf"], "e_cmax, l_shmax and alpha must be finite and positive"),

@@ -2,7 +2,11 @@ import csv
 import hashlib
 import json
 import math
-from datetime import date, datetime, timedelta
+import os
+import subprocess
+import sys
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from loadshift.ingest import (
     split_windows,
     window_matrix,
 )
-from loadshift.profiles import WEATHER_FEATURES
+from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
 
 
 def unit_stats():
@@ -409,6 +413,73 @@ def test_predict_day_matches_the_one_row_reference(synth30, seed, hidden, gain, 
                                reference_predict_day(model, synth30, day), rtol=1e-12, atol=0)
 
 
+def hourly_dataset(stamps, seed):
+    """An allow_gaps Dataset on ``stamps`` with uniform random weather and load."""
+    rng = np.random.default_rng(seed)
+    n = len(stamps)
+    return Dataset(*time_axis(stamps), weather=rng.uniform(-1, 1, (n, len(WEATHER_FEATURES))),
+                   load=rng.uniform(0, 1, n), price=None, split_boundary=stamps[n // 2], allow_gaps=True)
+
+
+def assert_predict_day_agrees_with_the_reference(model, dataset, days):
+    for day in days:
+        try:
+            expected = reference_predict_day(model, dataset, day)
+        except InsufficientHistory as fault:
+            with pytest.raises(InsufficientHistory) as raised:
+                mlp.predict_day(model, dataset, day)
+            assert str(raised.value) == str(fault), day
+        else:
+            np.testing.assert_allclose(mlp.predict_day(model, dataset, day).values, expected, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lag=st.sampled_from([1, 5, 24, 30]),
+       deleted=st.sets(st.integers(0, 143), max_size=6), late=st.sets(st.integers(0, 143), max_size=2),
+       offset=st.sampled_from([None, -3.0, 0.0, 5.5]), switch=st.integers(0, 144), shift=st.sampled_from([1, -2]))
+def test_predict_day_checks_history_like_the_reference(seed, lag, deleted, late, offset, switch, shift):
+    """On six days with random hours deleted and some half-hour rows added,
+    with naive stamps or with a UTC offset that changes by ``shift`` hours
+    from some row on: a day with the full history of every hour is
+    forecast as the reference forecasts it, and any other day raises the
+    reference's fault."""
+    start = datetime(2024, 3, 1, tzinfo=None if offset is None else timezone.utc)
+    hours = [h for h in range(144) if h not in deleted]
+    instants = sorted([start + timedelta(hours=h) for h in hours] + [start + timedelta(hours=h + 0.5) for h in late])
+    if offset is not None:
+        zone = lambda i: timezone(timedelta(hours=offset + shift * (i >= switch)))
+        instants = [ts.astimezone(zone(i)) for i, ts in enumerate(instants)]
+    dataset = hourly_dataset(instants, seed)
+    model = mlp.init_model((5 + lag, 3, 1), seed, norm_stats=unit_stats(), lag=lag)
+    assert_predict_day_agrees_with_the_reference(model, dataset, [date(2024, 2, 29) + timedelta(days=k) for k in range(8)])
+
+
+def test_an_off_the_hour_row_before_the_day_leaves_its_windows_whole():
+    """A half-hour row just before the day breaks the block of consecutive
+    hours, but no hour's lag window holds it; the next day's windows do."""
+    start = datetime(2024, 3, 1)
+    stamps = [start + timedelta(hours=h) for h in range(96)]
+    dataset = hourly_dataset(sorted(stamps + [datetime(2024, 3, 2, 23, 30)]), 3)
+    model = mlp.init_model((29, 3, 1), 3, norm_stats=unit_stats(), lag=24)
+    expected = reference_predict_day(model, dataset, date(2024, 3, 3))
+    np.testing.assert_allclose(mlp.predict_day(model, dataset, date(2024, 3, 3)).values, expected, rtol=1e-12, atol=0)
+    with pytest.raises(InsufficientHistory, match="gap inside the lag window before 2024-03-04 00:00:00"):
+        mlp.predict_day(model, dataset, date(2024, 3, 4))
+
+
+def test_a_day_whose_rows_are_not_consecutive():
+    """UTC offsets that step one hour ahead and later two hours back give
+    2024-03-03 24 rows, but with a row of the next day inside them."""
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    instants = [start + timedelta(hours=h) for h in range(96)]
+    offset_hours = lambda ts: 0 if ts < datetime(2024, 3, 3, 10, tzinfo=timezone.utc) else 1 if ts.day == 3 else -1
+    dataset = hourly_dataset([ts.astimezone(timezone(timedelta(hours=offset_hours(ts)))) for ts in instants], 5)
+    rows = dataset.day_indices(date(2024, 3, 3))
+    assert len(rows) == 24 and rows[-1] - rows[0] == 24
+    model = mlp.init_model((29, 3, 1), 5, norm_stats=unit_stats(), lag=24)
+    assert_predict_day_agrees_with_the_reference(model, dataset, [date(2024, 3, 3)])
+
+
 class TestGoldenForecast:
     """The forecast artifacts at a fixed seed, pinned byte for byte: a change
     to the float operations of training or prediction, or to their order,
@@ -467,6 +538,21 @@ class TestMetrics:
     def test_constant_prediction_gives_zero_r(self):
         mse, r = mlp.metrics(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         assert r == 0.0
+
+    def test_independent_of_the_blas_thread_count(self):
+        """OpenBLAS splits a dot product of more than 10,000 values across
+        threads, which rounds apart from one thread in the last place."""
+        script = ("import numpy as np; from loadshift.mlp import metrics\n"
+                  "for seed in range(5):\n"
+                  "    rng = np.random.default_rng(seed); a = rng.normal(size=20_001)\n"
+                  "    print(*map(float.hex, metrics(a + rng.normal(size=a.size), a)))")
+        package_root = str(Path(mlp.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
+            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                          text=True, check=True).stdout)
+        assert outputs[0] == outputs[1]
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
