@@ -73,8 +73,8 @@ class InvalidTrainConfig(LoadshiftError, ValueError):
 
 
 class InvalidModel(LoadshiftError, ValueError):
-    """A model file that is not a JSON object, is of another format or lacks
-    a key, or a model without normalization stats."""
+    """A model file that is not a JSON object, is of another format, lacks a
+    key or holds a malformed value, or a model without normalization stats."""
 
 
 class DivergedTraining(LoadshiftError):

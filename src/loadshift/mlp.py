@@ -303,8 +303,8 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     if n_features != model.layer_sizes[0]:
         raise DimensionMismatch(f"lag {model.lag} gives {n_features} features but model input is "
                                 f"{model.layer_sizes[0]}")
-    day_rows = dataset.day_indices(day)
-    if len(day_rows) != 24:
+    day_rows = dataset.full_day_indices(day)
+    if day_rows is None:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
 
     first, last = day_rows[0] - HORIZON_HOURS - model.lag + 1, day_rows[-1]
@@ -380,10 +380,13 @@ def load_model(path) -> MlpModel:
         if key not in payload:
             raise InvalidModel(f"model file lacks the key {key!r}")
     stats = payload.get("norm_stats")
-    return MlpModel(
-        layer_sizes=tuple(payload["layer_sizes"]),
-        weights=tuple(np.array(w) for w in payload["weights"]),
-        biases=tuple(np.array(b) for b in payload["biases"]),
-        norm_stats=NormalizationStats.from_json_dict(stats) if stats else None,
-        lag=int(payload["lag"]),
-    )
+    try:
+        return MlpModel(
+            layer_sizes=tuple(payload["layer_sizes"]),
+            weights=tuple(np.array(w) for w in payload["weights"]),
+            biases=tuple(np.array(b) for b in payload["biases"]),
+            norm_stats=NormalizationStats.from_json_dict(stats) if stats else None,
+            lag=int(payload["lag"]),
+        )
+    except (ValueError, TypeError, AttributeError) as exc:   # a value of the wrong type or shape
+        raise InvalidModel(f"model {path} holds a malformed value: {exc}") from None

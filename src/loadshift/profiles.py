@@ -30,6 +30,7 @@ _EPOCH = datetime(1970, 1, 1)
 _EPOCH_UTC = _EPOCH.replace(tzinfo=timezone.utc)
 _DAY_MICROS = 24 * _HOUR_MICROS
 _MICROSECOND = timedelta(microseconds=1)
+_DAY_HOURS = list(range(HOURS_PER_DAY))
 
 
 def time_axis(timestamps: Sequence[datetime]) -> tuple:
@@ -168,16 +169,28 @@ class Dataset:
         # day either side of its span in wall time
         days = (day - _EPOCH.date()).days
         lo, hi = np.searchsorted(self.micros, ((days - 1) * _DAY_MICROS, (days + 2) * _DAY_MICROS))
-        wall = self.micros[lo:hi] if self.offsets is None else self.micros[lo:hi] + self.offsets[lo:hi]
-        return lo + np.flatnonzero(wall // _DAY_MICROS == days)
+        return lo + np.flatnonzero(self._wall(slice(lo, hi)) // _DAY_MICROS == days)
+
+    def full_day_indices(self, day: date) -> Optional[np.ndarray]:
+        """Row indices of ``day`` when its rows carry the wall-clock hours
+        0..23 once each, in order; None when the day is incomplete."""
+        rows = self.day_indices(day)
+        if self.offsets is None and not self.allow_gaps:
+            # consecutive naive rows are an hour apart, so any 24 of one day are its hours 0..23
+            return rows if len(rows) == HOURS_PER_DAY else None
+        return rows if (self._wall(rows) % _DAY_MICROS // _HOUR_MICROS).tolist() == _DAY_HOURS else None
+
+    def _wall(self, rows) -> np.ndarray:
+        """Wall-clock microseconds since 1970 of ``rows`` (a slice or indices)."""
+        return self.micros[rows] if self.offsets is None else self.micros[rows] + self.offsets[rows]
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""
         source = self.load if kind is ProfileKind.LOAD else self.price
         if source is None:
             raise MissingPrices("dataset has no price column")
-        idx = self.day_indices(day)
-        if len(idx) != HOURS_PER_DAY:
+        idx = self.full_day_indices(day)
+        if idx is None:
             raise InsufficientData(f"dataset does not contain all 24 hours of {day}")
         return HourlyProfile(source[idx], kind)
 

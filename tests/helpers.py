@@ -1,7 +1,7 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
-objective and a DE generation as plain expressions, the row-by-row grid
-search, the row-wise CSV reader, the one-row-at-a-time forecast, and scans
-that find Dataset rows the slow way; and the writer of the CLI's hourly CSVs."""
+objective and a DE generation as plain expressions, the row-wise CSV
+reader, the one-row-at-a-time forecast, and scans that find Dataset rows
+the slow way; and the writer of the CLI's hourly CSVs."""
 
 import csv
 from datetime import datetime, timedelta
@@ -13,7 +13,7 @@ from loadshift.errors import InsufficientData, InsufficientHistory, MissingColum
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize
 from loadshift.mlp import forward
 from loadshift.objective import evaluate_batch
-from loadshift.profiles import WEATHER_FEATURES, Dataset, load_profile, time_axis
+from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
 
 
 def corner_optimum(problem):
@@ -94,52 +94,6 @@ def de_generation(problem, population, objectives, uniforms, config):
     better = trial_objectives < objectives
     return (np.where(better[:, None], trials, population),
             np.where(better, trial_objectives, objectives))
-
-
-_CHUNK = 65_536
-
-
-def reference_grid_search(reduced):
-    """Row-by-row reference for ``gridsearch.grid_search``: every grid point
-    is built as a 24-hour schedule and scored with ``evaluate_batch``.
-
-    Best schedule over the full grid, ties broken toward the
-    lexicographically smallest combination (first free hour lowest).
-
-    Candidates are enumerated in ascending lexicographic order and only a
-    strictly better objective displaces the incumbent, so the first best
-    point encountered wins.  Work proceeds in chunks to bound memory.
-    """
-    base = reduced.base
-    hours = reduced.free_hours
-    res = reduced.grid_resolution
-    grids = [
-        np.linspace(base.lower_bounds[h], base.upper_bounds[h], res) for h in hours
-    ]
-    pinned = reduced.pinned_schedule()
-
-    total = reduced.n_points
-    # mixed-radix decode: first free hour is the most significant digit,
-    # so ascending flat index == ascending lexicographic order
-    radix = np.array(
-        [res ** (len(hours) - 1 - k) for k in range(len(hours))], dtype=np.int64
-    )
-
-    best_objective = np.inf
-    best_schedule = None
-    for start in range(0, total, _CHUNK):
-        flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        schedules = np.tile(pinned, (len(flat), 1))
-        for k, h in enumerate(hours):
-            digit = (flat // radix[k]) % res
-            schedules[:, h] = grids[k][digit]
-        _, _, _, obj = evaluate_batch(base, schedules)
-        i = int(np.argmin(obj))
-        if obj[i] < best_objective:
-            best_objective = float(obj[i])
-            best_schedule = schedules[i].copy()
-
-    return load_profile(best_schedule), best_objective
 
 
 def reference_load_dataset(
@@ -258,13 +212,15 @@ def scan_windows(dataset, lag, horizon=24):
 
 
 def reference_predict_day(model, dataset, day):
-    """One-row-at-a-time reference for ``mlp.predict_day``: each hour of
-    ``day`` is found by a scan, the row 24 hours before it by timestamp, its
-    lag window is checked hour by hour, and the hour is forecast with a
-    single-sample ``mlp.forward`` on features normalized one by one. Raises
-    InsufficientHistory for the first hour without a full lag history."""
+    """One-row-at-a-time reference for ``mlp.predict_day``: the rows of
+    ``day`` are found by a scan and must carry the hours 0..23 in order, the
+    row 24 hours before each is found by timestamp, its lag window is
+    checked hour by hour, and the hour is forecast with a single-sample
+    ``mlp.forward`` on features normalized one by one. Raises
+    InsufficientHistory for an incomplete day or for the first hour without
+    a full lag history."""
     rows = scan_day_indices(dataset, day)
-    if len(rows) != 24:
+    if [dataset.timestamps[row].hour for row in rows] != list(range(24)):
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
     stats = model.norm_stats
     scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * model.lag

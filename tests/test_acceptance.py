@@ -14,7 +14,8 @@ import numpy as np
 
 from loadshift import de, mlp, pso
 from loadshift.cli import main
-from loadshift.gridsearch import ReducedProblem, grid_search, pinned_problem
+from loadshift.exact import pinned_problem
+from loadshift.gridsearch import ReducedProblem, grid_search
 from loadshift.ingest import (
     build_windows,
     fit_normalizer,
@@ -151,7 +152,7 @@ def test_c4_oracle_gap_on_reduced_problems():
                                 w1, 1.0 - w1)
         reduced = ReducedProblem(problem, free, 101)
         _, oracle = grid_search(reduced)
-        pinned = pinned_problem(reduced)
+        pinned = pinned_problem(problem, free)
         pso_result = pso.optimize(
             pinned, pso.PsoConfig(seed=derive_seed(MASTER, "gap-pso", i)))
         de_result = de.optimize(

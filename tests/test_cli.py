@@ -595,6 +595,31 @@ class TestErrors:
         assert capsys.readouterr().err == (f"error: lag {payload['lag']} gives {payload['lag'] + 5} features "
                                            f"but model input is {payload['layer_sizes'][0]}\n")
 
+    @pytest.mark.parametrize("edit", [
+        lambda model: model.update(lag="x"),
+        lambda model: model["weights"][0][0].pop(),
+        lambda model: model.update(weights=5),
+        lambda model: model["layer_sizes"].__setitem__(1, "eight"),
+        lambda model: model["norm_stats"]["load_kwh"].pop(),
+        lambda model: model["norm_stats"].__setitem__("load_kwh", [1.0, 1.0]),
+        lambda model: model["norm_stats"].pop("load_kwh"),
+        lambda model: model.update(norm_stats=5),
+    ], ids=["lag", "ragged-weights", "weights-number", "layer-size", "one-value-scale", "flat-scale",
+            "missing-scale", "stats-number"])
+    def test_malformed_model_value_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys, edit):
+        payload = json.loads((trained_dir / "model.json").read_text())
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-05",
+            "--out", str(tmp_path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: model {model} holds a malformed value: ")
+        assert "Traceback" not in err
+
     def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
         code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])
         assert code == 1

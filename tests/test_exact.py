@@ -8,7 +8,7 @@ from helpers import corner_optimum, write_hourly_csv
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from loadshift import de, gridsearch, pso
+from loadshift import de, pso
 from loadshift.cli import main
 from loadshift.errors import LoadshiftError
 from loadshift.exact import exact_optimum, pinned_problem
@@ -117,15 +117,6 @@ class TestPinnedProblem:
                 assert pinned.lower_bounds[h] == pinned.upper_bounds[h] == clipped[h]
         for name in ("predicted", "prices", "w1", "w2", "alpha", "e_cmax", "l_shmax", "predicted_total"):
             assert getattr(pinned, name) == getattr(problem, name)
-
-    def test_grid_search_pins_the_same_problem(self):
-        problem = flat_problem(peak_cap=10.0)
-        ours = pinned_problem(problem, [3, 19])
-        theirs = gridsearch.pinned_problem(ReducedProblem(problem, (19, 3), 5))
-        np.testing.assert_array_equal(ours.lower_bounds, theirs.lower_bounds)
-        np.testing.assert_array_equal(ours.upper_bounds, theirs.upper_bounds)
-        assert (ours.w1, ours.w2, ours.alpha, ours.e_cmax, ours.l_shmax) == \
-            (theirs.w1, theirs.w2, theirs.alpha, theirs.e_cmax, theirs.l_shmax)
 
 
 class TestVerifyOracle:

@@ -5,12 +5,8 @@ import pytest
 from helpers import corner_optimum
 
 from loadshift.errors import GridTooLarge
-from loadshift.gridsearch import (
-    MAX_GRID_POINTS,
-    ReducedProblem,
-    grid_search,
-    pinned_problem,
-)
+from loadshift.exact import pinned_problem
+from loadshift.gridsearch import MAX_GRID_POINTS, ReducedProblem, grid_search
 from loadshift.objective import build_problem, evaluate
 from loadshift.profiles import load_profile, price_profile
 
@@ -52,17 +48,15 @@ class TestReducedProblem:
         predicted = np.full(24, 8.0)
         predicted[18] = 20.0
         problem = make_problem(predicted, np.full(24, 10.0), peak_cap=15.0)
-        reduced = ReducedProblem(problem, (3,), 5)
-        pin = reduced.pinned_schedule()
-        assert pin[18] == 15.0
-        assert pin[3] == 8.0
+        schedule, _ = grid_search(ReducedProblem(problem, (3,), 5))
+        assert schedule.values[18] == 15.0
+        assert schedule.values[4] == 8.0
 
 
 class TestPinnedProblem:
     def test_bounds_collapse_except_free_hours(self):
         base = flat_problem()
-        reduced = ReducedProblem(base, (4, 9), 5)
-        pinned = pinned_problem(reduced)
+        pinned = pinned_problem(base, (4, 9))
         for h in range(24):
             if h in (4, 9):
                 assert pinned.lower_bounds[h] == base.lower_bounds[h]
@@ -106,7 +100,7 @@ class TestGridSearch:
         ]
         best = np.inf
         best_point = None
-        base = reduced.pinned_schedule()
+        base = pinned_problem(problem, (6, 18)).lower_bounds
         for i in range(11):
             for j in range(11):
                 candidate = base.copy()
@@ -129,7 +123,7 @@ class TestGridSearch:
         problem = make_problem(predicted, prices, 0.6, 0.4)
         reduced = ReducedProblem(problem, (6, 12, 18), 5)
         _, objective = grid_search(reduced)
-        _, corner = corner_optimum(pinned_problem(reduced))
+        _, corner = corner_optimum(pinned_problem(problem, reduced.free_hours))
         assert objective == corner
 
     def test_no_sampled_point_beats_the_search(self):
@@ -144,7 +138,7 @@ class TestGridSearch:
             np.linspace(problem.lower_bounds[h], problem.upper_bounds[h], 31)
             for h in (2, 11, 20)
         ]
-        base = reduced.pinned_schedule()
+        base = pinned_problem(problem, (2, 11, 20)).lower_bounds
         for _ in range(200):
             digits = rng.integers(0, 31, size=3)
             candidate = base.copy()
@@ -162,12 +156,14 @@ class TestGridSearch:
 
     def test_ties_break_toward_the_lexicographically_first_point(self):
         # zero weights score every non-excess point 0.0; the all-lower
-        # combination is enumerated first and must survive the ties
+        # combination is enumerated first and must survive the ties, also
+        # those in later chunks (41^3 points are more than one)
         problem = flat_problem(0.0, 0.0)
-        schedule, objective = grid_search(ReducedProblem(problem, (4, 9), 7))
-        assert objective == 0.0
-        assert schedule.values[4] == problem.lower_bounds[4]
-        assert schedule.values[9] == problem.lower_bounds[9]
+        for hours, resolution in (((4, 9), 7), ((2, 9, 21), 41)):
+            schedule, objective = grid_search(ReducedProblem(problem, hours, resolution))
+            assert objective == 0.0
+            for h in hours:
+                assert schedule.values[h] == problem.lower_bounds[h]
 
     def test_chunked_enumeration_agrees_with_small_case(self):
         # 101^3 > one chunk, exercising the chunk boundary path
@@ -175,5 +171,5 @@ class TestGridSearch:
         reduced = ReducedProblem(problem, (3, 10, 17), 101)
         schedule, objective = grid_search(reduced)
         assert evaluate(problem, schedule).objective == objective
-        _, corner = corner_optimum(pinned_problem(reduced))
+        _, corner = corner_optimum(pinned_problem(problem, reduced.free_hours))
         assert objective == pytest.approx(corner, rel=1e-12)

@@ -20,6 +20,7 @@ from loadshift.errors import (
     DimensionMismatch,
     DivergedTraining,
     EmptyTrainingSet,
+    InsufficientData,
     InsufficientHistory,
     InvalidArchitecture,
     InvalidModel,
@@ -468,16 +469,35 @@ def test_an_off_the_hour_row_before_the_day_leaves_its_windows_whole():
 
 
 def test_a_day_whose_rows_are_not_consecutive():
-    """UTC offsets that step one hour ahead and later two hours back give
-    2024-03-03 24 rows, but with a row of the next day inside them."""
+    """UTC offsets of +1 hour, then +2 for one row, then 0 give 2024-03-03
+    the hours 0..23 in order, but with a row of the next day inside them."""
     start = datetime(2024, 3, 1, tzinfo=timezone.utc)
     instants = [start + timedelta(hours=h) for h in range(96)]
-    offset_hours = lambda ts: 0 if ts < datetime(2024, 3, 3, 10, tzinfo=timezone.utc) else 1 if ts.day == 3 else -1
+    utc = lambda day, hour: datetime(2024, 3, day, hour, tzinfo=timezone.utc)
+    offset_hours = lambda ts: 2 if ts == utc(3, 22) else 1 if utc(2, 23) <= ts < utc(3, 22) else 0
     dataset = hourly_dataset([ts.astimezone(timezone(timedelta(hours=offset_hours(ts)))) for ts in instants], 5)
-    rows = dataset.day_indices(date(2024, 3, 3))
+    rows = dataset.full_day_indices(date(2024, 3, 3))
     assert len(rows) == 24 and rows[-1] - rows[0] == 24
     model = mlp.init_model((29, 3, 1), 5, norm_stats=unit_stats(), lag=24)
     assert_predict_day_agrees_with_the_reference(model, dataset, [date(2024, 3, 3)])
+    reference_predict_day(model, dataset, date(2024, 3, 3))   # the day is forecast, not refused
+
+
+def test_a_day_missing_a_wall_clock_hour_is_incomplete():
+    """UTC offsets that step to +1 hour at 2024-03-03 00:00 UTC and to -1 a
+    day later give 2024-03-03 24 rows at the hours 1..23 and then 23 again:
+    00:00 is missing, so the day is neither a profile nor forecast."""
+    start = datetime(2024, 3, 1, tzinfo=timezone.utc)
+    offset_hours = lambda row: 0 if row < 48 else 1 if row < 72 else -1
+    dataset = hourly_dataset([(start + timedelta(hours=row)).astimezone(timezone(timedelta(hours=offset_hours(row))))
+                              for row in range(120)], 7)
+    day = date(2024, 3, 3)
+    assert len(dataset.day_indices(day)) == 24
+    with pytest.raises(InsufficientData, match="dataset does not contain all 24 hours of 2024-03-03"):
+        dataset.day_profile(day)
+    model = mlp.init_model((29, 3, 1), 7, norm_stats=unit_stats(), lag=24)
+    with pytest.raises(InsufficientHistory, match="dataset does not contain all 24 hours of 2024-03-03"):
+        mlp.predict_day(model, dataset, day)
 
 
 class TestGoldenForecast:
