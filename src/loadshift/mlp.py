@@ -380,6 +380,9 @@ def load_model(path) -> MlpModel:
         if key not in payload:
             raise InvalidModel(f"model file lacks the key {key!r}")
     stats = payload.get("norm_stats")
+    if stats is not None and not isinstance(stats, dict):
+        raise InvalidModel(f"model {path} holds a malformed value: norm_stats is a JSON {type(stats).__name__}, "
+                           "not an object")
     try:
         return MlpModel(
             layer_sizes=tuple(payload["layer_sizes"]),
@@ -388,5 +391,5 @@ def load_model(path) -> MlpModel:
             norm_stats=NormalizationStats.from_json_dict(stats) if stats else None,
             lag=int(payload["lag"]),
         )
-    except (ValueError, TypeError, AttributeError) as exc:   # a value of the wrong type or shape
+    except (ValueError, TypeError) as exc:   # a value of the wrong type or shape
         raise InvalidModel(f"model {path} holds a malformed value: {exc}") from None

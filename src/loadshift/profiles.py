@@ -165,24 +165,27 @@ class Dataset:
 
     def day_indices(self, day: date) -> np.ndarray:
         """Row indices of the hours of ``day``, in time order."""
-        # a UTC offset is less than a day, so the day's rows lie within a
-        # day either side of its span in wall time
-        days = (day - _EPOCH.date()).days
-        lo, hi = np.searchsorted(self.micros, ((days - 1) * _DAY_MICROS, (days + 2) * _DAY_MICROS))
-        return lo + np.flatnonzero(self._wall(slice(lo, hi)) // _DAY_MICROS == days)
+        return self._day_rows(day)[0]
 
     def full_day_indices(self, day: date) -> Optional[np.ndarray]:
         """Row indices of ``day`` when its rows carry the wall-clock hours
         0..23 once each, in order; None when the day is incomplete."""
-        rows = self.day_indices(day)
-        if self.offsets is None and not self.allow_gaps:
-            # consecutive naive rows are an hour apart, so any 24 of one day are its hours 0..23
-            return rows if len(rows) == HOURS_PER_DAY else None
-        return rows if (self._wall(rows) % _DAY_MICROS // _HOUR_MICROS).tolist() == _DAY_HOURS else None
+        rows, hours = self._day_rows(day)
+        return rows if hours.tolist() == _DAY_HOURS else None
 
-    def _wall(self, rows) -> np.ndarray:
-        """Wall-clock microseconds since 1970 of ``rows`` (a slice or indices)."""
-        return self.micros[rows] if self.offsets is None else self.micros[rows] + self.offsets[rows]
+    def _day_rows(self, day: date) -> tuple:
+        """Row indices of ``day`` in time order, and each row's wall-clock
+        hour of the day (its wall time floored to the hour)."""
+        # a UTC offset is less than a day, so the day's rows lie within a
+        # day either side of its span in wall time
+        days = (day - _EPOCH.date()).days
+        lo, hi = np.searchsorted(self.micros, ((days - 1) * _DAY_MICROS, (days + 2) * _DAY_MICROS))
+        wall = self.micros[lo:hi] if self.offsets is None else self.micros[lo:hi] + self.offsets[lo:hi]
+        hours = (wall - days * _DAY_MICROS) // _HOUR_MICROS
+        # a row of another day has a negative hour or one above 23; read as
+        # unsigned, a negative hour is huge, so one comparison finds the day
+        inside = np.flatnonzero(hours.view(np.uint64) < HOURS_PER_DAY)
+        return lo + inside, hours[inside]
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""
