@@ -157,7 +157,7 @@ def load_dataset(
                     table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
                                        delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
                                        ndmin=1)
-                stamps = [datetime.fromisoformat(raw.strip()) for raw in table["timestamp"]]
+                stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
                 micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
                 values = np.column_stack([table[c] for c in value_names])
                 if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():

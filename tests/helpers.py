@@ -1,7 +1,8 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
 objective and a DE generation as plain expressions, the row-wise CSV
-reader, the one-row-at-a-time forecast, and scans that find Dataset rows
-the slow way; and the writer of the CLI's hourly CSVs."""
+reader and writer, the one-row-at-a-time forecast features, and scans
+that find Dataset rows the slow way; and the writer of the CLI's hourly
+CSVs."""
 
 import csv
 from datetime import datetime, timedelta
@@ -11,7 +12,7 @@ import numpy as np
 
 from loadshift.errors import InsufficientData, InsufficientHistory, MissingColumn, UnparseableRow
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize
-from loadshift.mlp import forward
+from loadshift.mlp import _forward_batch
 from loadshift.objective import evaluate_batch
 from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
 
@@ -211,20 +212,19 @@ def scan_windows(dataset, lag, horizon=24):
     return pairs
 
 
-def reference_predict_day(model, dataset, day):
-    """One-row-at-a-time reference for ``mlp.predict_day``: the rows of
-    ``day`` are found by a scan and must carry the hours 0..23 in order, the
-    row 24 hours before each is found by timestamp, its lag window is
-    checked hour by hour, and the hour is forecast with a single-sample
-    ``mlp.forward`` on features normalized one by one. Raises
-    InsufficientHistory for an incomplete day or for the first hour without
-    a full lag history."""
+def reference_day_features(model, dataset, day):
+    """One-row-at-a-time reference for ``mlp.predict_day``'s input: the rows
+    of ``day`` are found by a scan and must carry the hours 0..23 in order,
+    the row 24 hours before each is found by timestamp, and its lag window
+    is checked hour by hour. Returns the (24, 5 + lag) feature rows,
+    normalized one by one. Raises InsufficientHistory for an incomplete day
+    or for the first hour without a full lag history."""
     rows = scan_day_indices(dataset, day)
     if [dataset.timestamps[row].hour for row in rows] != list(range(24)):
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
     stats = model.norm_stats
     scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * model.lag
-    predictions = []
+    feature_rows = []
     for row in rows:
         end = scan_index_of(dataset, dataset.timestamps[row] - 24 * HOUR)
         if end is None or end < model.lag - 1:
@@ -233,6 +233,85 @@ def reference_predict_day(model, dataset, day):
         if any(b - a != HOUR for a, b in zip(span, span[1:])):
             raise InsufficientHistory(f"gap inside the lag window before {dataset.timestamps[row]}")
         features = np.concatenate([dataset.weather[row], dataset.load[end - model.lag + 1 : end + 1]])
-        raw = forward(model, [normalize(x, scale) for x, scale in zip(features, scales)])
-        predictions.append(max(float(denormalize(raw, stats[LOAD_COLUMN])), 0.0))
-    return np.array(predictions)
+        feature_rows.append([normalize(x, scale) for x, scale in zip(features, scales)])
+    return np.array(feature_rows)
+
+
+def reference_predict_day(model, dataset, day):
+    """``reference_day_features`` forecast by one batched forward pass, as
+    ``mlp.predict_day`` forecasts a day, so the two agree bit for bit; each
+    hour is denormalized and clamped at zero on its own."""
+    raw = _forward_batch(model.weights, model.biases, reference_day_features(model, dataset, day))[-1][:, 0]
+    return np.array([max(float(denormalize(y, model.norm_stats[LOAD_COLUMN])), 0.0) for y in raw])
+
+
+def reference_synth_rows(config):
+    """``synth``'s columns as one dict of formatted strings per row."""
+    rng = np.random.default_rng(config.seed)
+    n = config.days * 24
+    t = np.arange(n)
+    hour = t % 24
+    day = t // 24
+
+    temperature = (
+        18.0
+        + 4.0 * np.sin(2 * np.pi * day / 30.0)
+        + 7.0 * np.cos(2 * np.pi * (hour - 15) / 24.0)
+        + rng.normal(0.0, 0.6, size=n)
+    )
+    wind_speed = np.clip(
+        5.0
+        + 2.5 * np.sin(2 * np.pi * (hour - 3) / 24.0)
+        + rng.normal(0.0, 0.8, size=n),
+        0.0,
+        None,
+    )
+    dew_point = temperature - 4.0 - np.abs(rng.normal(0.0, 1.5, size=n))
+    heat_index = temperature + np.maximum(0.0, 0.4 * (dew_point - 14.0))
+    cold_index = temperature - 0.4 * wind_speed
+
+    load = np.clip(
+        900.0
+        + 250.0 * np.cos(2 * np.pi * (hour - 17) / 24.0)   # diurnal swing, peak near 17:00
+        + 12.0 * (temperature - 18.0)
+        + rng.normal(0.0, 15.0, size=n),
+        50.0,
+        None,
+    )
+    price = np.clip(
+        5.0
+        + 6.0 * np.exp(-((hour - 18.5) ** 2) / (2 * 2.0**2))   # Gaussian bump centred near 18:30
+        + rng.normal(0.0, 0.15, size=n),
+        0.5,
+        None,
+    )
+
+    start = datetime(2024, 1, 1)
+    rows = []
+    for i in range(n):
+        stamp = start + timedelta(hours=i)
+        row = {
+            "timestamp": stamp.isoformat(),
+            "wind_speed": f"{wind_speed[i]:.2f}",
+            "temperature": f"{temperature[i]:.2f}",
+            "heat_index": f"{heat_index[i]:.2f}",
+            "cold_index": f"{cold_index[i]:.2f}",
+            "dew_point": f"{dew_point[i]:.2f}",
+            LOAD_COLUMN: f"{load[i]:.3f}",
+        }
+        if config.include_price:
+            row[PRICE_COLUMN] = f"{price[i]:.3f}"
+        rows.append(row)
+    return rows
+
+
+def reference_synth_csv(config, path):
+    """Row-wise reference for ``synth.write_csv``: every row is formatted
+    on its own and written by ``csv.DictWriter``."""
+    fieldnames = list(REQUIRED_COLUMNS)
+    if config.include_price:
+        fieldnames.append(PRICE_COLUMN)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(reference_synth_rows(config))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_predict_day
+from helpers import reference_day_features, reference_predict_day
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -404,14 +404,19 @@ class TestPredictDay:
 @given(seed=st.integers(0, 2**32 - 1), hidden=st.lists(st.integers(1, 30), min_size=0, max_size=3),
        gain=st.floats(0.1, 4.0), day=st.integers(2, 29))
 def test_predict_day_matches_the_one_row_reference(synth30, seed, hidden, gain, day):
-    """The batched forecast may round apart from 24 single-row passes, but only
-    in the last places."""
+    """The forecast equals the reference's bit for bit. The batched pass may
+    round apart from 24 single-row passes, but only in the last places; the
+    absolute bound is in normalized units, where an output can lie near zero."""
     base = mlp.init_model((29, *hidden, 1), seed, norm_stats=fit_normalizer(synth30), lag=24)
     model = mlp.MlpModel(base.layer_sizes, tuple(gain * w for w in base.weights), base.biases,
                          norm_stats=base.norm_stats, lag=24)
     day = date(2024, 1, 1) + timedelta(days=day)
-    np.testing.assert_allclose(mlp.predict_day(model, synth30, day).values,
-                               reference_predict_day(model, synth30, day), rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(mlp.predict_day(model, synth30, day).values,
+                                  reference_predict_day(model, synth30, day))
+    features = reference_day_features(model, synth30, day)
+    batched = mlp._forward_batch(model.weights, model.biases, features)[-1][:, 0]
+    single = [mlp.forward(model, row) for row in features]
+    np.testing.assert_allclose(single, batched, rtol=1e-12, atol=1e-12)
 
 
 def hourly_dataset(stamps, seed):
@@ -431,7 +436,7 @@ def assert_predict_day_agrees_with_the_reference(model, dataset, days):
                 mlp.predict_day(model, dataset, day)
             assert str(raised.value) == str(fault), day
         else:
-            np.testing.assert_allclose(mlp.predict_day(model, dataset, day).values, expected, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(mlp.predict_day(model, dataset, day).values, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,7 +468,7 @@ def test_an_off_the_hour_row_before_the_day_leaves_its_windows_whole():
     dataset = hourly_dataset(sorted(stamps + [datetime(2024, 3, 2, 23, 30)]), 3)
     model = mlp.init_model((29, 3, 1), 3, norm_stats=unit_stats(), lag=24)
     expected = reference_predict_day(model, dataset, date(2024, 3, 3))
-    np.testing.assert_allclose(mlp.predict_day(model, dataset, date(2024, 3, 3)).values, expected, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(mlp.predict_day(model, dataset, date(2024, 3, 3)).values, expected)
     with pytest.raises(InsufficientHistory, match="gap inside the lag window before 2024-03-04 00:00:00"):
         mlp.predict_day(model, dataset, date(2024, 3, 4))
 

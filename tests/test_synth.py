@@ -4,9 +4,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_synth_csv
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, load_dataset
-from loadshift.synth import SynthConfig, generate_rows, write_csv
+from loadshift.synth import SynthConfig, generate_columns, write_csv
+
+
+def same_columns(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[name], b[name]) for name in a)
 
 
 class TestConfig:
@@ -19,55 +26,54 @@ class TestConfig:
 
 
 class TestGenerateRows:
+    """The hourly rows, generated as whole columns."""
+
     def test_row_count_and_cadence(self):
-        rows = generate_rows(SynthConfig(days=4, seed=1))
-        assert len(rows) == 96
-        assert rows[0]["timestamp"] == "2024-01-01T00:00:00"
-        assert rows[25]["timestamp"] == "2024-01-02T01:00:00"
+        stamps = generate_columns(SynthConfig(days=4, seed=1))["timestamp"]
+        assert len(stamps) == 96
+        assert stamps[0] == "2024-01-01T00:00:00"
+        assert stamps[25] == "2024-01-02T01:00:00"
 
     def test_same_seed_same_rows(self):
-        a = generate_rows(SynthConfig(days=5, seed=9))
-        b = generate_rows(SynthConfig(days=5, seed=9))
-        assert a == b
+        a = generate_columns(SynthConfig(days=5, seed=9))
+        b = generate_columns(SynthConfig(days=5, seed=9))
+        assert same_columns(a, b)
 
     def test_different_seed_different_rows(self):
-        a = generate_rows(SynthConfig(days=5, seed=1))
-        b = generate_rows(SynthConfig(days=5, seed=2))
-        assert a != b
+        a = generate_columns(SynthConfig(days=5, seed=1))
+        b = generate_columns(SynthConfig(days=5, seed=2))
+        assert not same_columns(a, b)
 
     def test_loads_stay_positive(self):
-        rows = generate_rows(SynthConfig(days=10, seed=3))
-        loads = np.array([float(r[LOAD_COLUMN]) for r in rows])
+        loads = generate_columns(SynthConfig(days=10, seed=3))[LOAD_COLUMN]
         assert np.all(loads >= 50.0)
 
     def test_prices_stay_positive(self):
-        rows = generate_rows(SynthConfig(days=10, seed=3))
-        prices = np.array([float(r[PRICE_COLUMN]) for r in rows])
+        prices = generate_columns(SynthConfig(days=10, seed=3))[PRICE_COLUMN]
         assert np.all(prices >= 0.5)
 
     def test_temperature_couples_into_load(self):
-        rows = generate_rows(SynthConfig(days=30, seed=4))
-        temps = np.array([float(r["temperature"]) for r in rows])
-        loads = np.array([float(r[LOAD_COLUMN]) for r in rows])
+        columns = generate_columns(SynthConfig(days=30, seed=4))
+        temps = columns["temperature"]
+        loads = columns[LOAD_COLUMN]
         # remove the shared diurnal cycle by correlating within each hour
         corrs = []
-        hours = np.arange(len(rows)) % 24
+        hours = np.arange(len(loads)) % 24
         for h in range(24):
             mask = hours == h
             corrs.append(np.corrcoef(temps[mask], loads[mask])[0, 1])
         assert np.mean(corrs) > 0.3
 
     def test_evening_price_peak(self):
-        rows = generate_rows(SynthConfig(days=30, seed=5))
-        prices = np.array([float(r[PRICE_COLUMN]) for r in rows])
-        hours = np.arange(len(rows)) % 24
+        prices = generate_columns(SynthConfig(days=30, seed=5))[PRICE_COLUMN]
+        hours = np.arange(len(prices)) % 24
         evening = prices[(hours >= 17) & (hours <= 20)].mean()
         night = prices[(hours >= 1) & (hours <= 4)].mean()
         assert evening > night + 2.0
 
     def test_price_column_can_be_dropped(self):
-        rows = generate_rows(SynthConfig(days=3, seed=1, include_price=False))
-        assert PRICE_COLUMN not in rows[0]
+        columns = generate_columns(SynthConfig(days=3, seed=1, include_price=False))
+        assert PRICE_COLUMN not in columns
 
 
 class TestWriteCsv:
@@ -104,3 +110,22 @@ class TestWriteCsv:
         path = tmp_path / "synth.csv"
         write_csv(SynthConfig(days=6, seed=12, include_price=include_price), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[include_price]
+
+    @settings(max_examples=40, deadline=None)
+    @given(days=st.integers(3, 400), seed=st.integers(0, 2**32 - 1), include_price=st.booleans())
+    def test_same_bytes_as_the_row_wise_writer(self, tmp_path_factory, days, seed, include_price):
+        config = SynthConfig(days=days, seed=seed, include_price=include_price)
+        folder = tmp_path_factory.mktemp("synth")
+        write_csv(config, folder / "columns.csv")
+        reference_synth_csv(config, folder / "rows.csv")
+        assert (folder / "columns.csv").read_bytes() == (folder / "rows.csv").read_bytes()
+
+    def test_a_negative_zero_field_is_written_as_the_row_wise_writer_writes_it(self, tmp_path):
+        """Seed 210's 30 days hold a dew point in (-0.005, 0), which both
+        writers print as -0.00."""
+        config = SynthConfig(days=30, seed=210)
+        write_csv(config, tmp_path / "columns.csv")
+        reference_synth_csv(config, tmp_path / "rows.csv")
+        data = (tmp_path / "columns.csv").read_bytes()
+        assert b",-0.00," in data
+        assert data == (tmp_path / "rows.csv").read_bytes()
