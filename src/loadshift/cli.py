@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, de, mlp, pso, report, synth
-from .errors import InsufficientData, InvalidArgument, LoadshiftError, MissingColumn, MissingPrices, UnparseableRow
+from .errors import (InsufficientData, InvalidArgument, LoadshiftError, MissingColumn, MissingPrices,
+                     UnparseableRow, ZeroVariance)
 from .exact import exact_optimum, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
@@ -192,7 +193,7 @@ def _resolve_day_inputs(args) -> tuple:
         )
     elif args.model and args.data and day is not None:
         model = mlp.load_model(args.model)
-        dataset = load_dataset(args.data)
+        dataset = load_dataset(args.data, allow_gaps=True)
         predicted = mlp.predict_day(model, dataset, day)
     else:
         raise LoadshiftError(
@@ -206,7 +207,7 @@ def _resolve_day_inputs(args) -> tuple:
         )
     elif args.data and day is not None:
         if dataset is None:
-            dataset = load_dataset(args.data)
+            dataset = load_dataset(args.data, allow_gaps=True)
         prices = dataset.day_profile(day, ProfileKind.PRICE)
     else:
         raise MissingPrices(
@@ -296,15 +297,19 @@ def cmd_predict(args) -> int:
     day = _parse_flag("--day", args.day, date.fromisoformat)
     out = _out_dir(args)
     model = mlp.load_model(args.model)
-    dataset = load_dataset(args.data, allow_gaps=args.allow_gaps)
+    dataset = load_dataset(args.data, allow_gaps=True)
     predicted = mlp.predict_day(model, dataset, day)
     actual = dataset.day_profile(day)
     _write_hourly_csv(
         out / "prediction.csv", {"real": actual.values, "predicted": predicted.values}
     )
-    mse, r = mlp.metrics(predicted.values, actual.values)
+    try:
+        mse, r = mlp.metrics(predicted.values, actual.values)
+        fit = f"r {r:.4f}"
+    except ZeroVariance as exc:   # a constant actual load: the forecast stands, r does not exist
+        mse, fit = exc.mse, "r undefined"
     _write_manifest(out, args, {})
-    print(f"{day}: mse {mse:.3f} kWh^2  r {r:.4f}")
+    print(f"{day}: mse {mse:.3f} kWh^2  {fit}")
     return 0
 
 
@@ -490,14 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--split", help="train/test boundary timestamp, ISO")
     p.add_argument("--split-fraction", type=float, default=0.85)
-    p.add_argument("--allow-gaps", action="store_true")
+    p.add_argument("--allow-gaps", action="store_true", help="accept missing hours between rows")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", parents=[common], help="predict one day's load")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--day", required=True, help="ISO date")
-    p.add_argument("--allow-gaps", action="store_true")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser(

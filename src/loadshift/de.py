@@ -20,7 +20,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .common import Search
-from .errors import InvalidOptimizerConfig, NonDistinctParents
+from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
 
@@ -97,11 +97,8 @@ def mutate(population: np.ndarray, parents: np.ndarray, beta: np.ndarray,
            work: Workspace) -> np.ndarray:
     """Donors pop[a] + beta * (pop[b] - pop[c]) for the (a, b, c) rows of
     ``parents``, clamped into the box, written into ``work.donors``.
-    ``beta`` is a column of per-donor factors."""
-    a, b, c = parents.T
-    repeated = (a == b) | (a == c) | (b == c)
-    if repeated.any():
-        raise NonDistinctParents(f"parent indices must be distinct, got {parents[repeated].tolist()}")
+    ``beta`` is a column of per-donor factors.  Rows are not checked for
+    repeated parents, which would only give a valid but wasted donor."""
     picked, donors = work.picked, work.donors
     np.take(population, parents.T, axis=0, out=picked)
     np.subtract(picked[1], picked[2], out=donors)

@@ -43,7 +43,7 @@ class InsufficientData(LoadshiftError, ValueError):
 
 
 class InvalidSynthConfig(LoadshiftError, ValueError):
-    """A synthetic data set too short to hold one lag window."""
+    """A synthetic data set too short to hold one lag window, or a negative seed."""
 
 
 class MixedTimezones(LoadshiftError):
@@ -114,14 +114,6 @@ class InvalidOptimizerConfig(LoadshiftError, ValueError):
     """A swarm or population size, or an iteration count, out of range."""
 
 
-class NonDistinctParents(LoadshiftError):
-    pass
-
-
-class GridTooLarge(LoadshiftError):
-    pass
-
-
 class InvalidGrid(LoadshiftError, ValueError):
     """Free hours or grid resolution outside what the grid search takes."""
 
@@ -130,10 +122,6 @@ class InvalidGrid(LoadshiftError, ValueError):
 
 class ZeroBaseline(LoadshiftError):
     pass
-
-
-class BudgetMismatch(Warning):
-    """Warn-level: algorithm comparison budgets differ, rows are flagged."""
 
 
 class MissingPrices(LoadshiftError, ValueError):

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .errors import GridTooLarge, InvalidGrid
+from .errors import InvalidGrid
 from .objective import evaluate, evaluate_batch
 from .profiles import HOURS_PER_DAY, DrProblem, HourlyProfile, load_profile
 
-MAX_GRID_POINTS = 10_000_000
 _CHUNK = 65_536   # grid points built and scored per step
 
 
@@ -49,8 +48,6 @@ class ReducedProblem:
         if self.grid_resolution < 2:
             raise InvalidGrid(f"grid_resolution must be >= 2, got {self.grid_resolution}")
         object.__setattr__(self, "free_hours", tuple(sorted(hours)))
-        if self.n_points > MAX_GRID_POINTS:
-            raise GridTooLarge(f"{self.n_points} grid points exceed the {MAX_GRID_POINTS} cap")
 
     @property
     def n_points(self) -> int:

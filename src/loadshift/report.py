@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from . import de as de_mod
 from . import pso as pso_mod
-from .errors import BudgetMismatch, ZeroBaseline
+from .errors import ZeroBaseline
 from .objective import build_problem, energy_cost
 from .profiles import DrProblem, HourlyProfile, OptimizationResult, peak
 from .seeding import derive_seed
@@ -115,18 +114,11 @@ def compare_algorithms(
     """Swarm vs differential evolution on one problem.
 
     A fair comparison spends the same number of objective evaluations on
-    each side; if the configs disagree the comparison still runs but the
-    rows are flagged and a BudgetMismatch warning is emitted.
+    each side; if the configs disagree the comparison still runs, and
+    every row records that in ``budget_matched``.
     """
-    pso_budget = pso_config.swarm_size * pso_config.iterations
-    de_budget = de_config.population_size * de_config.iterations
-    matched = pso_budget == de_budget
-    if not matched:
-        warnings.warn(
-            f"evaluation budgets differ: swarm {pso_budget} vs DE {de_budget}",
-            BudgetMismatch,
-            stacklevel=2,
-        )
+    matched = (pso_config.swarm_size * pso_config.iterations
+               == de_config.population_size * de_config.iterations)
 
     baseline_cents = energy_cost(problem.predicted, problem.prices)
 

@@ -27,6 +27,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.days < 3:
             raise InvalidSynthConfig(f"days must be >= 3 for lag windows, got {self.days}")
+        if self.seed < 0:
+            raise InvalidSynthConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_columns(config: SynthConfig) -> dict:

@@ -88,6 +88,26 @@ class TestPredict:
         assert all(np.isfinite(float(r["predicted"])) for r in records)
         assert all(np.isfinite(float(r["real"])) for r in records)
 
+    def test_constant_actual_load_leaves_r_undefined(self, trained_dir, synth_dir, tmp_path, capsys):
+        rows = [line.split(",") for line in (synth_dir / "synthetic.csv").read_text().splitlines()]
+        assert rows[0][6] == "load_kwh"
+        for row in rows:
+            if row[0].startswith("2024-01-06"):
+                row[6] = "900.000"
+        data = tmp_path / "flat.csv"
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        code = main([
+            "predict", "--model", str(trained_dir / "model.json"), "--data", str(data),
+            "--day", "2024-01-06", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert (tmp_path / "out" / "manifest.json").exists()
+        with open(tmp_path / "out" / "prediction.csv", newline="") as handle:
+            records = list(csv.DictReader(handle))
+        assert [float(r["real"]) for r in records] == [900.0] * 24
+        mse = np.mean((np.array([float(r["predicted"]) for r in records]) - 900.0) ** 2)
+        assert capsys.readouterr().out == f"2024-01-06: mse {mse:.3f} kWh^2  r undefined\n"
+
 
 class TestOptimize:
     def run(self, day_inputs, out, extra=()):
@@ -320,12 +340,20 @@ class TestManifest:
         }
 
     def test_predict_records_data_and_allow_gaps(self, trained_dir, synth_dir, tmp_path):
+        """predict records its data file; train, the one command with a gap
+        setting, records it."""
         data = str(synth_dir / "synthetic.csv")
         assert main([
             "predict", "--model", str(trained_dir / "model.json"), "--data", data,
-            "--day", "2024-01-06", "--allow-gaps", "--out", str(tmp_path),
+            "--day", "2024-01-06", "--out", str(tmp_path / "predict"),
         ]) == 0
-        parameters = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+        parameters = json.loads((tmp_path / "predict" / "manifest.json").read_text())["parameters"]
+        assert parameters["data"] == data and "allow_gaps" not in parameters
+        assert main([
+            "train", "--data", data, "--hidden", "4", "--epochs", "1", "--allow-gaps",
+            "--out", str(tmp_path / "train"),
+        ]) == 0
+        parameters = json.loads((tmp_path / "train" / "manifest.json").read_text())["parameters"]
         assert parameters["data"] == data and parameters["allow_gaps"] is True
 
     @pytest.mark.parametrize("command", ["synth", "train", "predict", "optimize", "sweep", "compare", "verify"])
@@ -347,6 +375,51 @@ class TestManifest:
         dests = set(vars(build_parser().parse_args([command, *argv]))) - {"func", "command"}
         assert manifest["command"] == command
         assert dests <= set(manifest["parameters"])
+
+
+class TestGaps:
+    """A meter series that misses an hour (2024-01-02 05:00 of a 10-day set).
+    Only train has a gap setting; the day commands read the file and refuse
+    only a day, or its 24 + lag hours of history, that lacks an hour."""
+
+    @pytest.fixture(scope="class")
+    def gappy(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gappy")
+        assert main(["synth", "--days", "10", "--seed", "1", "--out", str(root)]) == 0
+        lines = (root / "synthetic.csv").read_text().splitlines(keepends=True)
+        data = root / "gappy.csv"
+        data.write_text("".join(line for line in lines if not line.startswith("2024-01-02T05:00")))
+        assert main([
+            "train", "--data", str(data), "--hidden", "4", "--epochs", "2", "--allow-gaps",
+            "--out", str(root / "train"),
+        ]) == 0
+        return str(root / "train" / "model.json"), str(data)
+
+    def test_train_refuses_the_gap_unless_allowed(self, gappy, tmp_path, capsys):
+        argv = ["train", "--data", gappy[1], "--hidden", "4", "--epochs", "1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: expected 2024-01-02 05:00:00 one hour after 2024-01-02 04:00:00"
+            " (first offending timestamp: 2024-01-02 06:00:00)\n"
+        )
+        assert main([*argv, "--allow-gaps"]) == 0
+
+    @pytest.mark.parametrize("command", ["predict", "optimize", "sweep", "compare", "verify"])
+    def test_day_commands_read_the_file(self, gappy, tmp_path, command):
+        model, data = gappy
+        budget = [] if command == "predict" else ["--population", "6", "--iterations", "3"]
+        extra = {"sweep": ["--weights", "0.5:0.5"], "verify": ["--tolerance", "10"]}.get(command, [])
+        argv = [command, "--model", model, "--data", data, "--day", "2024-01-09", *budget, *extra]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, day, message", [
+        ("predict", "2024-01-03", "missing load history 48h before 2024-01-03 05:00:00"),
+        ("optimize", "2024-01-02", "dataset does not contain all 24 hours of 2024-01-02"),
+    ], ids=["history", "day"])
+    def test_a_day_or_its_history_without_an_hour_is_refused(self, gappy, tmp_path, capsys, command, day, message):
+        model, data = gappy
+        assert main([command, "--model", model, "--data", data, "--day", day, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestErrors:
@@ -548,6 +621,10 @@ class TestErrors:
     def test_too_few_synthetic_days_names_the_fault(self, tmp_path, capsys, days):
         assert main(["synth", "--days", days, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: days must be >= 3 for lag windows, got {days}\n"
+
+    def test_negative_synthetic_seed_names_the_fault(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("lag", ["0", "-3"])
     def test_lag_below_one_names_the_fault(self, synth30_path, tmp_path, capsys, lag):

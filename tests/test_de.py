@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from loadshift import de
 from loadshift.common import init_positions
-from loadshift.errors import InvalidOptimizerConfig, NonDistinctParents
+from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate
 from loadshift.profiles import load_profile, price_profile
 
@@ -105,21 +105,10 @@ class TestMutate:
                        np.zeros(2), np.full(2, 6.0))
         np.testing.assert_array_equal(donor, [[6.0, 5.0]])
 
-    @pytest.mark.parametrize("indices", [(0, 0, 1), (0, 1, 0), (1, 0, 0), (2, 2, 2)])
-    def test_repeated_parents_rejected(self, indices):
-        with pytest.raises(NonDistinctParents):
-            mutate(self.population(), [indices], 0.5,
-                   np.full(2, -10.0), np.full(2, 10.0))
-
     def test_index_arrays_build_one_donor_per_row(self):
         donors = mutate(self.population(), [[1, 0, 2], [3, 1, 2]], [[0.5], [1.0]],
                         np.full(2, -10.0), np.full(2, 10.0))
         np.testing.assert_array_equal(donors, [[2.5, 0.5], [7.0, 5.0]])
-
-    def test_one_repeated_row_rejects_the_batch(self):
-        with pytest.raises(NonDistinctParents):
-            mutate(self.population(), [[1, 0, 2], [3, 3, 2]], 0.5,
-                   np.full(2, -10.0), np.full(2, 10.0))
 
 
 class TestDrawParents:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from helpers import corner_optimum
 
-from loadshift.errors import GridTooLarge
 from loadshift.exact import pinned_problem
-from loadshift.gridsearch import MAX_GRID_POINTS, ReducedProblem, grid_search
+from loadshift.gridsearch import ReducedProblem, grid_search
 from loadshift.objective import build_problem, evaluate
 from loadshift.profiles import load_profile, price_profile
 
@@ -37,12 +36,6 @@ class TestReducedProblem:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             ReducedProblem(flat_problem(), (3,), 1)
-
-    def test_oversized_grid_rejected(self):
-        # 3163^2 is the smallest square above the cap
-        assert 3163 ** 2 > MAX_GRID_POINTS
-        with pytest.raises(GridTooLarge):
-            ReducedProblem(flat_problem(), (3, 19), 3163)
 
     def test_pinned_schedule_clips_into_the_box(self):
         predicted = np.full(24, 8.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from loadshift import de, pso
-from loadshift.errors import BudgetMismatch, ZeroBaseline
+from loadshift.errors import ZeroBaseline
 from loadshift.objective import build_problem, energy_cost
 from loadshift.profiles import load_profile, price_profile
 from loadshift.report import (
@@ -120,14 +120,13 @@ class TestCompareAlgorithms:
                 cost_reduction(baseline_cents, result.cost_cents)
             )
 
-    def test_mismatched_budgets_warn_and_flag(self, day):
+    def test_mismatched_budgets_are_flagged(self, day):
         problem = self.problem(day)
-        with pytest.warns(BudgetMismatch):
-            report = compare_algorithms(
-                problem,
-                pso.PsoConfig(swarm_size=10, iterations=10, seed=1),
-                de.DeConfig(population_size=10, iterations=20, seed=2),
-            )
+        report = compare_algorithms(
+            problem,
+            pso.PsoConfig(swarm_size=10, iterations=10, seed=1),
+            de.DeConfig(population_size=10, iterations=20, seed=2),
+        )
         assert not any(row.budget_matched for row in report.rows)
 
     def test_reruns_are_identical(self, day):
@@ -152,12 +151,11 @@ class TestTables:
 
     def test_comparison_table_flags_mismatch(self, day):
         problem = build_problem(*day, 0.6, 0.4)
-        with pytest.warns(BudgetMismatch):
-            report = compare_algorithms(
-                problem,
-                pso.PsoConfig(swarm_size=8, iterations=10, seed=1),
-                de.DeConfig(population_size=8, iterations=11, seed=2),
-            )
+        report = compare_algorithms(
+            problem,
+            pso.PsoConfig(swarm_size=8, iterations=10, seed=1),
+            de.DeConfig(population_size=8, iterations=11, seed=2),
+        )
         text = comparison_table(report)
         assert text.count("(budget mismatch)") == 2
         assert "baseline cost:" in text.splitlines()[0]

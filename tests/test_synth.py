@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_synth_csv
+from loadshift.errors import InvalidSynthConfig
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, load_dataset
 from loadshift.synth import SynthConfig, generate_columns, write_csv
 
@@ -23,6 +24,11 @@ class TestConfig:
 
     def test_three_days_is_the_floor(self):
         assert SynthConfig(days=3).days == 3
+
+    def test_negative_seed_rejected(self):
+        # numpy's generator refuses it with a bare ValueError; the config names the fault first
+        with pytest.raises(InvalidSynthConfig, match=r"^seed must be >= 0, got -1$"):
+            SynthConfig(seed=-1)
 
 
 class TestGenerateRows:
