@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Callable, Optional
+
 import numpy as np
 
 from . import objective
-from .profiles import DrProblem, OptimizationResult, TracePoint, load_profile, peak
+from .profiles import DrProblem, OptimizationResult, load_profile, peak
 
 
 def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -20,9 +22,10 @@ def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> n
 
 class Search:
     """What every population-optimizer run shares: the RNG, the initial
-    positions and their scores, the greedy keep of each scored batch, and
-    the best schedule seen so far with the trace of its objective terms,
-    one point per iteration from the initial positions (iteration 0) on.
+    positions and their scores, the iteration loop with its ``on_iteration``
+    calls, the greedy keep of each scored batch, and the best schedule seen
+    so far with the trace of its ``ObjectiveBreakdown``, one per iteration
+    from the initial positions (iteration 0) on.
 
     The incumbent moves to a batch's lowest objective only when that is
     strictly lower, so on ties the earlier member keeps it.
@@ -34,19 +37,19 @@ class Search:
         self.positions = init_positions(problem, size, self.rng)
         self.terms = objective.evaluate_batch(problem, self.positions)
         self.improved = np.empty(size, dtype=bool)
-        self.trace: list[TracePoint] = []
+        self.trace: list[objective.ObjectiveBreakdown] = []
         self.offer(self.positions)
 
     def offer(self, batch: np.ndarray) -> None:
-        """Append one trace point for ``batch``, scored in ``self.terms``; the
-        first batch offered always sets the incumbent."""
+        """Append the best breakdown after ``batch``, scored in ``self.terms``,
+        to the trace; the first batch offered always sets the incumbent."""
         objectives = self.terms[3]
         i = int(np.argmin(objectives))
-        if not self.trace or objectives[i] < self.best_terms[3]:
+        best = self.trace[-1] if self.trace else None
+        if best is None or objectives[i] < best.objective:
             self.best_position = batch[i].copy()
-            self.best_terms = tuple(float(t[i]) for t in self.terms)
-        cost, shift, viol, obj = self.best_terms
-        self.trace.append(TracePoint(len(self.trace), obj, cost, shift, viol))
+            best = objective.ObjectiveBreakdown(*(float(t[i]) for t in self.terms))
+        self.trace.append(best)
 
     def keep(self, batch: np.ndarray, kept: np.ndarray, kept_objectives: np.ndarray) -> None:
         """Score ``batch``, let each row that is strictly better than its row
@@ -56,6 +59,18 @@ class Search:
         np.copyto(kept, batch, where=self.improved[:, None])
         np.copyto(kept_objectives, terms[3], where=self.improved)
         self.offer(batch)
+
+    def run(self, iterations: int, step: Callable[[], np.ndarray], kept: np.ndarray,
+            kept_objectives: np.ndarray, on_iteration: Optional[Callable], state) -> OptimizationResult:
+        """Call ``on_iteration(0, state)``, then for i = 1..iterations keep the
+        batch ``step()`` returns and call ``on_iteration(i, state)``, if given."""
+        if on_iteration is not None:
+            on_iteration(0, state)
+        for iteration in range(1, iterations + 1):
+            self.keep(step(), kept, kept_objectives)
+            if on_iteration is not None:
+                on_iteration(iteration, state)
+        return self.result()
 
     def result(self) -> OptimizationResult:
         schedule = load_profile(self.best_position)

@@ -128,7 +128,7 @@ def crossover(targets: np.ndarray, donors: np.ndarray, uniforms: np.ndarray,
 
 def optimize(
     problem: DrProblem,
-    config: Optional[DeConfig] = None,
+    config: DeConfig,
     on_iteration: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> OptimizationResult:
     """Run DE/rand/1/bin and return the best schedule found.
@@ -136,8 +136,6 @@ def optimize(
     Each generation builds all trial vectors first, scores them in one
     batch, then every trial that is strictly better replaces its target.
     """
-    if config is None:
-        config = DeConfig()
     beta_lo, beta_hi = config.beta_range
     work = Workspace(config.population_size, problem.lower_bounds, problem.upper_bounds)
     draws = work.draws
@@ -145,18 +143,13 @@ def optimize(
     search = Search(problem, config.seed, config.population_size)
     population = search.positions
     objectives = search.terms[3].copy()
-    if on_iteration is not None:
-        on_iteration(0, population)
 
-    for iteration in range(1, config.iterations + 1):
+    def step() -> np.ndarray:
         search.rng.random(out=draws)
         parents = draw_parents(draws[:, :3], work)
-        beta *= beta_hi - beta_lo
-        beta += beta_lo
+        np.multiply(beta, beta_hi - beta_lo, out=beta)
+        np.add(beta, beta_lo, out=beta)
         trials = mutate(population, parents, beta, work)
-        crossover(population, trials, draws[:, 4:], config.crossover_probability, work)
-        search.keep(trials, population, objectives)
-        if on_iteration is not None:
-            on_iteration(iteration, population)
+        return crossover(population, trials, draws[:, 4:], config.crossover_probability, work)
 
-    return search.result()
+    return search.run(config.iterations, step, population, objectives, on_iteration, population)

@@ -46,6 +46,18 @@ MODEL_FORMAT = "loadshift-mlp/1"
 DEFAULT_LAYER_SIZES = (25, 20, 15)   # hidden sizes; input is 5 + lag, output is 1
 
 
+def check_architecture(sizes: tuple, lag: int) -> None:
+    """Raise InvalidArchitecture, naming the rule, for a network no forecast can use."""
+    if len(sizes) < 2:
+        raise InvalidArchitecture("need at least an input and an output layer")
+    if any(s < 1 for s in sizes):
+        raise InvalidArchitecture(f"every layer needs at least one unit, got {sizes}")
+    if sizes[-1] != 1:
+        raise InvalidArchitecture("output layer must have exactly one unit")
+    if lag < 1:
+        raise InvalidArchitecture(f"lag must be >= 1, got {lag}")
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """Immutable network: sizes, parameters, and input/output scaling."""
@@ -58,6 +70,7 @@ class MlpModel:
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
+        check_architecture(sizes, self.lag)
         object.__setattr__(self, "layer_sizes", sizes)
         frozen_w, frozen_b = [], []
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -96,8 +109,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise InvalidTrainConfig(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise InvalidTrainConfig(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:   # NaN included
+            raise InvalidTrainConfig(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1:
             raise InvalidTrainConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
@@ -127,12 +140,7 @@ def init_model(
 ) -> MlpModel:
     """Seeded uniform init: weights in +-1/sqrt(fan_in), biases zero."""
     sizes = tuple(int(s) for s in layer_sizes)
-    if len(sizes) < 2:
-        raise InvalidArchitecture("need at least an input and an output layer")
-    if any(s < 1 for s in sizes):
-        raise InvalidArchitecture(f"zero-size layer in {sizes}")
-    if sizes[-1] != 1:
-        raise InvalidArchitecture("output layer must have exactly one unit")
+    check_architecture(sizes, lag)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -391,5 +399,5 @@ def load_model(path) -> MlpModel:
             norm_stats=NormalizationStats.from_json_dict(stats) if stats else None,
             lag=int(payload["lag"]),
         )
-    except (ValueError, TypeError) as exc:   # a value of the wrong type or shape
+    except (InvalidArchitecture, ValueError, TypeError) as exc:   # a wrong type or shape, or a broken rule
         raise InvalidModel(f"model {path} holds a malformed value: {exc}") from None

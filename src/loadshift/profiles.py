@@ -163,19 +163,10 @@ class Dataset:
         """Whether each span of rows first..last holds no gap."""
         return self._gaps[first] == self._gaps[last]
 
-    def day_indices(self, day: date) -> np.ndarray:
-        """Row indices of the hours of ``day``, in time order."""
-        return self._day_rows(day)[0]
-
     def full_day_indices(self, day: date) -> Optional[np.ndarray]:
-        """Row indices of ``day`` when its rows carry the wall-clock hours
-        0..23 once each, in order; None when the day is incomplete."""
-        rows, hours = self._day_rows(day)
-        return rows if hours.tolist() == _DAY_HOURS else None
-
-    def _day_rows(self, day: date) -> tuple:
-        """Row indices of ``day`` in time order, and each row's wall-clock
-        hour of the day (its wall time floored to the hour)."""
+        """Row indices of ``day``, in time order, when its rows carry the
+        wall-clock hours 0..23 once each (a row's wall time floored to the
+        hour); None when the day is incomplete."""
         # a UTC offset is less than a day, so the day's rows lie within a
         # day either side of its span in wall time
         days = (day - _EPOCH.date()).days
@@ -185,7 +176,7 @@ class Dataset:
         # a row of another day has a negative hour or one above 23; read as
         # unsigned, a negative hour is huge, so one comparison finds the day
         inside = np.flatnonzero(hours.view(np.uint64) < HOURS_PER_DAY)
-        return lo + inside, hours[inside]
+        return lo + inside if hours[inside].tolist() == _DAY_HOURS else None
 
     def day_profile(self, day: date, kind: ProfileKind = ProfileKind.LOAD) -> HourlyProfile:
         """Actual load (or price) profile of a complete day in the dataset."""
@@ -242,17 +233,6 @@ class DrProblem:
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    """Best-so-far state after one optimizer iteration (iteration 0 = init)."""
-
-    iteration: int
-    objective: float
-    cost_cents: float
-    load_shift_kwh: float
-    violation: float
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of one optimizer run on a DrProblem."""
 
@@ -263,7 +243,7 @@ class OptimizationResult:
     violation: float
     peak_before_kw: float
     peak_after_kw: float
-    trace: tuple          # of TracePoint, non-increasing in objective
+    trace: tuple          # the best ObjectiveBreakdown after each iteration, from 0 on
     rng_seed: int
 
     @property
@@ -287,13 +267,13 @@ class OptimizationResult:
             "rng_seed": self.rng_seed,
             "trace": [
                 {
-                    "iteration": p.iteration,
+                    "iteration": i,
                     "objective": p.objective,
                     "cost_cents": p.cost_cents,
                     "load_shift_kwh": p.load_shift_kwh,
                     "violation": p.violation,
                 }
-                for p in self.trace
+                for i, p in enumerate(self.trace)
             ],
         }
 

@@ -10,14 +10,14 @@ evaluation.  Positions that leave the box are clamped back and the
 offending velocity components zeroed so particles do not pile up on
 the walls.
 
-The swarm, the random factors, a difference buffer, the clamp mask,
-the limits repeated to (n, 24) and the (4, n) buffer that
-``objective.evaluate_batch`` fills are allocated once per ``optimize``
-call, and every step writes into them.  Each step keeps the operands
-and the order of the plain update expressions, so seeded runs are
-bit-identical to them.  The ``Swarm`` handed to ``on_iteration`` is
-that same state, changed in place by the next iteration: a callback
-must copy anything it keeps.
+The swarm, the random factors, a difference buffer, the clamp mask and
+the limits repeated to (n, 24) are allocated once per ``optimize`` call,
+and every step writes into them.  Each step keeps the operands and the
+order of the plain update expressions, so seeded runs are bit-identical
+to them.  ``common.Search`` runs the loop, scores each step and keeps the
+trace.  The ``Swarm`` handed to ``on_iteration`` is that same state,
+changed in place by the next iteration: a callback must copy anything
+it keeps.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ class PsoConfig:
     swarm_size: int = 50
     iterations: int = 100
     seed: int = 0
-    inertia: ClassVar[float] = 1.0
-    cognitive: ClassVar[float] = 2.0
-    social: ClassVar[float] = 2.0
     v_max_fraction: ClassVar[float] = 0.10  # of (upper - lower), per dimension
 
     def __post_init__(self) -> None:
@@ -61,15 +58,13 @@ class Swarm:
 
 class Workspace:
     """Scratch arrays of one run, allocated once: the (n, 2, dims) random
-    factors and their pull coefficients, an (n, dims) difference buffer
-    and clamp mask, and the velocity and box limits repeated to (n, dims),
-    so that every step is a ufunc on arrays of one shape."""
+    factors, an (n, dims) difference buffer and clamp mask, and the
+    velocity and box limits repeated to (n, dims), so that every step is a
+    ufunc on arrays of one shape."""
 
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
-                 config: PsoConfig):
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray):
         dims = len(lower)
         self.factors = np.empty((n, 2, dims))
-        self.pulls = np.tile([[config.cognitive], [config.social]], (n, 1, dims))
         self.diff = np.empty((n, dims))
         self.clamped = np.empty((n, dims), dtype=bool)
         self.v_max = np.tile(v_max, (n, 1))
@@ -81,19 +76,18 @@ class Workspace:
 def velocity_update(
     swarm: Swarm,
     gbest_position: np.ndarray,
-    config: PsoConfig,
     rng: np.random.Generator,
     work: Workspace,
 ) -> None:
     """Move ``swarm.velocities`` in place with fresh per-dimension random
-    factors, then clamp them to +-v_max_fraction * (upper - lower).
+    factors, then clamp them to +-v_max_fraction * (upper - lower).  The
+    inertia is 1 and both pulls are 2, each times its random factor.
 
     One (n, 2, dims) draw: for each particle in turn, the factors of the
     personal pull and then those of the social pull."""
     r, diff, v = work.factors, work.diff, swarm.velocities
     rng.random(out=r)
-    r *= work.pulls
-    np.multiply(config.inertia, v, out=v)
+    r *= 2.0
     np.subtract(swarm.best_positions, swarm.positions, out=diff)
     diff *= r[:, 0]
     v += diff
@@ -118,7 +112,7 @@ def position_update(swarm: Swarm, work: Workspace) -> None:
 
 def optimize(
     problem: DrProblem,
-    config: Optional[PsoConfig] = None,
+    config: PsoConfig,
     on_iteration: Optional[Callable[[int, Swarm], None]] = None,
 ) -> OptimizationResult:
     """Run the swarm and return the best schedule found.
@@ -127,24 +121,18 @@ def optimize(
     one batch, then every personal best that strictly improved updates.
     The trace records the global best after every iteration, starting
     with the initial swarm (iteration 0)."""
-    if config is None:
-        config = PsoConfig()
-    lower = problem.lower_bounds
-    upper = problem.upper_bounds
+    lower, upper = problem.lower_bounds, problem.upper_bounds
     v_max = config.v_max_fraction * (upper - lower)
-    work = Workspace(config.swarm_size, lower, upper, v_max, config)
+    work = Workspace(config.swarm_size, lower, upper, v_max)
     search = Search(problem, config.seed, config.swarm_size)
     positions = search.positions
     velocities = search.rng.uniform(-v_max, v_max, size=positions.shape)
     swarm = Swarm(positions, velocities, positions.copy(), search.terms[3].copy())
-    if on_iteration is not None:
-        on_iteration(0, swarm)
 
-    for iteration in range(1, config.iterations + 1):
-        velocity_update(swarm, search.best_position, config, search.rng, work)
+    def step() -> np.ndarray:
+        velocity_update(swarm, search.best_position, search.rng, work)
         position_update(swarm, work)
-        search.keep(positions, swarm.best_positions, swarm.best_objectives)
-        if on_iteration is not None:
-            on_iteration(iteration, swarm)
+        return positions
 
-    return search.result()
+    return search.run(config.iterations, step, swarm.best_positions, swarm.best_objectives,
+                      on_iteration, swarm)

@@ -198,5 +198,5 @@ def write_trace_csv(result: OptimizationResult, path) -> None:
     write_csv(
         path,
         ["iteration", "best_objective", "best_cost_cents", "best_shift_kwh", "violation"],
-        ((p.iteration, p.objective, p.cost_cents, p.load_shift_kwh, p.violation) for p in result.trace),
+        ((i, p.objective, p.cost_cents, p.load_shift_kwh, p.violation) for i, p in enumerate(result.trace)),
     )

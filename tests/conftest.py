@@ -3,7 +3,7 @@ import pytest
 
 from loadshift.ingest import load_dataset
 from loadshift.objective import build_problem
-from loadshift.profiles import load_profile, peak, price_profile
+from loadshift.profiles import ProfileKind, load_profile, peak, price_profile
 from loadshift.synth import SynthConfig, write_csv
 
 
@@ -28,7 +28,7 @@ def synth_day(synth30):
     """
     day = synth30.timestamps[-1].date()
     predicted = synth30.day_profile(day)
-    prices = price_profile(synth30.price[synth30.day_indices(day)])
+    prices = synth30.day_profile(day, ProfileKind.PRICE)
     return day, predicted, prices
 
 

@@ -194,6 +194,13 @@ def scan_day_indices(dataset, day):
     return [i for i, ts in enumerate(dataset.timestamps) if ts.date() == day]
 
 
+def scan_full_day_indices(dataset, day):
+    """``scan_day_indices`` when those rows carry the wall-clock hours 0..23
+    in order, else None."""
+    rows = scan_day_indices(dataset, day)
+    return rows if [dataset.timestamps[row].hour for row in rows] == list(range(24)) else None
+
+
 def scan_n_train(dataset):
     return sum(1 for ts in dataset.timestamps if ts < dataset.split_boundary)
 
@@ -219,8 +226,8 @@ def reference_day_features(model, dataset, day):
     is checked hour by hour. Returns the (24, 5 + lag) feature rows,
     normalized one by one. Raises InsufficientHistory for an incomplete day
     or for the first hour without a full lag history."""
-    rows = scan_day_indices(dataset, day)
-    if [dataset.timestamps[row].hour for row in rows] != list(range(24)):
+    rows = scan_full_day_indices(dataset, day)
+    if rows is None:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
     stats = model.norm_stats
     scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * model.lag

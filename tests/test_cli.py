@@ -47,6 +47,14 @@ def trained_dir(tmp_path_factory, synth_dir):
     return out
 
 
+def narrow_input(model, width, lag):
+    """Edit a model file's payload to a ``width``-unit input layer, with its
+    first weights cut to match, and the given lag."""
+    model["layer_sizes"][0] = width
+    model["weights"][0] = [row[:width] for row in model["weights"][0]]
+    model["lag"] = lag
+
+
 class TestSynth:
     def test_outputs_and_manifest(self, synth_dir):
         dataset = load_dataset(synth_dir / "synthetic.csv")
@@ -681,8 +689,15 @@ class TestErrors:
         lambda model: model["norm_stats"].__setitem__("load_kwh", [1.0, 1.0]),
         lambda model: model["norm_stats"].pop("load_kwh"),
         lambda model: model.update(norm_stats=5),
+        lambda model: (model["layer_sizes"].__setitem__(-1, 2), model["weights"][-1].append(model["weights"][-1][0]),
+                       model["biases"][-1].append(0.0)),
+        lambda model: model.update(layer_sizes=[29], weights=[], biases=[]),
+        lambda model: narrow_input(model, 5, lag=0),
+        lambda model: narrow_input(model, 2, lag=-3),
+        lambda model: model["biases"][0].pop(),
     ], ids=["lag", "ragged-weights", "weights-number", "layer-size", "one-value-scale", "flat-scale",
-            "missing-scale", "stats-number"])
+            "missing-scale", "stats-number", "two-outputs", "input-only", "lag-zero", "lag-negative",
+            "unchained-bias"])
     def test_malformed_model_value_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys, edit):
         payload = json.loads((trained_dir / "model.json").read_text())
         edit(payload)

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from helpers import scan_day_indices, scan_n_train, scan_windows
+from helpers import scan_full_day_indices, scan_n_train, scan_windows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,7 +54,8 @@ def test_lookups_and_windows_match_scans(data):
     assert dataset.n_train == scan_n_train(dataset)
     dates = {ts.date() for ts in dataset.timestamps}
     for day in dates | {min(dates) - timedelta(days=1), max(dates) + timedelta(days=1)}:
-        assert list(dataset.day_indices(day)) == scan_day_indices(dataset, day)
+        rows = dataset.full_day_indices(day)
+        assert (None if rows is None else list(rows)) == scan_full_day_indices(dataset, day)
 
     expected = scan_windows(dataset, lag)
     try:

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from helpers import reference_load_dataset
+from helpers import reference_load_dataset, scan_full_day_indices
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -148,7 +148,8 @@ class TestLoadDataset:
         assert ds.timestamps[0].utcoffset() == timedelta(hours=-5)
         assert ds.load[0] == 100.0 and ds.load[-1] == 147.0
         for day in {ts.date() for ts in ds.timestamps}:
-            assert list(ds.day_indices(day)) == [i for i, ts in enumerate(ds.timestamps) if ts.date() == day]
+            rows = ds.full_day_indices(day)
+            assert (None if rows is None else list(rows)) == scan_full_day_indices(ds, day)
         assert ds.timestamps[0] == START.replace(tzinfo=timezone.utc)
         assert len(build_windows(ds)) == 1
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_day_features, reference_predict_day
+from helpers import reference_day_features, reference_predict_day, scan_day_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -263,7 +263,9 @@ class TestTrain:
     def test_bad_config_rejected(self):
         for field, value, message in [
             ("epochs", 0, "epochs must be >= 1, got 0"),
-            ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+            ("learning_rate", 0.0, "learning_rate must be positive and finite, got 0.0"),
+            ("learning_rate", math.nan, "learning_rate must be positive and finite, got nan"),
+            ("learning_rate", math.inf, "learning_rate must be positive and finite, got inf"),
             ("batch_size", 0, "batch_size must be >= 1, got 0"),
             ("momentum", 1.0, r"momentum must be in \[0, 1\), got 1.0"),
         ]:
@@ -497,7 +499,8 @@ def test_a_day_missing_a_wall_clock_hour_is_incomplete():
     dataset = hourly_dataset([(start + timedelta(hours=row)).astimezone(timezone(timedelta(hours=offset_hours(row))))
                               for row in range(120)], 7)
     day = date(2024, 3, 3)
-    assert len(dataset.day_indices(day)) == 24
+    assert len(scan_day_indices(dataset, day)) == 24
+    assert dataset.full_day_indices(day) is None
     with pytest.raises(InsufficientData, match="dataset does not contain all 24 hours of 2024-03-03"):
         dataset.day_profile(day)
     model = mlp.init_model((29, 3, 1), 7, norm_stats=unit_stats(), lag=24)

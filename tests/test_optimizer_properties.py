@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from loadshift import de, pso
 from loadshift.objective import build_problem, evaluate_batch
-from loadshift.profiles import load_profile, peak, price_profile
+from loadshift.profiles import ProfileKind, load_profile, peak, price_profile
 
 RUNS = {
     "pso": lambda problem, seed: pso.optimize(
@@ -64,7 +64,7 @@ def cost_heavy_days(synth30):
     problems = []
     for day in (days[5], days[14], days[23]):
         predicted = synth30.day_profile(day)
-        prices = price_profile(synth30.price[synth30.day_indices(day)])
+        prices = synth30.day_profile(day, ProfileKind.PRICE)
         for cap in (None, 0.9 * peak(predicted)):
             problems.append(build_problem(predicted, prices, 0.8, 0.2, peak_cap=cap))
     return problems

@@ -44,9 +44,6 @@ class TestConfig:
         config = pso.PsoConfig()
         assert config.swarm_size == 50
         assert config.iterations == 100
-        assert config.inertia == 1.0
-        assert config.cognitive == 2.0
-        assert config.social == 2.0
         assert config.v_max_fraction == 0.10
 
     @pytest.mark.parametrize("kwargs", [
@@ -63,9 +60,8 @@ class TestConfig:
             pso.PsoConfig(**kwargs)
 
 
-def workspace(n, lower, upper, config=None):
-    config = config or pso.PsoConfig()
-    return pso.Workspace(n, lower, upper, config.v_max_fraction * (upper - lower), config)
+def workspace(n, lower, upper):
+    return pso.Workspace(n, lower, upper, pso.PsoConfig.v_max_fraction * (upper - lower))
 
 
 class TestVelocityUpdate:
@@ -84,11 +80,10 @@ class TestVelocityUpdate:
 
     def update(self, swarm, gbest, lower, upper, draws):
         """One velocity update with scripted factors; returns the velocities."""
-        config = pso.PsoConfig()
         velocities = swarm.velocities
         rng = ScriptedRng(draws)
-        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), config, rng,
-                            workspace(len(swarm.positions), lower, upper, config))
+        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), rng,
+                            workspace(len(swarm.positions), lower, upper))
         assert swarm.velocities is velocities   # moved in place
         return swarm.velocities
 
@@ -129,11 +124,9 @@ class TestVelocityUpdate:
     def test_draws_two_per_dimension_batches(self):
         # one draw for the swarm, laid out particle by particle, personal
         # factors before social ones
-        config = pso.PsoConfig()
         swarm = self.swarm_at(np.zeros((3, 24)))
         rng = ScriptedRng([np.zeros((3, 2, 24))])
-        pso.velocity_update(swarm, np.ones(24), config, rng,
-                            workspace(3, np.zeros(24), np.ones(24), config))
+        pso.velocity_update(swarm, np.ones(24), rng, workspace(3, np.zeros(24), np.ones(24)))
         assert rng.shapes == [(3, 2, 24)]
 
     def test_rows_move_independently(self):
@@ -233,7 +226,6 @@ class TestOptimize:
         problem = flat_problem(0.4, 0.6)
         result = pso.optimize(problem, pso.PsoConfig(swarm_size=12, iterations=40))
         assert len(result.trace) == 41
-        assert [t.iteration for t in result.trace] == list(range(41))
         objectives = np.array([t.objective for t in result.trace])
         assert np.all(np.diff(objectives) <= 0)
         assert result.trace[-1].objective == result.objective
@@ -327,9 +319,7 @@ def reference_states(problem, config):
     states = [(x.copy(), v.copy(), pbest.copy(), pbest_obj.copy())]
     for _ in range(config.iterations):
         r = rng.uniform(size=(len(x), 2, x.shape[1]))
-        v = np.clip(config.inertia * v
-                    + config.cognitive * r[:, 0] * (pbest - x)
-                    + config.social * r[:, 1] * (gbest - x), -v_max, v_max)
+        v = np.clip(v + 2.0 * r[:, 0] * (pbest - x) + 2.0 * r[:, 1] * (gbest - x), -v_max, v_max)
         moved = x + v
         x = np.clip(moved, lower, upper)
         v = np.where(x == moved, v, 0.0)

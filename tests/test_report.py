@@ -209,7 +209,7 @@ class TestWriters:
         assert header == ["iteration", "best_objective", "best_cost_cents",
                           "best_shift_kwh", "violation"]
         assert len(records) == len(result.trace)
-        for point, record in zip(result.trace, records):
-            assert int(record[0]) == point.iteration
+        for iteration, (point, record) in enumerate(zip(result.trace, records)):
+            assert int(record[0]) == iteration
             assert float(record[1]) == point.objective
             assert float(record[2]) == point.cost_cents
