@@ -352,7 +352,7 @@ def _parse_weights(text: str) -> list:
     for chunk in text.split(","):
         w1_str, _, w2_str = chunk.partition(":")
         if not w2_str:
-            raise LoadshiftError(f"weight pair {chunk!r} is not of the form w1:w2")
+            raise ValueError(f"weight pair {chunk!r} is not of the form w1:w2")
         pairs.append((float(w1_str), float(w2_str)))
     return pairs
 
@@ -360,7 +360,7 @@ def _parse_weights(text: str) -> list:
 def cmd_sweep(args) -> int:
     out = _out_dir(args)
     predicted, prices = _resolve_day_inputs(args)
-    if args.weights:
+    if args.weights is not None:
         pairs = _parse_flag("--weights", args.weights, _parse_weights)
     else:
         pairs = [(round(i / 10, 1), round(1 - i / 10, 1)) for i in range(11)]

@@ -28,49 +28,49 @@ from .errors import (
     MissingColumn,
     UnparseableRow,
 )
-from .profiles import WEATHER_FEATURES, Dataset, time_axis
+from .profiles import WEATHER_FEATURES, Dataset, _frozen_array, time_axis
 
 LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
-REQUIRED_COLUMNS = ("timestamp",) + WEATHER_FEATURES + (LOAD_COLUMN,)
+SCALED_COLUMNS = WEATHER_FEATURES + (LOAD_COLUMN,)   # the columns NormalizationStats scales, in its order
+REQUIRED_COLUMNS = ("timestamp",) + SCALED_COLUMNS
 
 DEFAULT_LAG = 24
 HORIZON_HOURS = 24
 
 
-@dataclass(frozen=True)
-class FeatureScale:
-    """Min/max of one feature over the training rows."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)) or self.hi <= self.lo:
-            raise ValueError(f"invalid feature scale [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalizationStats:
-    """Per-feature scaling for the five weather signals plus the load."""
+    """Min and max over the training rows of each ``SCALED_COLUMNS`` column,
+    as two frozen (6,) arrays: the five weather signals, then the load."""
 
-    scales: Mapping[str, FeatureScale]
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", dict(self.scales))
-        for name in WEATHER_FEATURES + (LOAD_COLUMN,):
-            if name not in self.scales:
-                raise ValueError(f"missing scale for feature {name!r}")
+        for name in ("lo", "hi"):   # ValueError for any shape but (6,)
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), (len(SCALED_COLUMNS),)))
+        if not (np.isfinite((self.lo, self.hi)).all() and (self.lo < self.hi).all()):
+            raise ValueError(f"invalid feature scales: lo {self.lo.tolist()}, hi {self.hi.tolist()}")
 
-    def __getitem__(self, name: str) -> FeatureScale:
-        return self.scales[name]
+    def columns(self, lag: int) -> tuple:
+        """(lo, span) vectors of the 5 + ``lag`` window feature columns: weather
+        columns by their own scales, lag columns by the load scale."""
+        index = np.minimum(np.arange(len(WEATHER_FEATURES) + lag), len(WEATHER_FEATURES))
+        lo = self.lo[index]
+        return lo, self.hi[index] - lo
 
     def to_json_dict(self) -> dict:
-        return {name: [scale.lo, scale.hi] for name, scale in sorted(self.scales.items())}
+        return {name: [lo, hi] for name, lo, hi in sorted(zip(SCALED_COLUMNS, self.lo.tolist(), self.hi.tolist()))}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NormalizationStats":
-        return cls({name: FeatureScale(lo, hi) for name, (lo, hi) in data.items()})
+        if set(data) != set(SCALED_COLUMNS):
+            raise ValueError(f"norm_stats must name exactly the features {sorted(SCALED_COLUMNS)}, got {sorted(data)}")
+        bounds = np.array([data[name] for name in SCALED_COLUMNS])   # text and nulls stay unconverted
+        if bounds.dtype.kind not in "if" or bounds.shape != (len(SCALED_COLUMNS), 2):
+            raise ValueError(f"each feature scale must be two numbers [lo, hi], got {bounds.tolist()}")
+        return cls(*bounds.T)
 
 
 @dataclass(frozen=True)
@@ -96,26 +96,18 @@ class Windows:
         return Windows(self.features[rows], self.targets[rows], self.target_rows[rows], self.is_test[rows])
 
 
-def normalize(x, scale: FeatureScale):
-    """Map scale.lo -> -1 and scale.hi -> +1 linearly; no clamping."""
-    return -1.0 + 2.0 * (x - scale.lo) / (scale.hi - scale.lo)
+def normalize(x, lo, hi):
+    """Map lo -> -1 and hi -> +1 linearly; no clamping."""
+    return -1.0 + 2.0 * (x - lo) / (hi - lo)
 
 
-def denormalize(y, scale: FeatureScale):
+def denormalize(y, lo, hi):
     """Exact inverse of normalize."""
-    return scale.lo + (y + 1.0) * (scale.hi - scale.lo) / 2.0
-
-
-def feature_scaling(stats: NormalizationStats, lag: int) -> tuple:
-    """(lo, span) vectors of the 5 + ``lag`` window feature columns: weather
-    columns by their own scales, lag columns by the load scale."""
-    scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * lag
-    lo, hi = np.array([(scale.lo, scale.hi) for scale in scales]).T
-    return lo, hi - lo
+    return lo + (y + 1.0) * (hi - lo) / 2.0
 
 
 def normalize_features(features: np.ndarray, scaling: tuple, out=None) -> np.ndarray:
-    """Normalize window feature rows by ``feature_scaling``'s (lo, span), with
+    """Normalize window feature rows by ``NormalizationStats.columns``' (lo, span), with
     normalize's arithmetic per element, into ``out`` (``features`` itself may be it)."""
     lo, span = scaling
     out = np.subtract(features, lo, out=out)
@@ -147,7 +139,7 @@ def load_dataset(
                 if canonical not in header:
                     raise MissingColumn(canonical)
             has_price = PRICE_COLUMN in header
-            value_names = WEATHER_FEATURES + (LOAD_COLUMN,) + ((PRICE_COLUMN,) if has_price else ())
+            value_names = SCALED_COLUMNS + ((PRICE_COLUMN,) if has_price else ())
             # a repeated header name refers to its last column
             position = {column: j for j, column in enumerate(header)}
             columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
@@ -251,20 +243,18 @@ def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception
 
 
 def fit_normalizer(dataset: Dataset) -> NormalizationStats:
-    """Min/max per feature over the training rows, which lead the dataset."""
+    """Min/max of each ``SCALED_COLUMNS`` column over the training rows, which
+    lead the dataset; the first flat column raises DegenerateFeature."""
     n_train = dataset.n_train
     if n_train < 2:
         raise InsufficientData(f"need at least 2 training rows to fit scaling, have {n_train}")
 
-    scales = {}
-    columns = dict(zip(WEATHER_FEATURES, dataset.weather[:n_train].T))
-    columns[LOAD_COLUMN] = dataset.load[:n_train]
-    for name, column in columns.items():
-        lo, hi = float(np.min(column)), float(np.max(column))
-        if hi <= lo:
-            raise DegenerateFeature(name)
-        scales[name] = FeatureScale(lo, hi)
-    return NormalizationStats(scales)
+    columns = (*dataset.weather[:n_train].T, dataset.load[:n_train])   # per-column reductions beat one axis-0 pass
+    lo, hi = np.array([(np.min(column), np.max(column)) for column in columns]).T
+    flat = hi <= lo
+    if flat.any():
+        raise DegenerateFeature(SCALED_COLUMNS[int(np.argmax(flat))])
+    return NormalizationStats(lo, hi)
 
 
 def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> Windows:
@@ -305,5 +295,5 @@ def window_matrix(windows: Windows, stats: NormalizationStats) -> tuple:
     """
     if not windows:
         raise InsufficientData("no windows to assemble")
-    scaling = feature_scaling(stats, windows.features.shape[1] - len(WEATHER_FEATURES))
-    return normalize_features(windows.features, scaling), normalize(windows.targets, stats[LOAD_COLUMN])
+    scaling = stats.columns(windows.features.shape[1] - len(WEATHER_FEATURES))
+    return normalize_features(windows.features, scaling), normalize(windows.targets, stats.lo[-1], stats.hi[-1])

@@ -31,11 +31,9 @@ from .errors import (
 from .ingest import (
     DEFAULT_LAG,
     HORIZON_HOURS,
-    LOAD_COLUMN,
     NormalizationStats,
     Windows,
     denormalize,
-    feature_scaling,
     normalize_features,
     window_matrix,
 )
@@ -94,8 +92,8 @@ class MlpModel:
 
     @cached_property
     def scaling(self) -> tuple:
-        """``feature_scaling`` of the model's input columns, built on first use."""
-        return feature_scaling(self.norm_stats, self.lag)
+        """``norm_stats.columns`` of the model's input columns, built on first use."""
+        return self.norm_stats.columns(self.lag)
 
 
 @dataclass(frozen=True)
@@ -329,7 +327,7 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
         lagged = dataset.load[lag_starts[:, None] + np.arange(model.lag)]
     features = np.concatenate([dataset.weather[day_rows], lagged], axis=1)
     raw = _forward_batch(model.weights, model.biases, normalize_features(features, model.scaling, out=features))[-1][:, 0]
-    predictions = denormalize(raw, model.norm_stats[LOAD_COLUMN])
+    predictions = denormalize(raw, model.norm_stats.lo[-1], model.norm_stats.hi[-1])
     return load_profile(np.maximum(predictions, 0.0))
 
 
@@ -388,16 +386,18 @@ def load_model(path) -> MlpModel:
         if key not in payload:
             raise InvalidModel(f"model file lacks the key {key!r}")
     stats = payload.get("norm_stats")
-    if stats is not None and not isinstance(stats, dict):
-        raise InvalidModel(f"model {path} holds a malformed value: norm_stats is a JSON {type(stats).__name__}, "
-                           "not an object")
     try:
+        if stats is not None and not isinstance(stats, dict):
+            raise ValueError(f"norm_stats is a JSON {type(stats).__name__}, not an object")
+        sizes, lag = tuple(payload["layer_sizes"]), payload["lag"]
+        if not all(type(value) is int for value in (lag, *sizes)):   # a JSON true is a bool, not an int
+            raise ValueError(f"lag {json.dumps(lag)} or a layer size in {json.dumps(sizes)} is not a JSON integer")
         return MlpModel(
-            layer_sizes=tuple(payload["layer_sizes"]),
+            layer_sizes=sizes,
             weights=tuple(np.array(w) for w in payload["weights"]),
             biases=tuple(np.array(b) for b in payload["biases"]),
-            norm_stats=NormalizationStats.from_json_dict(stats) if stats else None,
-            lag=int(payload["lag"]),
+            norm_stats=NormalizationStats.from_json_dict(stats) if stats is not None else None,
+            lag=lag,
         )
     except (InvalidArchitecture, ValueError, TypeError) as exc:   # a wrong type or shape, or a broken rule
         raise InvalidModel(f"model {path} holds a malformed value: {exc}") from None

@@ -230,7 +230,8 @@ def reference_day_features(model, dataset, day):
     if rows is None:
         raise InsufficientHistory(f"dataset does not contain all 24 hours of {day}")
     stats = model.norm_stats
-    scales = [stats[name] for name in WEATHER_FEATURES] + [stats[LOAD_COLUMN]] * model.lag
+    scales = [(stats.lo[j], stats.hi[j]) for j in range(len(WEATHER_FEATURES))]
+    scales += [(stats.lo[-1], stats.hi[-1])] * model.lag
     feature_rows = []
     for row in rows:
         end = scan_index_of(dataset, dataset.timestamps[row] - 24 * HOUR)
@@ -240,7 +241,7 @@ def reference_day_features(model, dataset, day):
         if any(b - a != HOUR for a, b in zip(span, span[1:])):
             raise InsufficientHistory(f"gap inside the lag window before {dataset.timestamps[row]}")
         features = np.concatenate([dataset.weather[row], dataset.load[end - model.lag + 1 : end + 1]])
-        feature_rows.append([normalize(x, scale) for x, scale in zip(features, scales)])
+        feature_rows.append([normalize(x, lo, hi) for x, (lo, hi) in zip(features, scales)])
     return np.array(feature_rows)
 
 
@@ -249,7 +250,8 @@ def reference_predict_day(model, dataset, day):
     ``mlp.predict_day`` forecasts a day, so the two agree bit for bit; each
     hour is denormalized and clamped at zero on its own."""
     raw = _forward_batch(model.weights, model.biases, reference_day_features(model, dataset, day))[-1][:, 0]
-    return np.array([max(float(denormalize(y, model.norm_stats[LOAD_COLUMN])), 0.0) for y in raw])
+    lo, hi = model.norm_stats.lo[-1], model.norm_stats.hi[-1]
+    return np.array([max(float(denormalize(y, lo, hi)), 0.0) for y in raw])
 
 
 def reference_synth_rows(config):

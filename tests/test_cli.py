@@ -695,9 +695,18 @@ class TestErrors:
         lambda model: narrow_input(model, 5, lag=0),
         lambda model: narrow_input(model, 2, lag=-3),
         lambda model: model["biases"][0].pop(),
+        lambda model: model.update(lag=24.5),
+        lambda model: model.update(lag="24"),
+        lambda model: model["layer_sizes"].__setitem__(0, 29.7),
+        lambda model: model["layer_sizes"].__setitem__(-1, True),
+        lambda model: model.update(lag=True),
+        lambda model: model.update(norm_stats={}),
+        lambda model: model["norm_stats"].__setitem__("humidity", [0.0, 1.0]),
+        lambda model: model["norm_stats"].__setitem__("load_kwh", ["100", "900"]),
     ], ids=["lag", "ragged-weights", "weights-number", "layer-size", "one-value-scale", "flat-scale",
             "missing-scale", "stats-number", "two-outputs", "input-only", "lag-zero", "lag-negative",
-            "unchained-bias"])
+            "unchained-bias", "lag-float", "lag-string", "layer-size-float", "layer-size-true", "lag-true",
+            "stats-empty", "extra-scale", "text-scale"])
     def test_malformed_model_value_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys, edit):
         payload = json.loads((trained_dir / "model.json").read_text())
         edit(payload)
@@ -800,15 +809,6 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "result.json").exists()
 
-    def test_weight_pair_without_colon(self, day_inputs, tmp_path, capsys):
-        predicted, prices = day_inputs
-        code = main([
-            "sweep", "--predicted", str(predicted), "--prices", str(prices),
-            "--weights", "0.4", "--out", str(tmp_path),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err == "error: weight pair '0.4' is not of the form w1:w2\n"
-
     def test_no_predicted_profile(self, day_inputs, tmp_path, capsys):
         _, prices = day_inputs
         code = main(["optimize", "--prices", str(prices), "--out", str(tmp_path)])
@@ -849,6 +849,8 @@ class TestErrors:
     @pytest.mark.parametrize("flags, message", [
         (["verify", "--free-hours", "a"], "--free-hours 'a': invalid literal for int() with base 10: 'a'"),
         (["sweep", "--weights", "a:b"], "--weights 'a:b': could not convert string to float: 'a'"),
+        (["sweep", "--weights", "0.4"], "--weights '0.4': weight pair '0.4' is not of the form w1:w2"),
+        (["sweep", "--weights", ""], "--weights '': weight pair '' is not of the form w1:w2"),
     ])
     def test_unparseable_problem_flag_names_it(self, day_inputs, tmp_path, capsys, flags, message):
         predicted, prices = day_inputs

@@ -19,8 +19,8 @@ from loadshift.errors import (
     UnparseableRow,
 )
 from loadshift.ingest import (
-    FeatureScale,
     LOAD_COLUMN,
+    NormalizationStats,
     REQUIRED_COLUMNS,
     build_windows,
     denormalize,
@@ -243,9 +243,9 @@ class TestNormalizer:
         rows = make_rows(48)
         ds = load_dataset(write_rows(tmp_path / "d.csv", rows))
         stats = fit_normalizer(ds)
-        assert stats[LOAD_COLUMN].lo == 100.0
+        assert stats.lo[-1] == 100.0
         # training rows only: default 85% split keeps the first 40 rows
-        assert stats[LOAD_COLUMN].hi == 100.0 + ds.n_train - 1
+        assert stats.hi[-1] == 100.0 + ds.n_train - 1
 
     def test_constant_feature_rejected(self, tmp_path):
         rows = make_rows(48)
@@ -262,36 +262,30 @@ class TestNormalizer:
         for row in rows[40:]:
             row[LOAD_COLUMN] = "9999.0"
         ds2 = load_dataset(write_rows(tmp_path / "b.csv", rows))
-        assert fit_normalizer(ds1) == fit_normalizer(ds2)
+        stats1, stats2 = fit_normalizer(ds1), fit_normalizer(ds2)
+        assert np.array_equal(stats1.lo, stats2.lo) and np.array_equal(stats1.hi, stats2.hi)
 
     def test_train_extremes_map_to_unit_interval_ends(self, tmp_path):
         ds = load_dataset(write_rows(tmp_path / "d.csv", make_rows(60)))
         stats = fit_normalizer(ds)
         train_loads = ds.load[: ds.n_train]
-        assert normalize(train_loads.min(), stats[LOAD_COLUMN]) == -1.0
-        assert normalize(train_loads.max(), stats[LOAD_COLUMN]) == 1.0
+        assert normalize(train_loads.min(), stats.lo[-1], stats.hi[-1]) == -1.0
+        assert normalize(train_loads.max(), stats.lo[-1], stats.hi[-1]) == 1.0
 
 
 class TestNormalize:
     def test_endpoints_and_midpoint(self):
-        scale = FeatureScale(0.0, 10.0)
-        assert normalize(0.0, scale) == -1.0
-        assert normalize(10.0, scale) == 1.0
-        assert normalize(5.0, scale) == 0.0
+        assert normalize(0.0, 0.0, 10.0) == -1.0
+        assert normalize(10.0, 0.0, 10.0) == 1.0
+        assert normalize(5.0, 0.0, 10.0) == 0.0
 
     def test_symmetric_range(self):
-        scale = FeatureScale(-5.0, 5.0)
-        assert normalize(-5.0, scale) == -1.0
-        assert normalize(5.0, scale) == 1.0
+        assert normalize(-5.0, -5.0, 5.0) == -1.0
+        assert normalize(5.0, -5.0, 5.0) == 1.0
 
     def test_out_of_range_not_clamped(self):
-        scale = FeatureScale(0.0, 10.0)
-        assert normalize(20.0, scale) == 3.0
-        assert normalize(-10.0, scale) == -3.0
-
-    def test_degenerate_scale_rejected(self):
-        with pytest.raises(ValueError):
-            FeatureScale(5.0, 5.0)
+        assert normalize(20.0, 0.0, 10.0) == 3.0
+        assert normalize(-10.0, 0.0, 10.0) == -3.0
 
     @given(
         x=st.floats(min_value=-1e6, max_value=1e6),
@@ -299,9 +293,22 @@ class TestNormalize:
         width=st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_round_trip(self, x, lo, width):
-        scale = FeatureScale(lo, lo + width)
-        back = denormalize(normalize(x, scale), scale)
+        hi = lo + width
+        back = denormalize(normalize(x, lo, hi), lo, hi)
         assert back == pytest.approx(x, rel=1e-12, abs=1e-9)
+
+
+class TestNormalizationStats:
+    @pytest.mark.parametrize("lo, hi", [
+        ([0, 0, 0, 0, 0, 5], [1, 1, 1, 1, 1, 5]),
+        ([np.nan, 0, 0, 0, 0, 0], [1] * 6),
+        ([0, 0, -np.inf, 0, 0, 0], [1] * 6),
+        ([0] * 6, [1, 1, 1, 1, 1, np.inf]),
+        ([0] * 5, [1] * 5),
+    ], ids=["flat-scale", "nan", "minus-inf-lo", "inf-hi", "wrong-length"])
+    def test_invalid_scale_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            NormalizationStats(lo, hi)
 
 
 class TestBuildWindows:

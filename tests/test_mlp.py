@@ -29,7 +29,6 @@ from loadshift.errors import (
     ZeroVariance,
 )
 from loadshift.ingest import (
-    FeatureScale,
     LOAD_COLUMN,
     NormalizationStats,
     Windows,
@@ -45,9 +44,7 @@ from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
 
 def unit_stats():
     """Identity-friendly stats: every feature scaled from [-1, 1]."""
-    return NormalizationStats(
-        {name: FeatureScale(-1.0, 1.0) for name in WEATHER_FEATURES + (LOAD_COLUMN,)}
-    )
+    return NormalizationStats(np.full(6, -1.0), np.full(6, 1.0))
 
 
 def toy_windows(n, rng, target_fn):
@@ -357,13 +354,13 @@ def sinusoid_csv(path, days):
 class TestPredictDay:
     def test_constant_model_predicts_constant(self, synth30):
         stats = fit_normalizer(synth30)
-        scale = stats[LOAD_COLUMN]
-        c = 0.5 * (scale.lo + scale.hi) + 0.25 * (scale.hi - scale.lo)
+        lo, hi = stats.lo[-1], stats.hi[-1]
+        c = 0.5 * (lo + hi) + 0.25 * (hi - lo)
         base = mlp.init_model((29, 2, 1), 0, norm_stats=stats, lag=24)
         constant = mlp.MlpModel(
             base.layer_sizes,
             tuple(np.zeros_like(w) for w in base.weights),
-            (base.biases[0], np.array([normalize(c, scale)])),
+            (base.biases[0], np.array([normalize(c, lo, hi)])),
             norm_stats=stats,
             lag=24,
         )
@@ -598,7 +595,8 @@ class TestPersistence:
         assert loaded.lag == model.lag
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
-        assert loaded.norm_stats == model.norm_stats
+        assert np.array_equal(loaded.norm_stats.lo, model.norm_stats.lo)
+        assert np.array_equal(loaded.norm_stats.hi, model.norm_stats.hi)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
