@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, de, mlp, pso, report, synth
+from . import __version__, mlp, report, synth
 from .errors import (InsufficientData, InvalidArgument, LoadshiftError, MissingColumn, MissingPrices,
                      UnparseableRow, ZeroVariance)
 from .exact import exact_optimum, pinned_problem
@@ -222,22 +222,6 @@ def _build_problem_from_args(args):
     return build_problem(*_resolve_day_inputs(args), args.w1, args.w2, **_bounds(args))
 
 
-# optimizers -----------------------------------------------------------------
-
-def _optimizer_config(name: str, args, seed: int):
-    """The ``name`` optimizer's config at the --population/--iterations budget."""
-    if name == "pso":
-        return pso.PsoConfig(swarm_size=args.population, iterations=args.iterations, seed=seed)
-    return de.DeConfig(population_size=args.population, iterations=args.iterations, seed=seed)
-
-
-def _optimize(name: str, problem, args, seed: int):
-    """Run optimizer ``name`` ("pso" or "de").  ``optimize`` is looked up on its
-    module at call time, so a wrapper installed there later is the one that runs."""
-    module = pso if name == "pso" else de
-    return module.optimize(problem, _optimizer_config(name, args, seed))
-
-
 # subcommands ----------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -317,7 +301,7 @@ def cmd_optimize(args) -> int:
     out = _out_dir(args)
     problem = _build_problem_from_args(args)
     run_seed = derive_seed(args.seed, args.algorithm)
-    result = _optimize(args.algorithm, problem, args, run_seed)
+    result = report.run_optimizer(args.algorithm, problem, args.population, args.iterations, run_seed)
 
     write_json(result.to_json_dict(), out / "result.json")
     write_trace_csv(result, out / "trace.csv")
@@ -383,14 +367,10 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     problem = _build_problem_from_args(args)
     seeds = {name: derive_seed(args.seed, name) for name in ("pso", "de")}
-    comparison = report.compare_algorithms(
-        problem, *(_optimizer_config(name, args, seed) for name, seed in seeds.items())
-    )
-    payload = {**comparison.to_json_dict(), "results": {}}
-    for row, result in zip(comparison.rows, comparison.results):
-        payload["results"][row.algorithm] = result.to_json_dict()
-        write_trace_csv(result, out / f"{row.algorithm}_trace.csv")
-    write_json(payload, out / "comparison.json")
+    comparison = report.compare_algorithms(problem, args.population, args.iterations, seeds)
+    for name, result in comparison.results.items():
+        write_trace_csv(result, out / f"{name}_trace.csv")
+    write_json(comparison.to_json_dict(), out / "comparison.json")
     _write_manifest(out, args, seeds)
     print(report.comparison_table(comparison))
     return 0
@@ -408,7 +388,7 @@ def cmd_verify(args) -> int:
     seeds = {f"verify-{name}": derive_seed(args.seed, f"verify-{name}") for name in algorithms}
     checks = []
     for name in algorithms:
-        result = _optimize(name, pinned, args, seeds[f"verify-{name}"])
+        result = report.run_optimizer(name, pinned, args.population, args.iterations, seeds[f"verify-{name}"])
         if oracle_objective > 1e-12:
             gap = (result.objective - oracle_objective) / oracle_objective
         else:

@@ -46,7 +46,6 @@ class ComparisonRow:
     total_cost_dollars: float
     cost_reduction_pct: float
     peak_reduction_pct: float
-    budget_matched: bool
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -57,14 +56,25 @@ class ComparisonReport:
     baseline_cost_dollars: float
     baseline_peak_kw: float
     rows: tuple  # of ComparisonRow
-    results: tuple  # of OptimizationResult, parallel to rows
+    results: dict  # algorithm -> OptimizationResult, in row order
 
     def to_json_dict(self) -> dict:
         return {
             "baseline_cost_dollars": self.baseline_cost_dollars,
             "baseline_peak_kw": self.baseline_peak_kw,
             "rows": [row.to_json_dict() for row in self.rows],
+            "results": {name: result.to_json_dict() for name, result in self.results.items()},
         }
+
+
+def run_optimizer(name: str, problem: DrProblem, population: int, iterations: int,
+                  seed: int) -> OptimizationResult:
+    """Run optimizer ``name`` ("pso" or "de") with ``population`` members for
+    ``iterations`` iterations.  ``optimize`` is looked up on its module at
+    call time, so a wrapper installed there later is the one that runs."""
+    if name == "pso":
+        return pso_mod.optimize(problem, pso_mod.PsoConfig(swarm_size=population, iterations=iterations, seed=seed))
+    return de_mod.optimize(problem, de_mod.DeConfig(population_size=population, iterations=iterations, seed=seed))
 
 
 def weight_sweep(
@@ -87,12 +97,7 @@ def weight_sweep(
     rows = []
     for index, (w1, w2) in enumerate(weight_pairs):
         problem = build_problem(predicted, prices, w1, w2, **bounds)
-        config = pso_mod.PsoConfig(
-            swarm_size=swarm_size,
-            iterations=iterations,
-            seed=derive_seed(master_seed, "sweep", index),
-        )
-        result = pso_mod.optimize(problem, config)
+        result = run_optimizer("pso", problem, swarm_size, iterations, derive_seed(master_seed, "sweep", index))
         rows.append(
             WeightSweepRow(
                 w1=float(w1),
@@ -106,32 +111,19 @@ def weight_sweep(
     return rows
 
 
-def compare_algorithms(
-    problem: DrProblem,
-    pso_config: pso_mod.PsoConfig,
-    de_config: de_mod.DeConfig,
-) -> ComparisonReport:
-    """Swarm vs differential evolution on one problem.
-
-    A fair comparison spends the same number of objective evaluations on
-    each side; if the configs disagree the comparison still runs, and
-    every row records that in ``budget_matched``.
-    """
-    matched = (pso_config.swarm_size * pso_config.iterations
-               == de_config.population_size * de_config.iterations)
-
+def compare_algorithms(problem: DrProblem, population: int, iterations: int, seeds: dict) -> ComparisonReport:
+    """One run of each optimizer in ``seeds`` (algorithm -> seed), in its
+    order, all at the same budget, on one problem."""
     baseline_cents = energy_cost(problem.predicted, problem.prices)
-
-    results = (pso_mod.optimize(problem, pso_config), de_mod.optimize(problem, de_config))
+    results = {name: run_optimizer(name, problem, population, iterations, seed) for name, seed in seeds.items()}
     rows = tuple(
         ComparisonRow(
             algorithm=name,
             total_cost_dollars=result.cost_cents / 100.0,
             cost_reduction_pct=cost_reduction(baseline_cents, result.cost_cents),
             peak_reduction_pct=result.peak_reduction_pct,
-            budget_matched=matched,
         )
-        for name, result in zip(("pso", "de"), results)
+        for name, result in results.items()
     )
     return ComparisonReport(
         baseline_cost_dollars=baseline_cents / 100.0,
@@ -164,10 +156,9 @@ def comparison_table(report: ComparisonReport) -> str:
         "-" * len(header),
     ]
     for row in report.rows:
-        flag = "" if row.budget_matched else "  (budget mismatch)"
         lines.append(
             f"{row.algorithm:<10} {row.total_cost_dollars:>14.3f}"
-            f" {row.cost_reduction_pct:>10.2f} {row.peak_reduction_pct:>10.2f}{flag}"
+            f" {row.cost_reduction_pct:>10.2f} {row.peak_reduction_pct:>10.2f}"
         )
     return "\n".join(lines)
 

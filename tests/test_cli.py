@@ -273,7 +273,9 @@ class TestGoldenArtifacts:
     kept their bytes, ``verify/verify.json`` too, because both optimizers
     reach the grid optimum exactly there.  ``verify/verify.json`` was
     re-recorded when the exact solver replaced the grid oracle: it lost its
-    ``grid_resolution`` line and nothing else.  The runs use the cost-heavy pair
+    ``grid_resolution`` line and nothing else, and ``compare/comparison.json``
+    when one budget came to serve both optimizers: it lost its two
+    ``budget_matched`` lines and nothing else.  The runs use the cost-heavy pair
     (0.9, 0.1), where every trace moves: at (0.4, 0.6) the clamped
     prediction is already optimal, and at (0.8, 0.2) the swarm's is flat.
     """
@@ -303,7 +305,7 @@ class TestGoldenArtifacts:
         "pso_capped/cost_comparison.csv": "200b17ef67c01de1d8f5118652debc4f2739fb726114f3805b4ccaf9d4e5d4f2",
         "sweep/sweep.json": "9f9e04b3c441f079cc6057f979689af3ebe3a4d39c09b53e40b704fd073276d4",
         "sweep/sweep.csv": "22591c860561005aee4550cab6c7ec9e3f0052bc6845295b43dfd024b78e431f",
-        "compare/comparison.json": "f5d0206984c784014e2fa8972dedb0ef86f4aff0ac238b81e239666370c0e047",
+        "compare/comparison.json": "b38ba921096b3dfe7dca1a8affdd86465dff87273da558887f00a528e768af81",
         "compare/pso_trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
         "compare/de_trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
         "verify/verify.json": "eea071fd484dc15bd84b74236b498d28e526ad73b43ebacfa1f64c97d9c82170",

@@ -17,6 +17,7 @@ from loadshift.report import (
     compare_algorithms,
     comparison_table,
     cost_reduction,
+    run_optimizer,
     weight_sweep,
     weight_sweep_table,
     write_json,
@@ -96,6 +97,8 @@ class TestWeightSweep:
 
 
 class TestCompareAlgorithms:
+    SEEDS = {"pso": 1, "de": 2}
+
     def problem(self, day):
         predicted, prices = day
         return build_problem(predicted, prices, 0.6, 0.4)
@@ -104,40 +107,61 @@ class TestCompareAlgorithms:
         problem = self.problem(day)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = compare_algorithms(
-                problem,
-                pso.PsoConfig(swarm_size=12, iterations=20, seed=1),
-                de.DeConfig(population_size=12, iterations=20, seed=2),
-            )
+            report = compare_algorithms(problem, 12, 20, self.SEEDS)
         assert [row.algorithm for row in report.rows] == ["pso", "de"]
-        assert all(row.budget_matched for row in report.rows)
+        assert list(report.results) == ["pso", "de"]
         baseline_cents = energy_cost(problem.predicted, problem.prices)
         assert report.baseline_cost_dollars == baseline_cents / 100.0
         assert report.baseline_peak_kw == float(np.max(problem.predicted.values))
-        for row, result in zip(report.rows, report.results):
+        for row, result in zip(report.rows, report.results.values()):
             assert row.total_cost_dollars == result.cost_cents / 100.0
             assert row.cost_reduction_pct == pytest.approx(
                 cost_reduction(baseline_cents, result.cost_cents)
             )
 
-    def test_mismatched_budgets_are_flagged(self, day):
+    def test_each_result_is_its_optimizer_at_the_shared_budget(self, day):
         problem = self.problem(day)
-        report = compare_algorithms(
-            problem,
-            pso.PsoConfig(swarm_size=10, iterations=10, seed=1),
-            de.DeConfig(population_size=10, iterations=20, seed=2),
-        )
-        assert not any(row.budget_matched for row in report.rows)
+        report = compare_algorithms(problem, 12, 20, {"de": 2, "pso": 1})
+        assert [row.algorithm for row in report.rows] == ["de", "pso"]
+        pso_run = pso.optimize(problem, pso.PsoConfig(swarm_size=12, iterations=20, seed=1))
+        de_run = de.optimize(problem, de.DeConfig(population_size=12, iterations=20, seed=2))
+        assert report.results["pso"].to_json_dict() == pso_run.to_json_dict()
+        assert report.results["de"].to_json_dict() == de_run.to_json_dict()
+
+    def test_json_results_are_each_results_own_dict_in_row_order(self, day):
+        report = compare_algorithms(self.problem(day), 8, 10, self.SEEDS)
+        payload = report.to_json_dict()
+        assert list(payload["results"]) == [row.algorithm for row in report.rows]
+        for row in report.rows:
+            assert payload["results"][row.algorithm] == report.results[row.algorithm].to_json_dict()
+        assert payload["rows"] == [row.to_json_dict() for row in report.rows]
 
     def test_reruns_are_identical(self, day):
         problem = self.problem(day)
-        kwargs = dict(
-            pso_config=pso.PsoConfig(swarm_size=12, iterations=15, seed=5),
-            de_config=de.DeConfig(population_size=12, iterations=15, seed=6),
-        )
-        a = compare_algorithms(problem, **kwargs)
-        b = compare_algorithms(problem, **kwargs)
+        a = compare_algorithms(problem, 12, 15, {"pso": 5, "de": 6})
+        b = compare_algorithms(problem, 12, 15, {"pso": 5, "de": 6})
         assert a.rows == b.rows
+
+
+class TestRunOptimizer:
+    @pytest.mark.parametrize("population, iterations, seed", [(12, 20, 2), (7, 3, 9)])
+    def test_de_is_de_optimize_with_that_config(self, day, population, iterations, seed):
+        problem = build_problem(*day, 0.6, 0.4)
+        config = de.DeConfig(population_size=population, iterations=iterations, seed=seed)
+        result = run_optimizer("de", problem, population, iterations, seed)
+        assert result.to_json_dict() == de.optimize(problem, config).to_json_dict()
+
+    def test_pso_is_pso_optimize_with_that_config(self, day):
+        problem = build_problem(*day, 0.6, 0.4)
+        config = pso.PsoConfig(swarm_size=12, iterations=20, seed=2)
+        result = run_optimizer("pso", problem, 12, 20, 2)
+        assert result.to_json_dict() == pso.optimize(problem, config).to_json_dict()
+
+    def test_looks_optimize_up_at_call_time(self, day, monkeypatch):
+        calls = []
+        monkeypatch.setattr(de, "optimize", lambda problem, config: calls.append(config))
+        run_optimizer("de", build_problem(*day, 0.6, 0.4), 5, 4, 3)
+        assert calls == [de.DeConfig(population_size=5, iterations=4, seed=3)]
 
 
 class TestTables:
@@ -149,25 +173,14 @@ class TestTables:
         assert lines[0].split() == ["w1", "w2", "cost_$", "shift_kwh", "peak_red_%"]
         assert lines[2] == " 0.40  0.60       1234.568       89.123      12.35"
 
-    def test_comparison_table_flags_mismatch(self, day):
-        problem = build_problem(*day, 0.6, 0.4)
-        report = compare_algorithms(
-            problem,
-            pso.PsoConfig(swarm_size=8, iterations=10, seed=1),
-            de.DeConfig(population_size=8, iterations=11, seed=2),
-        )
-        text = comparison_table(report)
-        assert text.count("(budget mismatch)") == 2
-        assert "baseline cost:" in text.splitlines()[0]
-
     def test_comparison_table_clean_when_matched(self, day):
         problem = build_problem(*day, 0.6, 0.4)
-        report = compare_algorithms(
-            problem,
-            pso.PsoConfig(swarm_size=8, iterations=10, seed=1),
-            de.DeConfig(population_size=8, iterations=10, seed=2),
-        )
-        assert "(budget mismatch)" not in comparison_table(report)
+        report = compare_algorithms(problem, 8, 10, {"pso": 1, "de": 2})
+        lines = comparison_table(report).splitlines()
+        assert "baseline cost:" in lines[0]
+        assert lines[1].split() == ["algorithm", "cost_$", "cost_red_%", "peak_red_%"]
+        assert [line.split()[0] for line in lines[3:]] == ["pso", "de"]
+        assert all(len(line.split()) == 4 for line in lines[3:])
 
 
 class TestWriters:
