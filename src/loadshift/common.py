@@ -73,8 +73,9 @@ class Search:
         return self.result()
 
     def result(self) -> OptimizationResult:
+        """The incumbent, scored as its batch scored it: the last trace point."""
         schedule = load_profile(self.best_position)
-        breakdown = objective.evaluate(self.problem, schedule)
+        breakdown = self.trace[-1]
         return OptimizationResult(
             best_schedule=schedule,
             objective=breakdown.objective,

@@ -232,9 +232,12 @@ class TestOptimize:
                                rng.uniform(3, 12, size=24), 0.4, 0.6)
         result = de.optimize(problem, de.DeConfig(population_size=20, iterations=30,
                                                   seed=8))
+        best = result.trace[-1]
+        assert (result.objective, result.cost_cents, result.load_shift_kwh, result.violation) == (
+            best.objective, best.cost_cents, best.load_shift_kwh, best.violation)
         check = evaluate(problem, result.best_schedule)
-        assert result.objective == check.objective
-        assert result.cost_cents == check.cost_cents
+        assert result.objective == pytest.approx(check.objective, rel=1e-12)
+        assert result.cost_cents == pytest.approx(check.cost_cents, rel=1e-12)
         assert result.rng_seed == 8
         assert np.all(result.best_schedule.values >= problem.lower_bounds)
         assert np.all(result.best_schedule.values <= problem.upper_bounds)
@@ -328,10 +331,12 @@ class TestGoldenRuns:
     at the cost-heavy weights (0.8, 0.2), where every run improves 35-52
     times.  Recorded with one (n, 5 + 24) uniform draw per generation and
     the O(n) parent draw; any change in the draw order or in the
-    floating-point expression of a generation shows here."""
+    floating-point expression of a generation shows here.  Two objectives
+    moved by one ulp when a result came to take its scores from its last
+    trace point; no trace or schedule hash moved."""
 
     GOLDEN = {
-        ("capped", 0): ("0.5736566288833828",
+        ("capped", 0): ("0.5736566288833829",
                         "3c0fc559ed30f0afaf57ef7623c5edd41be2cefeba997864516f5e01cbb069aa",
                         "6d96be6f0d028846a9bc592fb6ef356aa4fac8cb999b5d470d1cb28513a79d3a"),
         ("capped", 1): ("0.5735330744791283",
@@ -343,7 +348,7 @@ class TestGoldenRuns:
         ("uncapped", 0): ("0.4555601498648917",
                           "37b36661e3831c410c226f61ca14ce36bd986a9876222d5a1c12f1cd7f8b0d49",
                           "328f3609a4783c44006c142825bfc558b82e74011bfd3f41e2d6afb852a64b37"),
-        ("uncapped", 1): ("0.4550432543060445",
+        ("uncapped", 1): ("0.4550432543060446",
                           "f5bbd76bbaa7af4de29bb8bab2e1b466093c43690adecba3dbbec79354fa8e39",
                           "c7061cdd54f79c90fe7bab16e0bbe7f2bd6c332a654bfe34a13239040b93ce3b"),
         ("uncapped", 2): ("0.45564067311041523",

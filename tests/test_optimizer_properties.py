@@ -43,6 +43,10 @@ def test_result_invariants(name, problem, seed):
     assert np.all(schedule <= problem.upper_bounds)
     objectives = [t.objective for t in result.trace]
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+    # the result reports its last trace point, to the bit
+    best = result.trace[-1]
+    assert (result.objective, result.cost_cents, result.load_shift_kwh, result.violation) == (
+        best.objective, best.cost_cents, best.load_shift_kwh, best.violation)
 
     again = RUNS[name](problem, seed)
     assert again.best_schedule.values.tobytes() == schedule.tobytes()

@@ -236,11 +236,12 @@ class TestOptimize:
                                rng.uniform(3, 12, size=24), 0.4, 0.6)
         config = pso.PsoConfig(swarm_size=20, iterations=30, seed=9)
         result = pso.optimize(problem, config)
+        best = result.trace[-1]
+        assert (result.objective, result.cost_cents, result.load_shift_kwh, result.violation) == (
+            best.objective, best.cost_cents, best.load_shift_kwh, best.violation)
         check = evaluate(problem, result.best_schedule)
-        assert result.objective == check.objective
-        assert result.cost_cents == check.cost_cents
-        assert result.load_shift_kwh == check.load_shift_kwh
-        assert result.violation == check.violation
+        assert result.objective == pytest.approx(check.objective, rel=1e-12)
+        assert result.cost_cents == pytest.approx(check.cost_cents, rel=1e-12)
         assert result.peak_before_kw == float(np.max(problem.predicted.values))
         assert result.peak_after_kw == float(np.max(result.best_schedule.values))
         assert result.rng_seed == 9
@@ -380,10 +381,13 @@ class TestGoldenRuns:
     capped fixture's own weights (0.4, 0.6) the clamped predicted profile
     is already optimal and the trace never moves, so both problems use
     the cost-heavy pair (0.8, 0.2), where every run improves 25-41 times.
+    Four objectives moved by one ulp when a result came to take its scores
+    from its last trace point instead of a second, single-row evaluation;
+    no trace or schedule hash moved.
     """
 
     GOLDEN = {
-        ("capped", 0): ("0.573451121390998",
+        ("capped", 0): ("0.5734511213909981",
                         "407b5e77d5546f4d1b4f12ee6bfacb663b2e0fbb3d195a7c16532c84523b058a",
                         "298946a35d721b795879ba5f18574dd9f4a01c2069e051ecd2a59925b1df9c0b"),
         ("capped", 1): ("0.573451121390998",
@@ -392,13 +396,13 @@ class TestGoldenRuns:
         ("capped", 2): ("0.5799354900393787",
                         "a697b18f8dbcf2fefde80570310308b71e7e6b9a2c3d617037eebf9804215974",
                         "ddc03c94064bd224d4c3165928e0b4e08dcae46bb0c8100459c5d0c22596a123"),
-        ("uncapped", 0): ("0.45525527177264435",
+        ("uncapped", 0): ("0.45525527177264424",
                           "addf3b462fb4beea1e3be0786f94ab026635cd68adfaf4a8001333f2dd097d86",
                           "3f6e73db8bab212672e013b0221215abb2bbdcf7d367c709667b50fe9d178bec"),
-        ("uncapped", 1): ("0.456089487838462",
+        ("uncapped", 1): ("0.45608948783846204",
                           "45a50acd3c9ef3cc8e9eb97f2aadd162b4c9244ef598445b05a4200f20717bc9",
                           "2dde656a9b01cec2bf2777c7479554ab0c994a85a78d1eafa5601511254def3b"),
-        ("uncapped", 2): ("0.4551621829604981",
+        ("uncapped", 2): ("0.45516218296049815",
                           "6e0d58e368f069421ca6ba254e3477bc2a8ad537d89b64aea6ebfdf559a07e6d",
                           "83996923fc8f3beddfb993ef5daf53b5342386236e3aa328dbd453e961044d11"),
     }
