@@ -67,8 +67,8 @@ class NormalizationStats:
     def from_json_dict(cls, data: Mapping) -> "NormalizationStats":
         if set(data) != set(SCALED_COLUMNS):
             raise ValueError(f"norm_stats must name exactly the features {sorted(SCALED_COLUMNS)}, got {sorted(data)}")
-        bounds = np.array([data[name] for name in SCALED_COLUMNS])   # text and nulls stay unconverted
-        if bounds.dtype.kind not in "if" or bounds.shape != (len(SCALED_COLUMNS), 2):
+        bounds = np.array([data[name] for name in SCALED_COLUMNS])   # ValueError when ragged
+        if bounds.shape != (len(SCALED_COLUMNS), 2):
             raise ValueError(f"each feature scale must be two numbers [lo, hi], got {bounds.tolist()}")
         return cls(*bounds.T)
 

@@ -708,10 +708,13 @@ class TestErrors:
         lambda model: model.update(norm_stats={}),
         lambda model: model["norm_stats"].__setitem__("humidity", [0.0, 1.0]),
         lambda model: model["norm_stats"].__setitem__("load_kwh", ["100", "900"]),
+        lambda model: model["weights"][0][0].__setitem__(0, "0.25"),
+        lambda model: model["biases"][-1].__setitem__(0, True),
+        lambda model: model["norm_stats"].__setitem__("load_kwh", [0.0, True]),
     ], ids=["lag", "ragged-weights", "weights-number", "layer-size", "one-value-scale", "flat-scale",
             "missing-scale", "stats-number", "two-outputs", "input-only", "lag-zero", "lag-negative",
             "unchained-bias", "lag-float", "lag-string", "layer-size-float", "layer-size-true", "lag-true",
-            "stats-empty", "extra-scale", "text-scale"])
+            "stats-empty", "extra-scale", "text-scale", "text-weight", "true-bias", "true-scale"])
     def test_malformed_model_value_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys, edit):
         payload = json.loads((trained_dir / "model.json").read_text())
         edit(payload)
