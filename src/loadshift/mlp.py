@@ -372,17 +372,13 @@ def save_model(model: MlpModel, path) -> None:
         handle.write("\n")
 
 
-_JSON_NUMBER_TYPES = {int, float}   # a JSON true loads as a bool, which is neither
-
-
 def _json_numbers(value) -> bool:
     """Whether every leaf of ``value``, JSON arrays nested to any depth, is a
-    JSON number.  numpy would read text such as "0.25" and a JSON true as
-    numbers, so a model's parameters are checked before they reach it."""
+    JSON number: numpy would read text such as "0.25" and a JSON true as numbers."""
     if type(value) is not list:
-        return type(value) in _JSON_NUMBER_TYPES
-    types = set(map(type, value))   # one set per row: a per-leaf call costs 5x more
-    return all(map(_json_numbers, value)) if list in types else types <= _JSON_NUMBER_TYPES
+        return type(value) in (int, float)   # a JSON true loads as a bool
+    types = set(map(type, value))   # one set per row: a call per leaf costs 5x more
+    return all(map(_json_numbers, value)) if list in types else types <= {int, float}
 
 
 def load_model(path) -> MlpModel:
@@ -402,10 +398,8 @@ def load_model(path) -> MlpModel:
     try:
         if stats is not None and not isinstance(stats, dict):
             raise ValueError(f"norm_stats is a JSON {type(stats).__name__}, not an object")
-        for key, value in (("weights", payload["weights"]), ("biases", payload["biases"]),
-                           ("norm_stats", list((stats or {}).values()))):
-            if not _json_numbers(value):
-                raise ValueError(f"{key} holds a value that is not a JSON number")
+        if not _json_numbers([payload["weights"], payload["biases"], *(stats or {}).values()]):
+            raise ValueError("a weight, bias or norm_stats scale is not a JSON number")
         sizes, lag = tuple(payload["layer_sizes"]), payload["lag"]
         if not all(type(value) is int for value in (lag, *sizes)):   # a JSON true is a bool, not an int
             raise ValueError(f"lag {json.dumps(lag)} or a layer size in {json.dumps(sizes)} is not a JSON integer")

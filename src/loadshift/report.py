@@ -111,7 +111,12 @@ def weight_sweep(
     return rows
 
 
-def compare_algorithms(problem: DrProblem, population: int, iterations: int, seeds: dict) -> ComparisonReport:
+def compare_algorithms(
+    problem: DrProblem,
+    population: int,
+    iterations: int,
+    seeds: dict,
+) -> ComparisonReport:
     """One run of each optimizer in ``seeds`` (algorithm -> seed), in its
     order, all at the same budget, on one problem."""
     baseline_cents = energy_cost(problem.predicted, problem.prices)
