@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 from datetime import date
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -372,15 +373,6 @@ def save_model(model: MlpModel, path) -> None:
         handle.write("\n")
 
 
-def _json_numbers(value) -> bool:
-    """Whether every leaf of ``value``, JSON arrays nested to any depth, is a
-    JSON number: numpy would read text such as "0.25" and a JSON true as numbers."""
-    if type(value) is not list:
-        return type(value) in (int, float)   # a JSON true loads as a bool
-    types = set(map(type, value))   # one set per row: a call per leaf costs 5x more
-    return all(map(_json_numbers, value)) if list in types else types <= {int, float}
-
-
 def load_model(path) -> MlpModel:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -398,7 +390,9 @@ def load_model(path) -> MlpModel:
     try:
         if stats is not None and not isinstance(stats, dict):
             raise ValueError(f"norm_stats is a JSON {type(stats).__name__}, not an object")
-        if not _json_numbers([payload["weights"], payload["biases"], *(stats or {}).values()]):
+        leaves = chain(chain.from_iterable(chain.from_iterable(payload["weights"])),
+                       chain.from_iterable(payload["biases"]), chain.from_iterable((stats or {}).values()))
+        if not set(map(type, leaves)) <= {int, float}:   # numpy would read "0.25" and a JSON true as numbers
             raise ValueError("a weight, bias or norm_stats scale is not a JSON number")
         sizes, lag = tuple(payload["layer_sizes"]), payload["lag"]
         if not all(type(value) is int for value in (lag, *sizes)):   # a JSON true is a bool, not an int
