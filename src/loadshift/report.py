@@ -1,4 +1,4 @@
-"""Result summaries: weight sweeps, algorithm comparisons, tables, files.
+"""Optimizer runs (``run_optimizer``), weight sweeps, comparisons, tables, files.
 
 Costs are carried in cents internally and rendered in dollars here,
 matching how the numbers are usually quoted.
