@@ -1,23 +1,3 @@
 """Day-ahead load forecasting and price-driven load shifting toolkit."""
 
 __version__ = "0.1.0"
-
-from .objective import build_problem, evaluate
-from .profiles import (
-    DrProblem,
-    HourlyProfile,
-    OptimizationResult,
-    load_profile,
-    price_profile,
-)
-
-__all__ = [
-    "__version__",
-    "DrProblem",
-    "HourlyProfile",
-    "OptimizationResult",
-    "build_problem",
-    "evaluate",
-    "load_profile",
-    "price_profile",
-]

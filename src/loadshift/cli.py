@@ -142,6 +142,15 @@ def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
 
 # hourly CSV helpers ---------------------------------------------------------
 
+def _plain_number(cell, parse):
+    """``parse(cell)``, refusing what int() and float() read and the dataset
+    parser does not: digit-group underscores and non-ASCII digits."""
+    number = parse(cell)
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} is not a plain ASCII number")
+    return number
+
+
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
     """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
     try:
@@ -155,8 +164,8 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
             for row in reader:
                 line = reader.line_num   # blank lines hold no row but count
                 try:
-                    hour = int(row["hour"])
-                    value = float(row[column])
+                    hour = _plain_number(row["hour"], int)
+                    value = _plain_number(row[column], float)
                 except (TypeError, ValueError) as exc:
                     raise UnparseableRow(line, str(exc)) from None
                 if not 1 <= hour <= 24:
@@ -468,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train the load forecaster")
     p.add_argument("--data", required=True)
     p.add_argument("--lag", type=int, default=DEFAULT_LAG)
-    p.add_argument("--hidden", default="25,20,15", help="hidden layer sizes, comma-separated")
+    p.add_argument("--hidden", default=",".join(map(str, mlp.DEFAULT_LAYER_SIZES)),
+                   help="hidden layer sizes, comma-separated")
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--batch-size", type=int, default=32)
@@ -509,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check optimizer quality against the exact optimum",
     )
     p.add_argument("--free-hours", default="18,19", help="comma-separated distinct hours 1..24 left free")
-    # accepted and ignored: command lines written for the grid oracle still run
+    # accepted and ignored: the benchmark's study-cli-120d command lines still pass it
     p.add_argument("--resolution", help=argparse.SUPPRESS)
     p.add_argument("--tolerance", type=float, default=0.01, help="relative gap to pass")
     p.add_argument("--algorithm", choices=["pso", "de", "both"], default="pso")

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import LoadshiftError
-from .objective import evaluate
+from .objective import evaluate_batch
 from .profiles import HOURS_PER_DAY, DrProblem, HourlyProfile, load_profile
 
 
@@ -38,13 +38,13 @@ def exact_optimum(problem: DrProblem) -> tuple[HourlyProfile, float]:
         + problem.w2 * np.abs(candidates - predicted) / problem.l_shmax
     )
     schedule = load_profile(candidates[np.argmin(per_hour, axis=0), np.arange(HOURS_PER_DAY)])
-    terms = evaluate(problem, schedule)
-    if terms.violation != 0.0 and not np.array_equal(schedule.values, lower):
+    _, _, violation, objective = evaluate_batch(problem, schedule.values[None])
+    if violation[0] != 0.0 and not np.array_equal(schedule.values, lower):
         raise LoadshiftError(
             "the per-hour argmin schedules more energy than predicted without sitting at the "
             "lower bounds; the excess penalty couples the hours and the closed form does not apply"
         )
-    return schedule, terms.objective
+    return schedule, float(objective[0])
 
 
 def pinned_problem(problem: DrProblem, hours) -> DrProblem:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact
 from .errors import InvalidGrid
-from .objective import evaluate, evaluate_batch
+from .objective import evaluate_batch
 from .profiles import HOURS_PER_DAY, DrProblem, HourlyProfile, load_profile
 
 _CHUNK = 65_536   # grid points built and scored per step
@@ -61,7 +61,9 @@ def grid_search(reduced: ReducedProblem) -> tuple[HourlyProfile, float]:
     Grid points are enumerated in C order, the first free hour the most
     significant digit, so ascending flat index is ascending lexicographic
     order; only a strictly lower score displaces the incumbent.  The
-    objective returned is ``evaluate``'s for the returned schedule.
+    objective returned is the returned schedule's score as a one-row
+    ``evaluate_batch``, as ``exact.exact_optimum`` scores its own: a row
+    inside a larger batch can round apart from the same row alone.
     """
     base, hours, res = reduced.base, list(reduced.free_hours), reduced.grid_resolution
     grids = np.array([np.linspace(base.lower_bounds[h], base.upper_bounds[h], res) for h in hours])
@@ -76,5 +78,4 @@ def grid_search(reduced: ReducedProblem) -> tuple[HourlyProfile, float]:
         i = int(np.argmin(obj))
         if obj[i] < best_objective:
             best_objective, best_schedule = obj[i], schedules[i].copy()
-    schedule = load_profile(best_schedule)
-    return schedule, evaluate(base, schedule).objective
+    return load_profile(best_schedule), float(evaluate_batch(base, best_schedule[None])[3, 0])

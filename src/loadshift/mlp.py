@@ -164,39 +164,15 @@ def _forward_batch(weights, biases, X, out=None):
     return activations
 
 
-def _sample_activations(model: MlpModel, features) -> list:
-    """``_forward_batch``'s activations for one feature vector."""
-    x = np.asarray(features, dtype=float)
-    if x.shape != (model.layer_sizes[0],):
-        raise DimensionMismatch(f"expected feature vector of length {model.layer_sizes[0]}, got shape {x.shape}")
-    return _forward_batch(model.weights, model.biases, x[None, :])
+def _backprop(weights, activations, delta, out, deltas):
+    """Reverse pass; ``delta`` is d(loss)/d(pre-activation output).
 
-
-def forward(model: MlpModel, features) -> float:
-    """Single-sample prediction in normalized units."""
-    return float(_sample_activations(model, features)[-1][0, 0])
-
-
-def backward(model: MlpModel, features, target: float):
-    """Gradient of 0.5 * (forward(features) - target)^2 via backpropagation.
-
-    Returns (weight_grads, bias_grads) with the same shapes as the model
-    parameters.
+    Returns (weight_grads, bias_grads), written into ``out``, the same pair
+    of per-layer lists. The delta passed back into layer k is written into
+    ``deltas[k]``, one (len(delta), units) buffer per layer. A None entry
+    in either gets a new array. Overwrites the hidden activations.
     """
-    activations = _sample_activations(model, features)
-    residual = activations[-1] - float(target)   # d(loss)/d(output), shape (1, 1)
-    return _backprop(model.weights, activations, residual)
-
-
-def _backprop(weights, activations, delta, out=None, deltas=None):
-    """Shared reverse pass; ``delta`` is d(loss)/d(pre-activation output).
-
-    Returns (weight_grads, bias_grads), written into ``out`` (the same pair
-    of lists) when given. With ``deltas``, one (len(delta), units) buffer
-    per layer, the delta passed back into layer k is written into
-    ``deltas[k]``. Overwrites the hidden activations.
-    """
-    weight_grads, bias_grads = out or ([None] * len(weights), [None] * len(weights))
+    weight_grads, bias_grads = out
     for k in range(len(weights) - 1, -1, -1):
         weight_grads[k] = np.dot(delta.T, activations[k], out=weight_grads[k])
         bias_grads[k] = np.add.reduce(delta, axis=0, out=bias_grads[k])
@@ -204,7 +180,7 @@ def _backprop(weights, activations, delta, out=None, deltas=None):
             # tanh'(z) = 1 - tanh(z)^2, and activations[k] already is tanh(z)
             slope = np.square(activations[k], out=activations[k])
             np.subtract(1.0, slope, out=slope)
-            delta = np.dot(delta, weights[k], out=None if deltas is None else deltas[k])
+            delta = np.dot(delta, weights[k], out=deltas[k])
             delta *= slope
     return weight_grads, bias_grads
 

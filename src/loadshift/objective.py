@@ -37,10 +37,18 @@ def energy_cost(schedule: HourlyProfile, prices: HourlyProfile) -> float:
     return float(np.dot(schedule.values, prices.values))
 
 
-def _terms(problem: DrProblem, schedules: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Cost/shift/violation/objective of (..., 24) schedules, written into
-    the rows of ``out``, a (4, ...) array."""
-    cost, shift, viol, obj = (out[i, ...] for i in range(4))
+def evaluate_batch(
+    problem: DrProblem, schedules: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(4, n) rows of cost, shift, violation and objective for an (n, 24)
+    batch, written into ``out`` when given (the optimizers pass one buffer
+    per run) and returned.  Schedules outside the box are scored too."""
+    schedules = np.asarray(schedules, dtype=float)
+    if schedules.ndim != 2 or schedules.shape[1] != 24:
+        raise ValueError(f"expected an (n, 24) schedule batch, got {schedules.shape}")
+    if out is None:
+        out = np.empty((4, len(schedules)))
+    cost, shift, viol, obj = out
     np.matmul(schedules, problem.prices.values, out=cost)
     deviation = schedules - problem.predicted.values
     np.add.reduce(np.abs(deviation, out=deviation), axis=-1, out=shift)
@@ -51,26 +59,6 @@ def _terms(problem: DrProblem, schedules: np.ndarray, out: np.ndarray) -> np.nda
     np.add(problem.w1 * cost / problem.e_cmax, problem.w2 * shift / problem.l_shmax, out=obj)
     obj += problem.alpha * viol
     return out
-
-
-def evaluate(problem: DrProblem, schedule: HourlyProfile) -> ObjectiveBreakdown:
-    """Full breakdown for one schedule; out-of-bounds schedules evaluate too."""
-    cost, shift, viol, obj = _terms(problem, schedule.values, np.empty(4))
-    return ObjectiveBreakdown(float(cost), float(shift), float(viol), float(obj))
-
-
-def evaluate_batch(
-    problem: DrProblem, schedules: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """(4, n) rows of cost, shift, violation and objective for an (n, 24)
-    batch, written into ``out`` when given (the optimizers pass one buffer
-    per run) and returned."""
-    schedules = np.asarray(schedules, dtype=float)
-    if schedules.ndim != 2 or schedules.shape[1] != 24:
-        raise ValueError(f"expected an (n, 24) schedule batch, got {schedules.shape}")
-    if out is None:
-        out = np.empty((4, len(schedules)))
-    return _terms(problem, schedules, out)
 
 
 def build_problem(

@@ -1,8 +1,8 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
-objective and a DE generation as plain expressions, the row-wise CSV
-reader and writer, the one-row-at-a-time forecast features, and scans
-that find Dataset rows the slow way; and the writer of the CLI's hourly
-CSVs."""
+objective and a DE generation as plain expressions, the network's
+one-sample forward and backward passes, the row-wise CSV reader and
+writer, the one-row-at-a-time forecast features, and scans that find
+Dataset rows the slow way; and the writer of the CLI's hourly CSVs."""
 
 import csv
 from datetime import datetime, timedelta
@@ -10,9 +10,9 @@ from typing import Optional
 
 import numpy as np
 
-from loadshift.errors import InsufficientData, InsufficientHistory, MissingColumn, UnparseableRow
+from loadshift.errors import DimensionMismatch, InsufficientData, InsufficientHistory, MissingColumn, UnparseableRow
 from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize
-from loadshift.mlp import _forward_batch
+from loadshift.mlp import _backprop, _forward_batch
 from loadshift.objective import evaluate_batch
 from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
 
@@ -68,6 +68,29 @@ def plain_terms(problem, schedules):
     obj = (problem.w1 * cost / problem.e_cmax + problem.w2 * shift / problem.l_shmax
            + problem.alpha * viol)
     return np.array([cost, shift, viol, obj])
+
+
+def _sample_activations(model, features):
+    """``train``'s forward pass on one feature vector: the activations per layer."""
+    x = np.asarray(features, dtype=float)
+    if x.shape != (model.layer_sizes[0],):
+        raise DimensionMismatch(f"expected feature vector of length {model.layer_sizes[0]}, got shape {x.shape}")
+    return _forward_batch(model.weights, model.biases, x[None, :])
+
+
+def forward(model, features) -> float:
+    """Single-sample prediction in normalized units."""
+    return float(_sample_activations(model, features)[-1][0, 0])
+
+
+def backward(model, features, target: float):
+    """Gradient of 0.5 * (forward(features) - target)^2 by ``train``'s
+    reverse pass: (weight_grads, bias_grads), shaped like the model's
+    parameters."""
+    activations = _sample_activations(model, features)
+    residual = activations[-1] - float(target)   # d(loss)/d(output), shape (1, 1)
+    layers = len(model.weights)
+    return _backprop(model.weights, activations, residual, ([None] * layers, [None] * layers), [None] * layers)
 
 
 def de_generation(problem, population, objectives, uniforms, config):

@@ -11,6 +11,7 @@ import statistics
 import time
 
 import numpy as np
+from helpers import backward, forward
 
 from loadshift import de, mlp, pso
 from loadshift.cli import main
@@ -22,7 +23,7 @@ from loadshift.ingest import (
     load_dataset,
     split_windows,
 )
-from loadshift.objective import build_problem, energy_cost, evaluate
+from loadshift.objective import build_problem, energy_cost, evaluate_batch
 from loadshift.profiles import load_profile, peak, price_profile, total
 from loadshift.report import cost_reduction, weight_sweep
 from loadshift.seeding import derive_seed
@@ -42,7 +43,7 @@ def _numeric_gradients(model, x, target, eps):
     def loss(weights, biases):
         probe = mlp.MlpModel(model.layer_sizes, tuple(weights), tuple(biases),
                              norm_stats=model.norm_stats, lag=model.lag)
-        diff = mlp.forward(probe, x) - target
+        diff = forward(probe, x) - target
         return 0.5 * diff * diff
 
     weight_grads, bias_grads = [], []
@@ -88,7 +89,7 @@ def test_c1_gradients_match_finite_differences():
         model = mlp.init_model(sizes, seed=int(rng.integers(2**32)))
         x = rng.uniform(-1.0, 1.0, size=sizes[0])
         target = float(rng.uniform(-1.0, 1.0))
-        analytic_w, analytic_b = mlp.backward(model, x, target)
+        analytic_w, analytic_b = backward(model, x, target)
         numeric_w, numeric_b = _numeric_gradients(model, x, target, eps=1e-5)
         for a, n in zip(analytic_w + analytic_b, numeric_w + numeric_b):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-4)
@@ -235,7 +236,7 @@ def test_c7_feasibility_and_invariants():
             best = result.best_schedule
             assert np.all(best.values >= problem.lower_bounds)
             assert np.all(best.values <= problem.upper_bounds)
-            assert result.violation == evaluate(problem, best).violation
+            assert result.violation == evaluate_batch(problem, best.values[None])[2, 0]
             if total(best) <= total(problem.predicted):
                 assert result.violation == 0.0
             else:

@@ -783,6 +783,12 @@ class TestErrors:
         ([["when", "predicted_kwh"], ["1", "5.0"]], "required column missing from CSV header: 'hour'"),
         ([["hour", "predicted_kwh"], ["1", "5.0"], ["two", "5.0"]], "cannot parse CSV line 3: invalid literal"),
         ([["hour", "predicted_kwh"], ["25", "5.0"]], "cannot parse CSV line 2: hour 25 outside 1..24"),
+        ([["hour", "predicted_kwh"], ["1_0", "5.0"]], "cannot parse CSV line 2: '1_0' is not a plain ASCII number"),
+        ([["hour", "predicted_kwh"], ["\u0661\u0661", "5.0"]],
+         "cannot parse CSV line 2: '\u0661\u0661' is not a plain ASCII number"),
+        ([["hour", "predicted_kwh"], ["1", "1_000"]], "cannot parse CSV line 2: '1_000' is not a plain ASCII number"),
+        ([["hour", "predicted_kwh"], ["1", "\u0663\u0660"]],
+         "cannot parse CSV line 2: '\u0663\u0660' is not a plain ASCII number"),
     ])
     def test_bad_hour_column(self, day_inputs, tmp_path, capsys, rows, message):
         _, prices = day_inputs

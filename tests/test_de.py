@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from loadshift import de
 from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
-from loadshift.objective import build_problem, evaluate
+from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
 
 LARGEST_BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -200,8 +200,8 @@ class TestOptimize:
     def test_seeded_member_bounds_the_final_objective(self):
         problem = flat_problem(0.4, 0.6)
         result = de.optimize(problem, de.DeConfig(population_size=20, iterations=30))
-        start = evaluate(problem, problem.predicted)
-        assert result.objective <= start.objective
+        start = evaluate_batch(problem, problem.predicted.values[None])[3, 0]
+        assert result.objective <= start
 
     def test_same_seed_reproduces_everything(self):
         problem = flat_problem(0.7, 0.3)
@@ -235,9 +235,9 @@ class TestOptimize:
         best = result.trace[-1]
         assert (result.objective, result.cost_cents, result.load_shift_kwh, result.violation) == (
             best.objective, best.cost_cents, best.load_shift_kwh, best.violation)
-        check = evaluate(problem, result.best_schedule)
-        assert result.objective == pytest.approx(check.objective, rel=1e-12)
-        assert result.cost_cents == pytest.approx(check.cost_cents, rel=1e-12)
+        cost, _, _, objective = evaluate_batch(problem, result.best_schedule.values[None])[:, 0]
+        assert result.objective == pytest.approx(objective, rel=1e-12)
+        assert result.cost_cents == pytest.approx(cost, rel=1e-12)
         assert result.rng_seed == 8
         assert np.all(result.best_schedule.values >= problem.lower_bounds)
         assert np.all(result.best_schedule.values <= problem.upper_bounds)

@@ -6,7 +6,7 @@ from helpers import corner_optimum
 
 from loadshift.exact import pinned_problem
 from loadshift.gridsearch import ReducedProblem, grid_search
-from loadshift.objective import build_problem, evaluate
+from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
 
 
@@ -66,8 +66,7 @@ class TestGridSearch:
         problem = flat_problem(1.0, 0.0)
         schedule, objective = grid_search(ReducedProblem(problem, (7,), 11))
         assert schedule.values[7] == problem.lower_bounds[7]
-        expected = evaluate(problem, schedule).objective
-        assert objective == expected
+        assert objective == evaluate_batch(problem, schedule.values[None])[3, 0]
 
     def test_shift_only_recovers_the_predicted_value(self):
         # gamma 0.5/1.5 puts the predicted value mid-box; an odd
@@ -86,7 +85,7 @@ class TestGridSearch:
         reduced = ReducedProblem(problem, (6, 18), 11)
         schedule, objective = grid_search(reduced)
 
-        # second opinion: plain nested loops, scalar evaluation, strict <
+        # second opinion: plain nested loops, one-row evaluation, strict <
         grids = [
             np.linspace(problem.lower_bounds[h], problem.upper_bounds[h], 11)
             for h in (6, 18)
@@ -99,7 +98,7 @@ class TestGridSearch:
                 candidate = base.copy()
                 candidate[6] = grids[0][i]
                 candidate[18] = grids[1][j]
-                got = evaluate(problem, load_profile(candidate)).objective
+                got = evaluate_batch(problem, candidate[None])[3, 0]
                 if got < best:
                     best = got
                     best_point = candidate
@@ -137,7 +136,7 @@ class TestGridSearch:
             candidate = base.copy()
             for k, h in enumerate((2, 11, 20)):
                 candidate[h] = grids[k][digits[k]]
-            assert evaluate(problem, load_profile(candidate)).objective >= objective
+            assert evaluate_batch(problem, candidate[None])[3, 0] >= objective
 
     def test_search_is_deterministic(self):
         problem = flat_problem(0.5, 0.5)
@@ -163,6 +162,6 @@ class TestGridSearch:
         problem = flat_problem(0.7, 0.3)
         reduced = ReducedProblem(problem, (3, 10, 17), 101)
         schedule, objective = grid_search(reduced)
-        assert evaluate(problem, schedule).objective == objective
+        assert evaluate_batch(problem, schedule.values[None])[3, 0] == objective
         _, corner = corner_optimum(pinned_problem(problem, reduced.free_hours))
         assert objective == pytest.approx(corner, rel=1e-12)

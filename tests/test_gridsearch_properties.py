@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from loadshift.exact import pinned_problem
 from loadshift.gridsearch import ReducedProblem, grid_search
-from loadshift.objective import build_problem, evaluate
+from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, peak, price_profile
 
 
@@ -40,7 +40,7 @@ def reduced_problem(draw):
 @given(reduced=reduced_problem())
 def test_returns_an_evaluated_grid_point(reduced):
     schedule, objective = grid_search(reduced)
-    assert objective == evaluate(reduced.base, schedule).objective
+    assert objective == evaluate_batch(reduced.base, schedule.values[None])[3, 0]
 
     # a grid point, pinned hours untouched
     free = list(reduced.free_hours)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import reference_day_features, reference_predict_day, scan_day_indices
+from helpers import backward, forward, reference_day_features, reference_predict_day, scan_day_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,11 +90,11 @@ class TestForward:
             tuple(np.zeros_like(w) for w in model.weights),
             tuple(np.zeros_like(b) for b in model.biases),
         )
-        assert mlp.forward(zeroed, np.array([1.0, -2.0, 3.0])) == 0.0
+        assert forward(zeroed, np.array([1.0, -2.0, 3.0])) == 0.0
 
     def test_single_layer_is_affine(self):
         model = mlp.MlpModel((1, 1), (np.array([[2.5]]),), (np.array([0.75]),))
-        assert mlp.forward(model, np.array([2.0])) == pytest.approx(2.5 * 2.0 + 0.75)
+        assert forward(model, np.array([2.0])) == pytest.approx(2.5 * 2.0 + 0.75)
 
     def test_one_hidden_unit_applies_tanh(self):
         model = mlp.MlpModel(
@@ -103,14 +103,14 @@ class TestForward:
             (np.array([0.0]), np.array([0.0])),
         )
         # independent oracle: math.tanh evaluated directly
-        assert mlp.forward(model, np.array([0.5])) == pytest.approx(
+        assert forward(model, np.array([0.5])) == pytest.approx(
             0.46211715726000974, abs=1e-15
         )
 
     def test_dimension_mismatch(self):
         model = mlp.init_model((4, 2, 1), 0)
         with pytest.raises(DimensionMismatch):
-            mlp.forward(model, np.ones(3))
+            forward(model, np.ones(3))
 
     def test_output_bounded_by_last_layer_weights(self):
         # hidden activations live in (-1, 1), so the affine output layer
@@ -120,21 +120,21 @@ class TestForward:
         bound = float(np.sum(np.abs(model.weights[-1])) + np.abs(model.biases[-1][0]))
         for _ in range(50):
             x = rng.uniform(-1e6, 1e6, 6)
-            assert abs(mlp.forward(model, x)) <= bound + 1e-12
+            assert abs(forward(model, x)) <= bound + 1e-12
 
 
 class TestBackward:
     def test_zero_residual_zero_gradient(self):
         model = mlp.init_model((3, 4, 1), 2)
         x = np.array([0.3, -0.2, 0.9])
-        target = mlp.forward(model, x)
-        weight_grads, bias_grads = mlp.backward(model, x, target)
+        target = forward(model, x)
+        weight_grads, bias_grads = backward(model, x, target)
         assert all(np.allclose(g, 0, atol=1e-12) for g in weight_grads)
         assert all(np.allclose(g, 0, atol=1e-12) for g in bias_grads)
 
     def test_linear_chain_rule_by_hand(self):
         model = mlp.MlpModel((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
-        weight_grads, bias_grads = mlp.backward(model, np.array([2.0]), 0.0)
+        weight_grads, bias_grads = backward(model, np.array([2.0]), 0.0)
         # loss 0.5 (wx + b)^2: d/dw = (wx + b) x = 4, d/db = 2
         assert weight_grads[0][0, 0] == pytest.approx(4.0)
         assert bias_grads[0][0] == pytest.approx(2.0)
@@ -149,7 +149,7 @@ class TestBackward:
 
 
 def assert_gradients_match(model, x, target, eps=1e-5, tol=1e-5):
-    weight_grads, bias_grads = mlp.backward(model, x, target)
+    weight_grads, bias_grads = backward(model, x, target)
     analytic = np.concatenate(
         [g.ravel() for g in weight_grads] + [g.ravel() for g in bias_grads]
     )
@@ -167,7 +167,7 @@ def assert_gradients_match(model, x, target, eps=1e-5, tol=1e-5):
             model.layer_sizes, tuple(weights), tuple(biases),
             norm_stats=model.norm_stats, lag=model.lag,
         )
-        return 0.5 * (mlp.forward(perturbed, x) - target) ** 2
+        return 0.5 * (forward(perturbed, x) - target) ** 2
 
     theta = np.concatenate(
         [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
@@ -414,7 +414,7 @@ def test_predict_day_matches_the_one_row_reference(synth30, seed, hidden, gain, 
                                   reference_predict_day(model, synth30, day))
     features = reference_day_features(model, synth30, day)
     batched = mlp._forward_batch(model.weights, model.biases, features)[-1][:, 0]
-    single = [mlp.forward(model, row) for row in features]
+    single = [forward(model, row) for row in features]
     np.testing.assert_allclose(single, batched, rtol=1e-12, atol=1e-12)
 
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from loadshift.errors import InvalidBounds, ZeroPredictedTotal
 from loadshift.objective import (
+    ObjectiveBreakdown,
     build_problem,
     energy_cost,
-    evaluate,
     evaluate_batch,
 )
 from loadshift.profiles import load_profile, price_profile
@@ -49,9 +49,11 @@ class TestEnergyCost:
 
 
 def breakdown(schedule, predicted):
-    """``schedule`` scored on a problem built from ``predicted``; its shift and
-    violation terms depend on neither the prices nor the weights."""
-    return evaluate(build_problem(predicted, flat_price(10.0), 0.5, 0.5), schedule)
+    """``schedule`` scored as a one-row batch on a problem built from
+    ``predicted``; its shift and violation terms depend on neither the
+    prices nor the weights."""
+    problem = build_problem(predicted, flat_price(10.0), 0.5, 0.5)
+    return ObjectiveBreakdown(*evaluate_batch(problem, schedule.values[None])[:, 0])
 
 
 class TestLoadShift:
@@ -123,9 +125,9 @@ class TestBuildProblem:
         )
         np.testing.assert_array_equal(problem.lower_bounds, problem.upper_bounds)
         assert problem.l_shmax == 1.0
-        result = evaluate(problem, flat_load(10.0))
-        assert result.load_shift_kwh == 0.0
-        assert result.objective == pytest.approx(0.5 * result.cost_cents / problem.e_cmax)
+        cost, shift, _, objective = evaluate_batch(problem, np.full((1, 24), 10.0))[:, 0]
+        assert shift == 0.0
+        assert objective == pytest.approx(0.5 * cost / problem.e_cmax)
 
     def test_inverted_gamma_rejected(self):
         with pytest.raises(InvalidBounds):
@@ -219,31 +221,28 @@ class TestEvaluate:
 
         schedule = np.zeros(24)
         schedule[:2] = [12.0, 10.0]
-        result = evaluate(problem, load_profile(schedule))
-        assert result.cost_cents == 220.0
-        assert result.load_shift_kwh == 2.0
-        assert result.violation == pytest.approx(0.1, abs=1e-12)
-        assert result.objective == pytest.approx(10.325, rel=1e-12)
+        cost, shift, violation, objective = evaluate_batch(problem, schedule[None])[:, 0]
+        assert cost == 220.0
+        assert shift == 2.0
+        assert violation == pytest.approx(0.1, abs=1e-12)
+        assert objective == pytest.approx(10.325, rel=1e-12)
 
     def test_predicted_schedule_scores_zero_under_shift_only(self):
         predicted = flat_load(10.0)
         problem = build_problem(predicted, flat_price(10.0), 0.0, 1.0)
-        result = evaluate(problem, predicted)
-        assert result.objective == 0.0
+        assert evaluate_batch(problem, predicted.values[None])[3, 0] == 0.0
 
     def test_cost_only_weighting_ignores_shift(self):
         problem = build_problem(flat_load(10.0), flat_price(10.0), 1.0, 0.0)
-        at_lower = load_profile(problem.lower_bounds)
-        result = evaluate(problem, at_lower)
+        objective = evaluate_batch(problem, problem.lower_bounds[None])[3, 0]
         # all-lower schedule: cost = 5*10*24 = 1200, scaled by e_cmax = 3600
-        assert result.objective == pytest.approx(1200.0 / 3600.0, rel=1e-12)
+        assert objective == pytest.approx(1200.0 / 3600.0, rel=1e-12)
 
     def test_out_of_bounds_schedule_still_evaluates(self):
         problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
-        wild = flat_load(40.0)
-        result = evaluate(problem, wild)
-        assert result.violation == pytest.approx(3.0, rel=1e-12)
-        assert np.isfinite(result.objective)
+        _, _, violation, objective = evaluate_batch(problem, np.full((1, 24), 40.0))[:, 0]
+        assert violation == pytest.approx(3.0, rel=1e-12)
+        assert np.isfinite(objective)
 
     def test_batch_shape_validated(self):
         problem = build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5)
@@ -275,10 +274,7 @@ class TestOutBuffer:
     def test_every_term_matches_the_plain_expression_bit_for_bit(self, problem_and_batch):
         problem, batch = problem_and_batch
         assert evaluate_batch(problem, batch).tobytes() == plain_terms(problem, batch).tobytes()
-        single = evaluate(problem, load_profile(batch[0]))
-        expected = plain_terms(problem, batch[0])
-        assert [single.cost_cents, single.load_shift_kwh, single.violation,
-                single.objective] == expected.tolist()
+        assert evaluate_batch(problem, batch[:1]).tobytes() == plain_terms(problem, batch[:1]).tobytes()
 
 
 @st.composite
@@ -294,15 +290,17 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(random_problem())
     def test_batch_matches_scalar_evaluation(self, built):
+        # a row inside the batch may round apart from the same row scored
+        # alone (a batched matmul), but only in the last places
         problem, rng = built
         batch = rng.uniform(problem.lower_bounds, problem.upper_bounds, size=(8, 24))
         cost, shift, viol, obj = evaluate_batch(problem, batch)
         for i in range(8):
-            single = evaluate(problem, load_profile(batch[i]))
-            assert cost[i] == pytest.approx(single.cost_cents, rel=1e-12)
-            assert shift[i] == pytest.approx(single.load_shift_kwh, rel=1e-12)
-            assert viol[i] == pytest.approx(single.violation, abs=1e-12)
-            assert obj[i] == pytest.approx(single.objective, rel=1e-12)
+            single = evaluate_batch(problem, batch[i : i + 1])[:, 0]
+            assert cost[i] == pytest.approx(single[0], rel=1e-12)
+            assert shift[i] == pytest.approx(single[1], rel=1e-12)
+            assert viol[i] == pytest.approx(single[2], abs=1e-12)
+            assert obj[i] == pytest.approx(single[3], rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(random_problem())

@@ -10,7 +10,7 @@ from helpers import corner_optimum, plain_terms
 from loadshift import pso
 from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
-from loadshift.objective import build_problem, evaluate
+from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
 
 
@@ -201,8 +201,8 @@ class TestOptimize:
     def test_seeded_particle_bounds_the_final_objective(self):
         problem = flat_problem(0.4, 0.6)
         result = pso.optimize(problem, pso.PsoConfig(swarm_size=20, iterations=30))
-        start = evaluate(problem, problem.predicted)
-        assert result.objective <= start.objective
+        start = evaluate_batch(problem, problem.predicted.values[None])[3, 0]
+        assert result.objective <= start
 
     def test_same_seed_reproduces_everything(self):
         problem = flat_problem(0.4, 0.6)
@@ -239,9 +239,9 @@ class TestOptimize:
         best = result.trace[-1]
         assert (result.objective, result.cost_cents, result.load_shift_kwh, result.violation) == (
             best.objective, best.cost_cents, best.load_shift_kwh, best.violation)
-        check = evaluate(problem, result.best_schedule)
-        assert result.objective == pytest.approx(check.objective, rel=1e-12)
-        assert result.cost_cents == pytest.approx(check.cost_cents, rel=1e-12)
+        cost, _, _, objective = evaluate_batch(problem, result.best_schedule.values[None])[:, 0]
+        assert result.objective == pytest.approx(objective, rel=1e-12)
+        assert result.cost_cents == pytest.approx(cost, rel=1e-12)
         assert result.peak_before_kw == float(np.max(problem.predicted.values))
         assert result.peak_after_kw == float(np.max(result.best_schedule.values))
         assert result.rng_seed == 9
