@@ -120,6 +120,8 @@ def _bounds(args) -> dict:
 
 
 def _out_dir(args) -> Path:
+    """The ``--out`` directory, created just before a command's first write,
+    so that a command that fails before it writes leaves no directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -234,10 +236,10 @@ def _build_problem_from_args(args):
 # subcommands ----------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     config = synth.SynthConfig(
         days=args.days, seed=args.seed, include_price=not args.no_price
     )
+    out = _out_dir(args)
     target = out / "synthetic.csv"
     synth.write_csv(config, target)
     _write_manifest(out, args, {}, path=str(target))
@@ -248,7 +250,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     split_boundary = _parse_flag("--split", args.split, datetime.fromisoformat) if args.split else None
     hidden = _parse_flag("--hidden", args.hidden, _ints)
-    out = _out_dir(args)
     dataset = load_dataset(
         args.data,
         split_boundary=split_boundary,
@@ -272,6 +273,7 @@ def cmd_train(args) -> int:
     )
     model, fit = mlp.train(model, train_windows, test_windows, config)
 
+    out = _out_dir(args)
     mlp.save_model(model, out / "model.json")
     write_json(fit.to_json_dict(), out / "fit_report.json")
     report.write_csv(out / "training_curve.csv", ["epoch", "train_mse"], enumerate(fit.epoch_mse, start=1))
@@ -288,11 +290,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     day = _parse_flag("--day", args.day, date.fromisoformat)
-    out = _out_dir(args)
     model = mlp.load_model(args.model)
     dataset = load_dataset(args.data, allow_gaps=True)
     predicted = mlp.predict_day(model, dataset, day)
     actual = dataset.day_profile(day)
+    out = _out_dir(args)
     _write_hourly_csv(
         out / "prediction.csv", {"real": actual.values, "predicted": predicted.values}
     )
@@ -307,11 +309,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    out = _out_dir(args)
     problem = _build_problem_from_args(args)
     run_seed = derive_seed(args.seed, args.algorithm)
     result = report.run_optimizer(args.algorithm, problem, args.population, args.iterations, run_seed)
 
+    out = _out_dir(args)
     write_json(result.to_json_dict(), out / "result.json")
     write_trace_csv(result, out / "trace.csv")
     _write_hourly_csv(
@@ -351,7 +353,6 @@ def _parse_weights(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    out = _out_dir(args)
     predicted, prices = _resolve_day_inputs(args)
     if args.weights is not None:
         pairs = _parse_flag("--weights", args.weights, _parse_weights)
@@ -361,6 +362,7 @@ def cmd_sweep(args) -> int:
         predicted, prices, pairs, **_bounds(args),
         master_seed=args.seed, swarm_size=args.population, iterations=args.iterations,
     )
+    out = _out_dir(args)
     write_json({"rows": [row.to_json_dict() for row in rows]}, out / "sweep.json")
     report.write_weight_sweep_csv(rows, out / "sweep.csv")
     _write_manifest(
@@ -373,10 +375,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    out = _out_dir(args)
     problem = _build_problem_from_args(args)
     seeds = {name: derive_seed(args.seed, name) for name in ("pso", "de")}
     comparison = report.compare_algorithms(problem, args.population, args.iterations, seeds)
+    out = _out_dir(args)
     for name, result in comparison.results.items():
         write_trace_csv(result, out / f"{name}_trace.csv")
     write_json(comparison.to_json_dict(), out / "comparison.json")
@@ -389,7 +391,6 @@ def cmd_verify(args) -> int:
     free_hours = _free_hours(args.free_hours)
     if not 0 <= args.tolerance < np.inf:   # NaN included
         raise InvalidArgument(f"--tolerance {args.tolerance!r}: must be a finite number >= 0")
-    out = _out_dir(args)
     pinned = pinned_problem(_build_problem_from_args(args), free_hours)
     oracle_schedule, oracle_objective = exact_optimum(pinned)
 
@@ -418,6 +419,7 @@ def cmd_verify(args) -> int:
             f"  oracle {oracle_objective:.9f}  gap {gap:.6f}  tolerance {args.tolerance}"
         )
 
+    out = _out_dir(args)
     write_json(
         {
             "checks": checks,

@@ -28,7 +28,7 @@ from .errors import (
     MissingColumn,
     UnparseableRow,
 )
-from .profiles import WEATHER_FEATURES, Dataset, _frozen_array, time_axis
+from .profiles import _EPOCH, WEATHER_FEATURES, Dataset, _frozen_array, time_axis
 
 LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
@@ -128,7 +128,9 @@ def load_dataset(
 
     Without ``split_boundary`` the split is chronological at
     ``split_fraction`` of the rows. The first faulty line of the file
-    raises UnparseableRow; Dataset enforces the hourly cadence.
+    raises UnparseableRow; Dataset enforces the hourly cadence. A timestamp
+    column whose every cell has the form ``YYYY-MM-DDTHH:MM:SS`` is parsed
+    in one numpy call; any other ISO form is read by ``fromisoformat``.
     """
     if not 0 <= split_fraction <= 1:   # NaN included
         raise LoadshiftError(f"split_fraction must lie in [0, 1], got {split_fraction}")
@@ -149,8 +151,10 @@ def load_dataset(
                     table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
                                        delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
                                        ndmin=1)
-                stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
-                micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
+                micros, offsets, stamps = _naive_micros(table["timestamp"]), None, None
+                if micros is None:
+                    stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
+                    micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
                 values = np.column_stack([table[c] for c in value_names])
                 if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
                     raise ValueError("non-finite or negative value")
@@ -177,7 +181,9 @@ def load_dataset(
 
     if split_boundary is None:
         cut = int(split_fraction * n)
-        split_boundary = stamps[order[cut]] if cut < n else stamps[order[-1]] + timedelta(hours=1)
+        # the one-call parse builds no datetimes: a naive row's is its micros after 1970
+        row = lambda i: _EPOCH + timedelta(microseconds=int(micros[i])) if stamps is None else stamps[order[i]]
+        split_boundary = row(cut) if cut < n else row(n - 1) + timedelta(hours=1)
 
     n_weather = len(WEATHER_FEATURES)
     return Dataset(
@@ -189,6 +195,31 @@ def load_dataset(
         split_boundary=split_boundary,
         allow_gaps=allow_gaps,
     )
+
+
+_NAIVE_FORM = np.frombuffer(b"0000-00-00T00:00:00\0", np.uint8)   # a timestamp as synth writes it, then a NUL
+_DIGIT = _NAIVE_FORM == ord("0")
+
+
+def _naive_micros(column) -> Optional[np.ndarray]:
+    """Microseconds since 1970 of a timestamp column whose every cell has the
+    form YYYY-MM-DDTHH:MM:SS, parsed in one call; None for any other column.
+    Of that form numpy refuses what fromisoformat refuses, but for year 0000."""
+    try:
+        data = ("\0".join(column) + "\0").encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        return None
+    if len(data) != len(column) * len(_NAIVE_FORM):
+        return None
+    # the check allows a NUL only as a record's last byte, so no cell is longer or shorter than 19
+    grid = np.frombuffer(data, np.uint8).reshape(len(column), len(_NAIVE_FORM))
+    if not (((grid[:, _DIGIT] - ord("0")) < 10).all() and (grid[:, ~_DIGIT] == _NAIVE_FORM[~_DIGIT]).all()
+            and (grid[:, :4] != ord("0")).any(axis=1).all()):
+        return None
+    try:
+        return np.frombuffer(data, f"S{len(_NAIVE_FORM)}").astype("datetime64[us]").view(np.int64)
+    except ValueError:   # month 13, Feb 29 of a common year, hour 24, second 60, ...
+        return None
 
 
 def _raise_not_utf8(path) -> None:

@@ -549,6 +549,23 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: --tolerance {value}: must be a finite number >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--days", "0"], "days must be >= 3 for lag windows, got 0"),
+        (["train", "--data", "{data}", "--lag", "0"], "lag must be >= 1, got 0"),
+        (["predict", "--model", "{model}", "--data", "{data}", "--day", "2024-02-01"],
+         "dataset does not contain all 24 hours of 2024-02-01"),
+        (["optimize", "--predicted", "{predicted}", "--prices", "{prices}", "--population", "1"],
+         "swarm_size must be >= 2, got 1"),
+    ], ids=["synth", "train", "predict", "optimize"])
+    def test_failed_command_leaves_no_out_directory(self, day_inputs, synth_dir, trained_dir, tmp_path, capsys,
+                                                    argv, message):
+        paths = {"data": synth_dir / "synthetic.csv", "model": trained_dir / "model.json",
+                 "predicted": day_inputs[0], "prices": day_inputs[1]}
+        out = tmp_path / "out"
+        assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_naive_split_on_offset_timestamps(self, synth_dir, tmp_path, capsys):
         # 72 rows at UTC-06:00, split at a naive time
         with open(synth_dir / "synthetic.csv", newline="", encoding="utf-8") as handle:

@@ -30,6 +30,7 @@ from loadshift.ingest import (
     split_windows,
     window_matrix,
 )
+from loadshift.synth import SynthConfig, write_csv
 
 START = datetime(2024, 1, 1, 0, 0)
 
@@ -227,6 +228,32 @@ class TestTimestamps:
         with pytest.raises(UnparseableRow) as exc:
             load_dataset(write_rows(tmp_path / "d.csv", rows))
         assert str(exc.value) == f"cannot parse CSV line 9: bad timestamp: Invalid isoformat string: {stamp!r}"
+
+    def test_synthetic_file_takes_the_one_call_parse(self, tmp_path, monkeypatch):
+        path = tmp_path / "synthetic.csv"
+        write_csv(SynthConfig(days=5, seed=3), path)
+        expected = reference_load_dataset(path)
+
+        def row_wise(stamps):
+            raise AssertionError("the fixed-form column was parsed row by row")
+
+        monkeypatch.setattr("loadshift.ingest.time_axis", row_wise)
+        got = load_dataset(path)
+        assert got.micros.tolist() == expected.micros.tolist() and got.offsets is expected.offsets is None
+        for name in ("weather", "load", "price"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
+        assert got.split_boundary == expected.split_boundary and got.n_train == expected.n_train
+
+    def test_cells_that_only_add_up_to_the_fixed_form_fail_as_before(self, tmp_path):
+        # 18 + 20 characters: the two cells join to two stamps of the fixed form
+        rows = make_rows(48)
+        rows[7]["timestamp"], rows[8]["timestamp"] = "2024-01-01T07:00:0", "12024-01-01T08:00:00"
+        path = write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(UnparseableRow) as exc:
+            reference_load_dataset(path)
+        with pytest.raises(UnparseableRow) as got:
+            load_dataset(path)
+        assert (got.value.line_number, str(got.value)) == (9, str(exc.value))
 
     def test_unsorted_file_equals_row_wise_reader(self, tmp_path):
         rows = make_rows(48)

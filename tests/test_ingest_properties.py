@@ -2,7 +2,10 @@
 fields, CRLF/LF/CR line endings, blank and whitespace-only lines, short and
 long rows, duplicate header names, permuted and unread columns, bad cells
 (among them numerals padded with the separator controls U+001C..U+001F),
-naive, fixed, switching and mixed UTC offsets, and shuffled rows.
+naive, fixed, switching and mixed UTC offsets, and shuffled rows. A share of
+the naive files pads no timestamp, so they take the one-call parse of the form
+YYYY-MM-DDTHH:MM:SS; near-miss stamps, good and bad, send a file back to the
+fromisoformat path or fault it there.
 
 The array parse must give identical timestamps, array bytes and split, or the
 same error class, message and line. Two differences are deliberate:
@@ -33,7 +36,15 @@ ZONES = {
     "switching": (timezone(timedelta(hours=-5)), timezone(timedelta(hours=-6))),
     "mixed": (None, timezone.utc),
 }
-BAD_TIMESTAMPS = ["yesterday", "", "2024-13-01T00:00:00", "2024-03-09 25:00"]
+BAD_TIMESTAMPS = [
+    "yesterday", "", "2024-13-01T00:00:00", "2024-03-09 25:00",
+    # the fixed form, but a date or time that does not exist
+    "0000-01-01T00:00:00", "2023-02-29T00:00:00", "2024-01-01T24:00:00", "2024-01-01T00:00:60",
+    "２０２４-01-01T00:00:00",   # full-width digits
+]
+# forms of a naive stamp that fromisoformat reads and the one-call parse does
+# not; Python 3.10's fromisoformat refuses "Z", as the reference does there
+NEAR_MISSES = [lambda ts: ts.replace("T", " "), lambda ts: ts + ".000000", lambda ts: ts + "+00:00", lambda ts: ts + "Z"]
 SEPARATORS = "\x1c\x1d\x1e\x1f"   # str.isspace() holds for each; float() rejects them, loadtxt strips them
 BAD_VALUES = ["nan", "-inf", "inf", "1e500", "-3.5", "", "abc", "1.5.2", "0x10", *(f"1.5{c}" for c in SEPARATORS), "\x1d2"]
 FLOAT_ONLY = ["1_000", "2_5.5", "١٢", "７.5"]   # float() reads these, loadtxt does not
@@ -64,11 +75,19 @@ def csv_files(draw):
     dropped = draw(st.sets(st.integers(0, hours), max_size=2)) if draw(st.booleans()) else set()
     kept = draw(st.permutations([h for h in range(hours) if h not in dropped]))
     faulty = draw(st.sets(st.sampled_from(kept), max_size=2)) if kept and draw(st.booleans()) else set()
-    zones = ZONES[draw(st.sampled_from(sorted(ZONES)))]
+    # at least half the files are naive, and half of all pad no stamp: a naive
+    # file with no padding and no near-miss stamp takes the one-call parse
+    zones = ZONES["naive" if draw(st.booleans()) else draw(st.sampled_from(sorted(ZONES)))]
+    padded = draw(st.booleans())
+    near_miss = rnd.choice(kept) if kept and rnd.random() < 0.3 else None
     rows = []
     for h in kept:
-        pad = rnd.choice(["", " ", rnd.choice(SEPARATORS)])   # strip() takes all three off a timestamp
-        cells = {"timestamp": pad + stamp(h, rnd.choice(zones)) + pad}
+        pad = rnd.choice(["", " ", rnd.choice(SEPARATORS)]) if padded else ""   # strip() takes all three off a timestamp
+        zone = rnd.choice(zones)
+        ts = stamp(h, zone)
+        if h == near_miss and zone is None:
+            ts = rnd.choice(NEAR_MISSES)(ts)
+        cells = {"timestamp": pad + ts + pad}
         for c in canonical[1:]:
             cells[c] = number(rnd, -50.0 if c in REQUIRED_COLUMNS[1:6] else 0.0)
         fault = rnd.choice(["timestamp", "value", "sign", "short", "long"]) if h in faulty else "none"
