@@ -30,7 +30,6 @@ from loadshift.ingest import (
     split_windows,
     window_matrix,
 )
-from loadshift.synth import SynthConfig, write_csv
 
 START = datetime(2024, 1, 1, 0, 0)
 
@@ -229,16 +228,14 @@ class TestTimestamps:
             load_dataset(write_rows(tmp_path / "d.csv", rows))
         assert str(exc.value) == f"cannot parse CSV line 9: bad timestamp: Invalid isoformat string: {stamp!r}"
 
-    def test_synthetic_file_takes_the_one_call_parse(self, tmp_path, monkeypatch):
-        path = tmp_path / "synthetic.csv"
-        write_csv(SynthConfig(days=5, seed=3), path)
-        expected = reference_load_dataset(path)
+    def test_synthetic_file_takes_the_one_call_parse(self, synth30_path, monkeypatch):
+        expected = reference_load_dataset(synth30_path)
 
         def row_wise(stamps):
             raise AssertionError("the fixed-form column was parsed row by row")
 
         monkeypatch.setattr("loadshift.ingest.time_axis", row_wise)
-        got = load_dataset(path)
+        got = load_dataset(synth30_path)
         assert got.micros.tolist() == expected.micros.tolist() and got.offsets is expected.offsets is None
         for name in ("weather", "load", "price"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
