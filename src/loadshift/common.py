@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import objective
 from .profiles import DrProblem, OptimizationResult, load_profile, peak
+
+BLOCK_VALUES = 2 ** 14   # cap on the uniforms of one block: 128 KiB of float64
+
+
+def block_length(iterations: int, values_per_iteration: int) -> int:
+    """Iterations per block of uniforms: as many as fit ``BLOCK_VALUES``
+    values, at least one and at most ``iterations``."""
+    return max(1, min(iterations, BLOCK_VALUES // values_per_iteration))
 
 
 def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -26,6 +34,12 @@ class Search:
     calls, the greedy keep of each scored batch, and the best schedule seen
     so far with the trace of its ``ObjectiveBreakdown``, one per iteration
     from the initial positions (iteration 0) on.
+
+    After the set-up draws, the loop takes the uniforms of several
+    iterations in one draw, a block of at most ``BLOCK_VALUES`` values and
+    never past the last iteration.  One draw of k rows gives the same
+    values as k draws of one row, so the stream reads as it would one
+    iteration at a time.
 
     The incumbent moves to a batch's lowest objective only when that is
     strictly lower, so on ties the earlier member keeps it.
@@ -60,16 +74,24 @@ class Search:
         np.copyto(kept_objectives, terms[3], where=self.improved)
         self.offer(batch)
 
-    def run(self, iterations: int, step: Callable[[], np.ndarray], kept: np.ndarray,
+    def run(self, iterations: int, uniforms: np.ndarray,
+            block: Callable[[np.ndarray], Iterator[np.ndarray]], kept: np.ndarray,
             kept_objectives: np.ndarray, on_iteration: Optional[Callable], state) -> OptimizationResult:
-        """Call ``on_iteration(0, state)``, then for i = 1..iterations keep the
-        batch ``step()`` returns and call ``on_iteration(i, state)``, if given."""
+        """Call ``on_iteration(0, state)``, then run the iterations in blocks
+        of up to ``len(uniforms)``: fill the block's leading rows of
+        ``uniforms`` in one draw, one row per iteration, and hand them to
+        ``block``, which yields one batch per row.  Keep each batch, then
+        call ``on_iteration(i, state)`` for iteration i, if given."""
         if on_iteration is not None:
             on_iteration(0, state)
-        for iteration in range(1, iterations + 1):
-            self.keep(step(), kept, kept_objectives)
-            if on_iteration is not None:
-                on_iteration(iteration, state)
+        iteration = 0
+        while iteration < iterations:
+            drawn = self.rng.random(out=uniforms[:iterations - iteration])
+            for batch in block(drawn):
+                self.keep(batch, kept, kept_objectives)
+                iteration += 1
+                if on_iteration is not None:
+                    on_iteration(iteration, state)
         return self.result()
 
     def result(self) -> OptimizationResult:

@@ -75,7 +75,8 @@ def build_problem(
     """Assemble a DrProblem with per-hour box bounds and normalizers.
 
     Bounds are gamma_lo/gamma_hi fractions of the predicted hourly load;
-    an optional global peak_cap (kWh) additionally caps every hour. The
+    an optional global peak_cap (kWh, positive and finite) additionally
+    caps every hour. The
     normalizers make both criteria at most 1 inside the box:
 
         e_cmax  = sum_h upper_h * price_h
@@ -90,6 +91,8 @@ def build_problem(
         raise InvalidBounds(f"need 0 <= gamma_lo <= gamma_hi, got ({gamma_lo}, {gamma_hi})")
     if peak_cap is not None and not peak_cap > 0:
         raise InvalidBounds(f"peak_cap must be positive, got {peak_cap}")
+    if peak_cap == np.inf:
+        raise InvalidBounds(f"peak_cap must be finite, got {peak_cap}")
 
     lower = gamma_lo * predicted.values
     upper = gamma_hi * predicted.values

@@ -4,13 +4,14 @@ Plain global-best PSO: inertia 1, both acceleration coefficients 2,
 velocities clamped to a fraction of the box width per dimension.
 
 The swarm is a set of (n, 24) arrays, row i for particle i, and every
-iteration moves it as a whole: one draw of all random factors, one
-velocity update and clamp, one position step and clamp, one batch
-evaluation.  Positions that leave the box are clamped back and the
-offending velocity components zeroed so particles do not pile up on
-the walls.
+iteration moves it as a whole: one velocity update and clamp, one
+position step and clamp, one batch evaluation.  Positions that leave the
+box are clamped back and the offending velocity components zeroed so
+particles do not pile up on the walls.  ``common.Search`` draws the
+random factors of a block of iterations at once, (n, 2, 24) per
+iteration, and they are doubled for the whole block in one multiply.
 
-The swarm, the random factors, a difference buffer, the clamp mask and
+The swarm, the block of factors, a difference buffer, the clamp mask and
 the limits repeated to (n, 24) are allocated once per ``optimize`` call,
 and every step writes into them.  Each step keeps the operands and the
 order of the plain update expressions, so seeded runs are bit-identical
@@ -23,11 +24,11 @@ it keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
-from .common import Search
+from .common import Search, block_length
 from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
@@ -57,14 +58,16 @@ class Swarm:
 
 
 class Workspace:
-    """Scratch arrays of one run, allocated once: the (n, 2, dims) random
-    factors, an (n, dims) difference buffer and clamp mask, and the
-    velocity and box limits repeated to (n, dims), so that every step is a
-    ufunc on arrays of one shape."""
+    """Scratch arrays of one run, allocated once: the random factors of a
+    block of up to ``iterations`` iterations, (iterations, n, 2, dims), an
+    (n, dims) difference buffer and clamp mask, and the velocity and box
+    limits repeated to (n, dims), so that every step is a ufunc on arrays
+    of one shape."""
 
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray):
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
+                 iterations: int = 1):
         dims = len(lower)
-        self.factors = np.empty((n, 2, dims))
+        self.factors = np.empty((iterations, n, 2, dims))
         self.diff = np.empty((n, dims))
         self.clamped = np.empty((n, dims), dtype=bool)
         self.v_max = np.tile(v_max, (n, 1))
@@ -76,18 +79,15 @@ class Workspace:
 def velocity_update(
     swarm: Swarm,
     gbest_position: np.ndarray,
-    rng: np.random.Generator,
+    r: np.ndarray,
     work: Workspace,
 ) -> None:
-    """Move ``swarm.velocities`` in place with fresh per-dimension random
-    factors, then clamp them to +-v_max_fraction * (upper - lower).  The
-    inertia is 1 and both pulls are 2, each times its random factor.
-
-    One (n, 2, dims) draw: for each particle in turn, the factors of the
-    personal pull and then those of the social pull."""
-    r, diff, v = work.factors, work.diff, swarm.velocities
-    rng.random(out=r)
-    r *= 2.0
+    """Move ``swarm.velocities`` in place, then clamp them to
+    +-v_max_fraction * (upper - lower).  The inertia is 1 and each pull is
+    its factor from the (n, 2, dims) ``r``, already doubled: 2 times a
+    uniform.  For each particle, ``r`` holds the factors of the personal
+    pull and then those of the social pull."""
+    diff, v = work.diff, swarm.velocities
     np.subtract(swarm.best_positions, swarm.positions, out=diff)
     diff *= r[:, 0]
     v += diff
@@ -123,16 +123,19 @@ def optimize(
     with the initial swarm (iteration 0)."""
     lower, upper = problem.lower_bounds, problem.upper_bounds
     v_max = config.v_max_fraction * (upper - lower)
-    work = Workspace(config.swarm_size, lower, upper, v_max)
-    search = Search(problem, config.seed, config.swarm_size)
+    n = config.swarm_size
+    work = Workspace(n, lower, upper, v_max, block_length(config.iterations, n * 2 * len(lower)))
+    search = Search(problem, config.seed, n)
     positions = search.positions
     velocities = search.rng.uniform(-v_max, v_max, size=positions.shape)
     swarm = Swarm(positions, velocities, positions.copy(), search.terms[3].copy())
 
-    def step() -> np.ndarray:
-        velocity_update(swarm, search.best_position, search.rng, work)
-        position_update(swarm, work)
-        return positions
+    def steps(factors: np.ndarray) -> Iterator[np.ndarray]:
+        factors *= 2.0
+        for r in factors:
+            velocity_update(swarm, search.best_position, r, work)
+            position_update(swarm, work)
+            yield positions
 
-    return search.run(config.iterations, step, swarm.best_positions, swarm.best_objectives,
-                      on_iteration, swarm)
+    return search.run(config.iterations, work.factors, steps, swarm.best_positions,
+                      swarm.best_objectives, on_iteration, swarm)

@@ -829,6 +829,8 @@ class TestErrors:
         (["--alpha", "inf"], "e_cmax, l_shmax and alpha must be finite and positive"),
         (["--gamma-lo", "nan"], "need 0 <= gamma_lo <= gamma_hi, got (nan, 1.5)"),
         (["--peak-cap", "nan"], "peak_cap must be positive, got nan"),
+        (["--peak-cap", "inf"], "peak_cap must be finite, got inf"),
+        (["--peak-cap", "1e309"], "peak_cap must be finite, got inf"),
     ])
     def test_non_finite_problem_parameter(self, day_inputs, tmp_path, capsys, flags, message):
         predicted, prices = day_inputs
@@ -839,6 +841,19 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "sweep", "compare", "verify"])
+    def test_infinite_peak_cap_is_refused_by_every_day_command(self, day_inputs, tmp_path, capsys, command):
+        # an accepted inf would end in manifest.json as the non-JSON token Infinity
+        predicted, prices = day_inputs
+        out = tmp_path / "out"
+        code = main([
+            command, "--predicted", str(predicted), "--prices", str(prices), "--peak-cap", "inf",
+            "--population", "6", "--iterations", "3", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: peak_cap must be finite, got inf")
+        assert not out.exists()
 
     def test_no_predicted_profile(self, day_inputs, tmp_path, capsys):
         _, prices = day_inputs

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from loadshift import de
+from loadshift import common, de
 from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate_batch
@@ -21,25 +21,34 @@ LARGEST_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def mutate(population, parents, beta, lower, upper):
-    """``de.mutate`` on rows of (a, b, c) indices and a scalar or a column of
-    factors, in a workspace of one row per donor."""
+    """``de.mutate`` on (3, n) rows of a, b and c indices, one column per
+    donor, and a scalar or a column of factors, in a workspace of n donors."""
     parents = np.array(parents)
-    beta = np.broadcast_to(np.asarray(beta, dtype=float), (len(parents), 1))
-    return de.mutate(population, parents, beta, de.Workspace(len(parents), lower, upper))
+    n = parents.shape[1]
+    beta = np.broadcast_to(np.asarray(beta, dtype=float), (n, 1))
+    return de.mutate(population, parents, beta, de.Workspace(n, lower, upper))
 
 
 def draw_parents(uniforms):
+    """``de.draw_parents`` on the (k, n, 3) uniforms of a block of k
+    generations: (k, 3, n) indices."""
     uniforms = np.asarray(uniforms)
-    return de.draw_parents(uniforms, de.Workspace(len(uniforms), np.zeros(24), np.zeros(24)))
+    generations, n, _ = uniforms.shape
+    return de.draw_parents(uniforms, de.Workspace(n, np.zeros(24), np.zeros(24), generations))
 
 
 def crossover(targets, donors, forced, mask, crossover_probability):
-    """``de.crossover`` with each row's forced component given as an index:
-    its uniform is the middle of that index's cell."""
+    """One generation's trials: the masks ``de.crossover_masks`` builds for
+    a block of that one generation, copied over the donors as ``optimize``
+    does.  Each row's forced component is given as an index: its uniform
+    is the middle of that index's cell."""
     n, dims = np.shape(targets)
     uniforms = np.column_stack([(np.asarray(forced) + 0.5) / dims, np.asarray(mask, dtype=float)])
-    return de.crossover(np.asarray(targets, dtype=float), np.array(donors, dtype=float), uniforms,
-                        crossover_probability, de.Workspace(n, np.zeros(dims), np.zeros(dims)))
+    keep_target = de.crossover_masks(uniforms[None], crossover_probability,
+                                     de.Workspace(n, np.zeros(dims), np.zeros(dims)))
+    trials = np.array(donors, dtype=float)
+    np.copyto(trials, np.asarray(targets, dtype=float), where=keep_target[0])
+    return trials
 
 
 def make_problem(predicted, prices, w1=0.5, w2=0.5, **kwargs):
@@ -90,60 +99,64 @@ class TestMutate:
 
     def test_difference_scaling(self):
         # pop[1] + 0.5 * (pop[0] - pop[2]) = [2.5, 0.5]
-        donor = mutate(self.population(), [[1, 0, 2]], 0.5,
+        donor = mutate(self.population(), [[1], [0], [2]], 0.5,
                        np.full(2, -10.0), np.full(2, 10.0))
         np.testing.assert_array_equal(donor, [[2.5, 0.5]])
 
     def test_equal_parents_b_c_reduce_to_base(self):
         pop = self.population()
         pop[2] = pop[1]
-        donor = mutate(pop, [[0, 1, 2]], 0.7, np.full(2, -10.0), np.full(2, 10.0))
+        donor = mutate(pop, [[0], [1], [2]], 0.7, np.full(2, -10.0), np.full(2, 10.0))
         np.testing.assert_array_equal(donor, pop[[0]])
 
     def test_donor_is_clamped_into_the_box(self):
-        donor = mutate(self.population(), [[3, 1, 2]], 1.0,
+        donor = mutate(self.population(), [[3], [1], [2]], 1.0,
                        np.zeros(2), np.full(2, 6.0))
         np.testing.assert_array_equal(donor, [[6.0, 5.0]])
 
     def test_index_arrays_build_one_donor_per_row(self):
-        donors = mutate(self.population(), [[1, 0, 2], [3, 1, 2]], [[0.5], [1.0]],
+        donors = mutate(self.population(), [[1, 3], [0, 1], [2, 2]], [[0.5], [1.0]],
                         np.full(2, -10.0), np.full(2, 10.0))
         np.testing.assert_array_equal(donors, [[2.5, 0.5], [7.0, 5.0]])
 
 
 class TestDrawParents:
+    @staticmethod
+    def distinct_and_not_the_target(parents):
+        """Whether every member of every generation has three distinct
+        parents, none of them itself."""
+        generations, _, n = parents.shape
+        members = np.broadcast_to(np.arange(n), (generations, 1, n))
+        rows = np.concatenate([members, parents], axis=1).swapaxes(1, 2).reshape(-1, 4)
+        return all(len(set(row)) == 4 for row in rows.tolist())
+
     @pytest.mark.parametrize("size", [4, 5, 50])
     def test_rows_are_distinct_and_exclude_the_target(self, size):
-        rng = np.random.default_rng(size)
-        for _ in range(20):
-            parents = draw_parents(rng.random((size, 3)))
-            assert parents.shape == (size, 3)
-            rows = np.column_stack([np.arange(size), parents])
-            assert all(len(set(row)) == 4 for row in rows.tolist())
+        # 20 generations in one block
+        parents = draw_parents(np.random.default_rng(size).random((20, size, 3)))
+        assert parents.shape == (20, 3, size)
+        assert self.distinct_and_not_the_target(parents)
 
     def test_every_other_member_can_be_drawn_in_every_role(self):
-        rng = np.random.default_rng(0)
+        parents = draw_parents(np.random.default_rng(0).random((200, 4, 3)))
         seen = np.zeros((3, 4), dtype=bool)
-        for _ in range(200):
-            parents = draw_parents(rng.random((4, 3)))
-            seen[[0, 1, 2], parents[0]] = True
+        seen[[0, 1, 2], parents[:, :, 0]] = True
         np.testing.assert_array_equal(seen, [[False, True, True, True]] * 3)
 
     def test_every_ordering_of_the_other_three_occurs(self):
-        rng = np.random.default_rng(1)
-        orderings = {tuple(draw_parents(rng.random((4, 3)))[0]) for _ in range(200)}
+        parents = draw_parents(np.random.default_rng(1).random((200, 4, 3)))
+        orderings = {tuple(member_0) for member_0 in parents[:, :, 0].tolist()}
         assert orderings == set(itertools.permutations([1, 2, 3]))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(4, 60).flatmap(lambda n: arrays(
         float, (n, 3), elements=st.floats(0.0, 1.0, exclude_max=True))))
     def test_any_uniforms_give_distinct_parents_other_than_the_target(self, uniforms):
+        # a block of two generations: the drawn uniforms, then the largest ones
         n = len(uniforms)
-        for draws in (uniforms, np.full((n, 3), LARGEST_BELOW_ONE)):
-            parents = draw_parents(draws)
-            assert np.all((0 <= parents) & (parents < n))
-            rows = np.column_stack([np.arange(n), parents])
-            assert all(len(set(row)) == 4 for row in rows.tolist())
+        parents = draw_parents(np.stack([uniforms, np.full((n, 3), LARGEST_BELOW_ONE)]))
+        assert np.all((0 <= parents) & (parents < n))
+        assert self.distinct_and_not_the_target(parents)
 
 
 class TestCrossover:
@@ -184,10 +197,19 @@ class TestCrossover:
         np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0], [0.0, 0.0, 7.0]])
 
     def test_largest_uniform_forces_the_last_component(self):
-        trial = de.crossover(np.zeros((1, 24)), np.ones((1, 24)),
-                             np.full((1, 25), LARGEST_BELOW_ONE), 0.7,
-                             de.Workspace(1, np.zeros(24), np.zeros(24)))
+        keep_target = de.crossover_masks(np.full((1, 1, 25), LARGEST_BELOW_ONE), 0.7,
+                                         de.Workspace(1, np.zeros(24), np.zeros(24)))
+        trial = np.ones((1, 24))
+        np.copyto(trial, np.zeros((1, 24)), where=keep_target[0])
         np.testing.assert_array_equal(trial[0], np.arange(24) == 23)
+
+    def test_each_generation_of_a_block_has_its_own_forced_components(self):
+        # two generations of two members, no component taken by the mask:
+        # each mask is False only at its forced component
+        forced = np.array([[0, 2], [1, 0]])
+        uniforms = np.concatenate([((forced + 0.5) / 3)[..., None], np.ones((2, 2, 3))], axis=-1)
+        keep_target = de.crossover_masks(uniforms, 0.7, de.Workspace(2, np.zeros(3), np.zeros(3), 2))
+        np.testing.assert_array_equal(~keep_target, np.arange(3) == forced[..., None])
 
 
 class TestOptimize:
@@ -281,10 +303,11 @@ class TestOptimize:
         assert result.objective == pytest.approx(best, abs=1e-6)
 
 
-def reference_states(problem, config):
+def reference_states(problem, config, rng=None):
     """The population after every generation of ``helpers.de_generation``,
-    fed the same draws as ``de.optimize``."""
-    rng = np.random.default_rng(config.seed)
+    fed the same draws as ``de.optimize``, one draw per generation from
+    ``rng`` (by default a new generator at the config's seed)."""
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     population = init_positions(problem, config.population_size, rng)
     objectives = plain_terms(problem, population)[3]
     states = [population]
@@ -320,6 +343,29 @@ class TestInPlaceGeneration:
             de.optimize(problem, config, on_iteration=lambda _, population: seen.append(population.tobytes()))
             assert seen == [state.tobytes() for state in reference_states(problem, config)]
 
+    @pytest.mark.parametrize("per_block,size,iterations", [
+        (1, 12, 40),       # one generation per block
+        (7, 12, 40),       # five blocks of 7, then a ragged block of 5
+        (None, 50, 100),   # the real cap: blocks of 11, the last of 1
+    ])
+    def test_block_boundaries_keep_every_population_and_the_stream(
+            self, problems, monkeypatch, per_block, size, iterations):
+        if per_block is not None:
+            monkeypatch.setattr(common, "BLOCK_VALUES", per_block * size * (5 + 24))
+        config = de.DeConfig(population_size=size, iterations=iterations, seed=5)
+        assert common.block_length(iterations, size * (5 + 24)) < iterations   # more than one block
+        generators = []
+        result = common.Search.result
+        monkeypatch.setattr(common.Search, "result",
+                            lambda search: (generators.append(search.rng), result(search))[1])
+        for problem in problems:
+            seen = []
+            de.optimize(problem, config, on_iteration=lambda _, population: seen.append(population.tobytes()))
+            rng = np.random.default_rng(config.seed)
+            assert seen == [state.tobytes() for state in reference_states(problem, config, rng)]
+            # the run drew no uniform past its last generation
+            assert generators[-1].random() == rng.random()
+
 
 def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
@@ -330,8 +376,10 @@ class TestGoldenRuns:
     swarm's golden runs: the capped fixture and a random uncapped day, both
     at the cost-heavy weights (0.8, 0.2), where every run improves 35-52
     times.  Recorded with one (n, 5 + 24) uniform draw per generation and
-    the O(n) parent draw; any change in the draw order or in the
-    floating-point expression of a generation shows here.  Two objectives
+    the O(n) parent draw; drawing the uniforms of several generations at
+    once reads the stream in the same order, and moved nothing.  Any
+    change in the draw order or in the floating-point expression of a
+    generation shows here.  Two objectives
     moved by one ulp when a result came to take its scores from its last
     trace point; no trace or schedule hash moved."""
 

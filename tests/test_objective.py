@@ -143,6 +143,10 @@ class TestBuildProblem:
         with pytest.raises(InvalidBounds):
             build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5, peak_cap=0.0)
 
+    def test_infinite_peak_cap_rejected(self):
+        with pytest.raises(InvalidBounds, match="peak_cap must be finite, got inf"):
+            build_problem(flat_load(10.0), flat_price(10.0), 0.5, 0.5, peak_cap=float("inf"))
+
     def test_peak_cap_below_lower_bound_rejected(self):
         # lower bound is 5 kWh everywhere; a 4 kWh cap empties the box
         with pytest.raises(InvalidBounds):

@@ -1,13 +1,15 @@
 """Invariants both population optimizers keep on random capped problems,
 and their results against the exact optimum on synthetic days."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import corner_optimum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadshift import de, pso
+from loadshift import common, de, pso
 from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import ProfileKind, load_profile, peak, price_profile
 
@@ -87,3 +89,25 @@ def test_default_budget_improves_on_member_zero_and_respects_the_optimum(
         result = DEFAULT_RUNS[name](problem, seed)
         assert result.objective < start
         assert result.objective >= optimum - 1e-9
+
+
+LONG_RUNS = {
+    "pso": lambda problem: pso.optimize(problem, pso.PsoConfig(swarm_size=64, iterations=2000)),
+    "de": lambda problem: de.optimize(problem, de.DeConfig(population_size=64, iterations=2000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUNS))
+def test_a_long_run_draws_its_uniforms_in_bounded_blocks(name):
+    # all 2,000 iterations' uniforms at once would be 49 MB for PSO and
+    # 30 MB for DE; blocks keep the run's peak within a few block caps
+    rng = np.random.default_rng(3)
+    problem = build_problem(load_profile(rng.uniform(50, 150, size=24)),
+                            price_profile(rng.uniform(3, 12, size=24)), 0.8, 0.2)
+    tracemalloc.start()
+    try:
+        LONG_RUNS[name](problem)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_bytes < 8 * common.BLOCK_VALUES * 8

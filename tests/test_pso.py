@@ -7,24 +7,11 @@ import numpy as np
 import pytest
 from helpers import corner_optimum, plain_terms
 
-from loadshift import pso
+from loadshift import common, pso
 from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
-
-
-class ScriptedRng:
-    """Stands in for a Generator; random(out=) fills ``out`` with queued arrays."""
-
-    def __init__(self, draws):
-        self.draws = [np.asarray(d, dtype=float) for d in draws]
-        self.shapes = []
-
-    def random(self, out):
-        self.shapes.append(out.shape)
-        out[...] = self.draws.pop(0)
-        return out
 
 
 def make_problem(predicted, prices, w1=0.5, w2=0.5, **kwargs):
@@ -78,11 +65,13 @@ class TestVelocityUpdate:
             best_objectives=np.zeros(len(position)),
         )
 
-    def update(self, swarm, gbest, lower, upper, draws):
-        """One velocity update with scripted factors; returns the velocities."""
+    def update(self, swarm, gbest, lower, upper, uniforms):
+        """One velocity update with the (n, 2, dims) ``uniforms`` as the
+        iteration's slice of a block, doubled as ``optimize`` doubles it;
+        returns the velocities."""
         velocities = swarm.velocities
-        rng = ScriptedRng(draws)
-        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), rng,
+        factors = 2.0 * np.asarray(uniforms, dtype=float)
+        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), factors,
                             workspace(len(swarm.positions), lower, upper))
         assert swarm.velocities is velocities   # moved in place
         return swarm.velocities
@@ -93,47 +82,54 @@ class TestVelocityUpdate:
 
     def test_pure_inertia_when_accelerations_are_zero(self):
         swarm = self.swarm_at([2.0, 3.0], velocity=[0.4, -0.2], best=[9.0, 9.0])
-        v = self.update(swarm, [7.0, 7.0], np.zeros(2), np.full(2, 10.0),
-                        [np.zeros((1, 2, 2))])
+        v = self.update(swarm, [7.0, 7.0], np.zeros(2), np.full(2, 10.0), np.zeros((1, 2, 2)))
         np.testing.assert_array_equal(v, [[0.4, -0.2]])
 
     def test_at_both_bests_only_inertia_remains(self):
         x = np.array([4.0, 5.0])
         swarm = self.swarm_at(x, velocity=[0.3, 0.3], best=x.copy())
-        v = self.update(swarm, x.copy(), np.zeros(2), np.full(2, 10.0), [np.ones((1, 2, 2))])
+        v = self.update(swarm, x.copy(), np.zeros(2), np.full(2, 10.0), np.ones((1, 2, 2)))
         np.testing.assert_array_equal(v, [[0.3, 0.3]])
 
     def test_first_draw_scales_the_personal_pull(self):
         # r1 = 1 on the personal term, r2 = 0 kills the social term; a
         # swapped implementation would chase gbest at 99 instead
         swarm = self.swarm_at([0.0], best=[0.5])
-        v = self.update(swarm, [99.0], np.zeros(1), np.full(1, 100.0), [[[[1.0], [0.0]]]])
+        v = self.update(swarm, [99.0], np.zeros(1), np.full(1, 100.0), [[[1.0], [0.0]]])
         np.testing.assert_array_equal(v, [[1.0]])
 
     def test_clamped_to_box_fraction(self):
         # raw velocity 2 * 1 * (1 - 0) = 2, box width 1, fraction 0.1
         swarm = self.swarm_at([0.0])
-        v = self.update(swarm, [1.0], np.zeros(1), np.ones(1), [[[[0.0], [1.0]]]])
+        v = self.update(swarm, [1.0], np.zeros(1), np.ones(1), [[[0.0], [1.0]]])
         np.testing.assert_array_equal(v, [[0.1]])
 
     def test_clamped_from_below_too(self):
         swarm = self.swarm_at([1.0])
-        v = self.update(swarm, [0.0], np.zeros(1), np.ones(1), [[[[0.0], [1.0]]]])
+        v = self.update(swarm, [0.0], np.zeros(1), np.ones(1), [[[0.0], [1.0]]])
         np.testing.assert_array_equal(v, [[-0.1]])
 
     def test_draws_two_per_dimension_batches(self):
-        # one draw for the swarm, laid out particle by particle, personal
-        # factors before social ones
-        swarm = self.swarm_at(np.zeros((3, 24)))
-        rng = ScriptedRng([np.zeros((3, 2, 24))])
-        pso.velocity_update(swarm, np.ones(24), rng, workspace(3, np.zeros(24), np.ones(24)))
-        assert rng.shapes == [(3, 2, 24)]
+        # one (n, 2, dims) slice per iteration, laid out particle by
+        # particle, personal factors before social ones; slice j of a block
+        # drawn at once is the j-th of one draw per iteration
+        block = np.random.default_rng(7).random((4, 3, 2, 24))
+        rng = np.random.default_rng(7)
+        for uniforms in block:
+            np.testing.assert_array_equal(uniforms, rng.random((3, 2, 24)))
+        # a unit personal gap and no social one: the velocity is the
+        # personal factor, 2 r1; then the reverse gives 2 r2
+        for j, (best, gbest) in enumerate([(np.ones((3, 24)), np.zeros(24)),
+                                           (np.zeros((3, 24)), np.ones(24))]):
+            swarm = self.swarm_at(np.zeros((3, 24)), best=best)
+            v = self.update(swarm, gbest, np.zeros(24), np.full(24, 100.0), block[2])
+            np.testing.assert_array_equal(v, 2.0 * block[2][:, j])
 
     def test_rows_move_independently(self):
         # each row follows its own best and its own factors
         swarm = self.swarm_at([[0.0], [0.0]], best=[[1.0], [3.0]])
         v = self.update(swarm, [0.0], np.zeros(1), np.full(1, 100.0),
-                        [[[[0.5], [0.0]], [[0.25], [0.0]]]])
+                        [[[0.5], [0.0]], [[0.25], [0.0]]])
         np.testing.assert_array_equal(v, [[1.0], [1.5]])
 
 
@@ -305,10 +301,12 @@ class TestOptimize:
         assert result.objective == pytest.approx(best, abs=1e-4)
 
 
-def reference_states(problem, config):
+def reference_states(problem, config, rng=None):
     """The swarm's rules as allocating expressions, as first written with
-    np.clip and boolean indexing: a copy of the state after every iteration."""
-    rng = np.random.default_rng(config.seed)
+    np.clip and boolean indexing: a copy of the state after every iteration.
+    Draws one iteration at a time from ``rng`` (by default a new generator
+    at the config's seed)."""
+    rng = np.random.default_rng(config.seed) if rng is None else rng
     lower, upper = problem.lower_bounds, problem.upper_bounds
     x = init_positions(problem, config.swarm_size, rng)
     v_max = config.v_max_fraction * (upper - lower)
@@ -367,6 +365,37 @@ class TestInPlaceSteps:
                         for state in reference_states(problem, config)]
             assert seen == expected
 
+    @pytest.mark.parametrize("per_block,size,iterations", [
+        (1, 12, 40),       # one iteration per block
+        (7, 12, 40),       # five blocks of 7, then a ragged block of 5
+        (None, 50, 100),   # the real cap: blocks of 6, the last of 4
+    ])
+    def test_block_boundaries_keep_every_state_and_the_stream(
+            self, problems, monkeypatch, per_block, size, iterations):
+        if per_block is not None:
+            monkeypatch.setattr(common, "BLOCK_VALUES", per_block * size * 2 * 24)
+        config = pso.PsoConfig(swarm_size=size, iterations=iterations, seed=5)
+        assert common.block_length(iterations, size * 2 * 24) < iterations   # more than one block
+        generators = []
+        result = common.Search.result
+        monkeypatch.setattr(common.Search, "result",
+                            lambda search: (generators.append(search.rng), result(search))[1])
+        for problem in problems:
+            seen = []
+
+            def keep(iteration, swarm):
+                seen.append(tuple(a.tobytes() for a in (
+                    swarm.positions, swarm.velocities,
+                    swarm.best_positions, swarm.best_objectives)))
+
+            pso.optimize(problem, config, on_iteration=keep)
+            rng = np.random.default_rng(config.seed)
+            expected = [tuple(a.tobytes() for a in state)
+                        for state in reference_states(problem, config, rng)]
+            assert seen == expected
+            # the run drew no uniform past its last iteration
+            assert generators[-1].random() == rng.random()
+
 
 def sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
@@ -376,8 +405,10 @@ class TestGoldenRuns:
     """Default-budget runs pinned to the last bit.
 
     The values were recorded from the per-particle implementation that
-    the whole-swarm update replaced; any change in the draw order or in
-    the floating-point expression of an update shows here.  At the
+    the whole-swarm update replaced; drawing the factors of several
+    iterations at once reads the stream in the same order, and moved
+    nothing.  Any change in the draw order or in the floating-point
+    expression of an update shows here.  At the
     capped fixture's own weights (0.4, 0.6) the clamped predicted profile
     is already optimal and the trace never moves, so both problems use
     the cost-heavy pair (0.8, 0.2), where every run improves 25-41 times.
