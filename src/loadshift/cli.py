@@ -32,10 +32,12 @@ from .errors import (InsufficientData, InvalidArgument, LoadshiftError, MissingC
 from .exact import exact_optimum, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
+    DEFAULT_SPLIT_FRACTION,
     PRICE_COLUMN,
     build_windows,
     fit_normalizer,
     load_dataset,
+    plain_number,
     split_windows,
 )
 from .objective import DEFAULT_ALPHA, DEFAULT_GAMMA_HI, DEFAULT_GAMMA_LO, build_problem
@@ -144,15 +146,6 @@ def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
 
 # hourly CSV helpers ---------------------------------------------------------
 
-def _plain_number(cell, parse):
-    """``parse(cell)``, refusing what int() and float() read and the dataset
-    parser does not: digit-group underscores and non-ASCII digits."""
-    number = parse(cell)
-    if "_" in cell or not cell.strip().isascii():
-        raise ValueError(f"{cell!r} is not a plain ASCII number")
-    return number
-
-
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
     """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
     try:
@@ -166,8 +159,8 @@ def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
             for row in reader:
                 line = reader.line_num   # blank lines hold no row but count
                 try:
-                    hour = _plain_number(row["hour"], int)
-                    value = _plain_number(row[column], float)
+                    hour = plain_number(row["hour"], int)
+                    value = plain_number(row[column], float)
                 except (TypeError, ValueError) as exc:
                     raise UnparseableRow(line, str(exc)) from None
                 if not 1 <= hour <= 24:
@@ -358,18 +351,15 @@ def cmd_sweep(args) -> int:
         pairs = _parse_flag("--weights", args.weights, _parse_weights)
     else:
         pairs = [(round(i / 10, 1), round(1 - i / 10, 1)) for i in range(11)]
-    rows = report.weight_sweep(
-        predicted, prices, pairs, **_bounds(args),
-        master_seed=args.seed, swarm_size=args.population, iterations=args.iterations,
-    )
+    # a row's seed follows its index, so adding or removing a row never perturbs the others
+    seeds = [derive_seed(args.seed, "sweep", i) for i in range(len(pairs))]
+    rows = report.weight_sweep(predicted, prices, pairs, args.population, args.iterations, seeds,
+                               **_bounds(args))
     out = _out_dir(args)
     write_json({"rows": [row.to_json_dict() for row in rows]}, out / "sweep.json")
     report.write_weight_sweep_csv(rows, out / "sweep.csv")
-    _write_manifest(
-        out, args,
-        {f"sweep:{i}": derive_seed(args.seed, "sweep", i) for i in range(len(pairs))},
-        pairs=[[w1, w2] for w1, w2 in pairs],
-    )
+    _write_manifest(out, args, {f"sweep:{i}": seed for i, seed in enumerate(seeds)},
+                    pairs=[[w1, w2] for w1, w2 in pairs])
     print(report.weight_sweep_table(rows))
     return 0
 
@@ -481,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lag", type=int, default=DEFAULT_LAG)
     p.add_argument("--hidden", default=",".join(map(str, mlp.DEFAULT_LAYER_SIZES)),
                    help="hidden layer sizes, comma-separated")
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--epochs", type=int, default=mlp.TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=mlp.TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=int, default=mlp.TrainConfig.batch_size)
+    p.add_argument("--momentum", type=float, default=mlp.TrainConfig.momentum)
     p.add_argument("--split", help="train/test boundary timestamp, ISO")
-    p.add_argument("--split-fraction", type=float, default=0.85)
+    p.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
     p.add_argument("--allow-gaps", action="store_true", help="accept missing hours between rows")
     p.set_defaults(func=cmd_train)
 

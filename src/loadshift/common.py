@@ -1,7 +1,8 @@
-"""Pieces shared by the population optimizers."""
+"""The run state and the loop shared by the population optimizers."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -29,11 +30,15 @@ def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> n
 
 
 class Search:
-    """What every population-optimizer run shares: the RNG, the initial
-    positions and their scores, the iteration loop with its ``on_iteration``
-    calls, the greedy keep of each scored batch, and the best schedule seen
-    so far with the trace of its ``ObjectiveBreakdown``, one per iteration
-    from the initial positions (iteration 0) on.
+    """The state of one population-optimizer run and the loop that moves it.
+
+    A ``Search`` owns the RNG, the initial positions and their scores, each
+    member's best position and objective so far (``kept`` and
+    ``kept_objectives``), and the best schedule seen so far with the trace
+    of its ``ObjectiveBreakdown``, one per iteration from the initial
+    positions (iteration 0) on; ``run`` allocates the block of uniforms.
+    An optimizer adds its setup and its step rule, and reads and writes
+    these arrays in place.
 
     After the set-up draws, the loop takes the uniforms of several
     iterations in one draw, a block of at most ``BLOCK_VALUES`` values and
@@ -50,6 +55,8 @@ class Search:
         self.rng = np.random.default_rng(seed)
         self.positions = init_positions(problem, size, self.rng)
         self.terms = objective.evaluate_batch(problem, self.positions)
+        self.kept = self.positions.copy()
+        self.kept_objectives = self.terms[3].copy()
         self.improved = np.empty(size, dtype=bool)
         self.trace: list[objective.ObjectiveBreakdown] = []
         self.offer(self.positions)
@@ -65,45 +72,41 @@ class Search:
             best = objective.ObjectiveBreakdown(*(float(t[i]) for t in self.terms))
         self.trace.append(best)
 
-    def keep(self, batch: np.ndarray, kept: np.ndarray, kept_objectives: np.ndarray) -> None:
+    def keep(self, batch: np.ndarray) -> None:
         """Score ``batch``, let each row that is strictly better than its row
         of ``kept`` replace it, and offer the batch."""
         terms = objective.evaluate_batch(self.problem, batch, out=self.terms)
-        np.less(terms[3], kept_objectives, out=self.improved)
-        np.copyto(kept, batch, where=self.improved[:, None])
-        np.copyto(kept_objectives, terms[3], where=self.improved)
+        np.less(terms[3], self.kept_objectives, out=self.improved)
+        np.copyto(self.kept, batch, where=self.improved[:, None])
+        np.copyto(self.kept_objectives, terms[3], where=self.improved)
         self.offer(batch)
 
-    def run(self, iterations: int, uniforms: np.ndarray,
-            block: Callable[[np.ndarray], Iterator[np.ndarray]], kept: np.ndarray,
-            kept_objectives: np.ndarray, on_iteration: Optional[Callable], state) -> OptimizationResult:
-        """Call ``on_iteration(0, state)``, then run the iterations in blocks
-        of up to ``len(uniforms)``: fill the block's leading rows of
-        ``uniforms`` in one draw, one row per iteration, and hand them to
-        ``block``, which yields one batch per row.  Keep each batch, then
-        call ``on_iteration(i, state)`` for iteration i, if given."""
+    def run(self, iterations: int, draw_shape: tuple,
+            block: Callable[[np.ndarray], Iterator[np.ndarray]],
+            on_iteration: Optional[Callable], state) -> OptimizationResult:
+        """Call ``on_iteration(0, state)``, then run the iterations in blocks:
+        draw the uniforms of up to ``block_length`` iterations at once, one
+        ``draw_shape`` row per iteration, and hand them to ``block``, which
+        yields one batch per row.  Keep each batch, then call
+        ``on_iteration(i, state)`` for iteration i, if given."""
+        uniforms = np.empty((block_length(iterations, math.prod(draw_shape)), *draw_shape))
         if on_iteration is not None:
             on_iteration(0, state)
         iteration = 0
         while iteration < iterations:
             drawn = self.rng.random(out=uniforms[:iterations - iteration])
             for batch in block(drawn):
-                self.keep(batch, kept, kept_objectives)
+                self.keep(batch)
                 iteration += 1
                 if on_iteration is not None:
                     on_iteration(iteration, state)
         return self.result()
 
     def result(self) -> OptimizationResult:
-        """The incumbent, scored as its batch scored it: the last trace point."""
+        """The incumbent, whose scores are the trace's last point."""
         schedule = load_profile(self.best_position)
-        breakdown = self.trace[-1]
         return OptimizationResult(
             best_schedule=schedule,
-            objective=breakdown.objective,
-            cost_cents=breakdown.cost_cents,
-            load_shift_kwh=breakdown.load_shift_kwh,
-            violation=breakdown.violation,
             peak_before_kw=peak(self.problem.predicted),
             peak_after_kw=peak(schedule),
             trace=tuple(self.trace),

@@ -1,19 +1,20 @@
 """Differential evolution (rand/1/bin) on the same problem and budget as
 the swarm, for head-to-head comparisons.
 
-The population is one (n, 24) array.  Each generation reads n rows of
+The population is ``common.Search``'s ``kept`` array, (n, 24): each
+member's best position so far.  Each generation reads n rows of
 5 + 24 uniforms: per member, three columns pick the parents, one the
 scale factor (uniform in ``beta_range``), one the forced crossover
 component and 24 the crossover mask.  ``common.Search`` draws these rows
 for a block of k generations at once, and the parents, the scale factors
-and the crossover masks of the whole block are built from them in a few
-array operations.  A generation is then left with its gather, its donor
-arithmetic and clamp, the mask copy and its scoring in one batch.
-Selection is greedy and strict: a trial only replaces its target when it
-is genuinely better.  Every step writes into buffers allocated once per
-``optimize`` call; the population handed to ``on_iteration`` is changed
-in place by the next generation, so a callback must copy anything it
-keeps.
+and the crossover masks of the whole block are built from them by a few
+array expressions, arrays of that block.  A generation is then left with
+its gather, its donor arithmetic and clamp, the mask copy and its scoring
+in one batch, all written into buffers allocated once per ``optimize``
+call.  Selection is greedy and strict: a trial only replaces its target
+when it is genuinely better.  The population handed to ``on_iteration``
+is changed in place by the next generation, so a callback must copy
+anything it keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
-from .common import Search, block_length
+from .common import Search
 from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
@@ -46,60 +47,37 @@ class DeConfig:
 
 
 class Workspace:
-    """Scratch arrays of one run of n members in ``len(lower)`` dimensions,
-    allocated once and sized for blocks of up to ``generations``: the
-    block's (generations, n, 5 + dims) uniforms; the parent indices, stored
-    one role per row as (generations, 3, n), with the spans and the
-    (generations, n) helpers of their draw; the scale factors repeated to
-    (generations, n, dims); the crossover masks and the forced components'
-    flat indices; the gathered (3, n, dims) parents and the donors of one
-    generation; and the box limits repeated to (n, dims)."""
+    """Scratch arrays of one generation of n members in ``len(lower)``
+    dimensions, allocated once per run: the gathered (3, n, dims) parents,
+    the (n, dims) donors, and the box limits repeated to (n, dims)."""
 
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, generations: int = 1):
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray):
         dims = len(lower)
-        self.n = n
-        self.uniforms = np.empty((generations, n, 5 + dims))
-        self.parents = np.empty((generations, 3, n), dtype=np.intp)
-        self.spans = np.array([[n - 1], [n - 2], [n - 3]])
-        self.after = np.arange(1, n + 1)   # offsets count from member i + 1
-        self.skip = np.empty((generations, n), dtype=bool)
-        self.taken = np.empty((generations, n), dtype=np.intp)
-        self.beta = np.empty((generations, n, dims))
-        self.keep_target = np.empty((generations, n, dims), dtype=bool)
-        self.forced = np.empty((generations, n), dtype=np.intp)
-        self.row_starts = np.arange(0, generations * n * dims, dims).reshape(generations, n)
         self.picked = np.empty((3, n, dims))
         self.donors = np.empty((n, dims))
         self.lower = np.tile(lower, (n, 1))
         self.upper = np.tile(upper, (n, 1))
 
 
-def draw_parents(uniforms: np.ndarray, work: Workspace) -> np.ndarray:
+def draw_parents(uniforms: np.ndarray) -> np.ndarray:
     """(k, 3, n) parent indices from the (k, n, 3) uniforms of k
-    generations, written into ``work.parents``: column i of generation j
-    holds three distinct members in random order, none of them member i,
-    each ordered triple equally likely.
+    generations: column i of generation j holds three distinct members in
+    random order, none of them member i, each ordered triple equally likely.
 
     Member i counts offsets k1, k2, k3 from member i + 1 (mod n), drawn
     without replacement from 0..n-2: k1 = floor(u0 (n - 1)), then
     k2 = floor(u1 (n - 2)) raised by one if it is >= k1, then
     k3 = floor(u2 (n - 3)) raised past min(k1, k2) and then max(k1, k2)."""
-    generations = len(uniforms)
-    k = work.parents[:generations]
-    skip, taken = work.skip[:generations], work.taken[:generations]
-    # a float-to-int cast truncates, which is floor on these nonnegative products
-    np.multiply(uniforms.swapaxes(1, 2), work.spans, out=k, casting="unsafe")
+    n = uniforms.shape[1]
+    # a float-to-int cast truncates, which is floor on these nonnegative
+    # products; C order keeps each generation's (3, n) rows contiguous
+    k = (uniforms.swapaxes(1, 2) * [[n - 1], [n - 2], [n - 3]]).astype(np.intp, order="C")
     k1, k2, k3 = k.swapaxes(0, 1)
-    np.greater_equal(k2, k1, out=skip)
-    k2 += skip
-    np.minimum(k1, k2, out=taken)
-    np.greater_equal(k3, taken, out=skip)
-    k3 += skip
-    np.maximum(k1, k2, out=taken)
-    np.greater_equal(k3, taken, out=skip)
-    k3 += skip
-    k += work.after
-    np.remainder(k, work.n, out=k)
+    k2 += k2 >= k1
+    k3 += k3 >= np.minimum(k1, k2)
+    k3 += k3 >= np.maximum(k1, k2)
+    k += np.arange(1, n + 1)
+    k %= n
     return k
 
 
@@ -120,20 +98,16 @@ def mutate(population: np.ndarray, parents: np.ndarray, beta: np.ndarray,
     return donors
 
 
-def crossover_masks(uniforms: np.ndarray, crossover_probability: float,
-                    work: Workspace) -> np.ndarray:
+def crossover_masks(uniforms: np.ndarray, crossover_probability: float) -> np.ndarray:
     """(k, n, dims) binomial crossover masks, True where a trial keeps its
     target's component, from the (k, n, 1 + dims) uniforms of k
-    generations, written into ``work.keep_target``.  Column 0 forces one
-    donor component per member, so every trial differs from its target in
-    at least one position; component j also comes from the donor where
-    column 1 + j is at most ``crossover_probability``."""
-    generations, dims = len(uniforms), uniforms.shape[2] - 1
-    forced, keep_target = work.forced[:generations], work.keep_target[:generations]
-    np.multiply(uniforms[..., 0], dims, out=forced, casting="unsafe")
-    forced += work.row_starts[:generations]
-    np.greater(uniforms[..., 1:], crossover_probability, out=keep_target)
-    np.put(keep_target, forced, False)
+    generations.  Column 0 forces one donor component per member, so every
+    trial differs from its target in at least one position; component j
+    also comes from the donor where column 1 + j is at most
+    ``crossover_probability``."""
+    keep_target = uniforms[..., 1:] > crossover_probability
+    forced = (uniforms[..., :1] * keep_target.shape[2]).astype(np.intp)
+    np.put_along_axis(keep_target, forced, False, axis=2)
     return keep_target
 
 
@@ -149,22 +123,18 @@ def optimize(
     """
     beta_lo, beta_hi = config.beta_range
     n, dims = config.population_size, len(problem.lower_bounds)
-    work = Workspace(n, problem.lower_bounds, problem.upper_bounds,
-                     block_length(config.iterations, n * (5 + dims)))
+    work = Workspace(n, problem.lower_bounds, problem.upper_bounds)
     search = Search(problem, config.seed, n)
-    population = search.positions
-    objectives = search.terms[3].copy()
+    population = search.kept
 
     def generations(uniforms: np.ndarray) -> Iterator[np.ndarray]:
-        parents = draw_parents(uniforms[..., :3], work)
-        beta = work.beta[:len(uniforms)]
-        np.multiply(uniforms[..., 3:4], beta_hi - beta_lo, out=beta)
-        np.add(beta, beta_lo, out=beta)
-        keep_target = crossover_masks(uniforms[..., 4:], config.crossover_probability, work)
+        parents = draw_parents(uniforms[..., :3])
+        # repeated to (k, n, dims), the per-generation multiply is faster than from a column
+        beta = np.repeat(uniforms[..., 3:4] * (beta_hi - beta_lo) + beta_lo, dims, axis=2)
+        keep_target = crossover_masks(uniforms[..., 4:], config.crossover_probability)
         for j in range(len(uniforms)):
             trials = mutate(population, parents[j], beta[j], work)
             np.copyto(trials, population, where=keep_target[j])
             yield trials
 
-    return search.run(config.iterations, work.uniforms, generations, population, objectives,
-                      on_iteration, population)
+    return search.run(config.iterations, (n, 5 + dims), generations, on_iteration, population)

@@ -36,6 +36,7 @@ SCALED_COLUMNS = WEATHER_FEATURES + (LOAD_COLUMN,)   # the columns Normalization
 REQUIRED_COLUMNS = ("timestamp",) + SCALED_COLUMNS
 
 DEFAULT_LAG = 24
+DEFAULT_SPLIT_FRACTION = 0.85   # share of rows in the training split
 HORIZON_HOURS = 24
 
 
@@ -121,7 +122,7 @@ def load_dataset(
     path,
     *,
     split_boundary: Optional[datetime] = None,
-    split_fraction: float = 0.85,
+    split_fraction: float = DEFAULT_SPLIT_FRACTION,
     allow_gaps: bool = False,
 ) -> Dataset:
     """Parse an hourly CSV time series into a validated Dataset.
@@ -233,6 +234,15 @@ def _raise_not_utf8(path) -> None:
         raise UnparseableRow(line, f"not UTF-8 text ({exc.reason})") from None
 
 
+def plain_number(cell, parse):
+    """``parse(cell)``, refusing what int() and float() read and the array
+    parse does not: digit-group underscores and non-ASCII digits."""
+    number = parse(cell)
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(f"{cell!r} is not a plain ASCII number")
+    return number
+
+
 def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception] = None) -> None:
     """Re-read a file the array parse rejected and raise UnparseableRow for its first
     faulty row, checking each row in turn: its timestamp, then each value column in
@@ -256,10 +266,7 @@ def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception
             for canonical in value_names:
                 raw = cell(canonical)
                 try:
-                    # float() also reads digit-group underscores and non-ASCII digits; the array parse does not
-                    if "_" in raw or not raw.strip().isascii():
-                        raise ValueError(raw)
-                    values[canonical] = float(raw)
+                    values[canonical] = plain_number(raw, float)
                 except (TypeError, ValueError) as exc:
                     raise UnparseableRow(line, f"bad value {raw!r} in column {canonical!r}") from exc
                 if not np.isfinite(values[canonical]):

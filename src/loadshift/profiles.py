@@ -234,17 +234,30 @@ class DrProblem:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of one optimizer run on a DrProblem."""
+    """Outcome of one optimizer run on a DrProblem.  Its scores are those of
+    the trace's last point, the best schedule's breakdown."""
 
     best_schedule: HourlyProfile
-    objective: float
-    cost_cents: float
-    load_shift_kwh: float
-    violation: float
     peak_before_kw: float
     peak_after_kw: float
     trace: tuple          # the best ObjectiveBreakdown after each iteration, from 0 on
     rng_seed: int
+
+    @property
+    def objective(self) -> float:
+        return self.trace[-1].objective
+
+    @property
+    def cost_cents(self) -> float:
+        return self.trace[-1].cost_cents
+
+    @property
+    def load_shift_kwh(self) -> float:
+        return self.trace[-1].load_shift_kwh
+
+    @property
+    def violation(self) -> float:
+        return self.trace[-1].violation
 
     @property
     def peak_reduction_pct(self) -> float:

@@ -11,14 +11,14 @@ particles do not pile up on the walls.  ``common.Search`` draws the
 random factors of a block of iterations at once, (n, 2, 24) per
 iteration, and they are doubled for the whole block in one multiply.
 
-The swarm, the block of factors, a difference buffer, the clamp mask and
-the limits repeated to (n, 24) are allocated once per ``optimize`` call,
-and every step writes into them.  Each step keeps the operands and the
-order of the plain update expressions, so seeded runs are bit-identical
-to them.  ``common.Search`` runs the loop, scores each step and keeps the
-trace.  The ``Swarm`` handed to ``on_iteration`` is that same state,
-changed in place by the next iteration: a callback must copy anything
-it keeps.
+``common.Search`` owns the positions and the personal bests (its
+``kept`` arrays), runs the loop, scores each step and keeps the trace.
+The velocities, a difference buffer, the clamp mask and the limits
+repeated to (n, 24) are allocated once per ``optimize`` call, and every
+step writes into them.  Each step keeps the operands and the order of
+the plain update expressions, so seeded runs are bit-identical to them.
+The ``Swarm`` handed to ``on_iteration`` is that same state, changed in
+place by the next iteration: a callback must copy anything it keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Iterator, Optional
 
 import numpy as np
 
-from .common import Search, block_length
+from .common import Search
 from .errors import InvalidOptimizerConfig
 from .profiles import DrProblem, OptimizationResult
 
@@ -49,7 +49,9 @@ class PsoConfig:
 
 @dataclass
 class Swarm:
-    """Whole-swarm state; row i of every array belongs to particle i."""
+    """Whole-swarm state; row i of every array belongs to particle i.  In a
+    run, ``positions``, ``best_positions`` and ``best_objectives`` are the
+    ``Search``'s ``positions``, ``kept`` and ``kept_objectives``."""
 
     positions: np.ndarray
     velocities: np.ndarray
@@ -58,16 +60,12 @@ class Swarm:
 
 
 class Workspace:
-    """Scratch arrays of one run, allocated once: the random factors of a
-    block of up to ``iterations`` iterations, (iterations, n, 2, dims), an
-    (n, dims) difference buffer and clamp mask, and the velocity and box
-    limits repeated to (n, dims), so that every step is a ufunc on arrays
-    of one shape."""
+    """Scratch arrays of one run, allocated once: an (n, dims) difference
+    buffer and clamp mask, and the velocity and box limits repeated to
+    (n, dims), so that every step is a ufunc on arrays of one shape."""
 
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray,
-                 iterations: int = 1):
+    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray):
         dims = len(lower)
-        self.factors = np.empty((iterations, n, 2, dims))
         self.diff = np.empty((n, dims))
         self.clamped = np.empty((n, dims), dtype=bool)
         self.v_max = np.tile(v_max, (n, 1))
@@ -124,11 +122,11 @@ def optimize(
     lower, upper = problem.lower_bounds, problem.upper_bounds
     v_max = config.v_max_fraction * (upper - lower)
     n = config.swarm_size
-    work = Workspace(n, lower, upper, v_max, block_length(config.iterations, n * 2 * len(lower)))
+    work = Workspace(n, lower, upper, v_max)
     search = Search(problem, config.seed, n)
     positions = search.positions
     velocities = search.rng.uniform(-v_max, v_max, size=positions.shape)
-    swarm = Swarm(positions, velocities, positions.copy(), search.terms[3].copy())
+    swarm = Swarm(positions, velocities, search.kept, search.kept_objectives)
 
     def steps(factors: np.ndarray) -> Iterator[np.ndarray]:
         factors *= 2.0
@@ -137,5 +135,4 @@ def optimize(
             position_update(swarm, work)
             yield positions
 
-    return search.run(config.iterations, work.factors, steps, swarm.best_positions,
-                      swarm.best_objectives, on_iteration, swarm)
+    return search.run(config.iterations, (n, 2, len(lower)), steps, on_iteration, swarm)

@@ -17,7 +17,6 @@ from . import pso as pso_mod
 from .errors import ZeroBaseline
 from .objective import build_problem, energy_cost
 from .profiles import DrProblem, HourlyProfile, OptimizationResult, peak
-from .seeding import derive_seed
 
 
 def cost_reduction(before_cents: float, after_cents: float) -> float:
@@ -81,23 +80,21 @@ def weight_sweep(
     predicted: HourlyProfile,
     prices: HourlyProfile,
     weight_pairs: Sequence[tuple],
-    *,
-    master_seed: int = 0,
-    swarm_size: int = 50,
-    iterations: int = 100,
+    population: int,
+    iterations: int,
+    seeds: Sequence[int],
     **bounds,
 ) -> list[WeightSweepRow]:
-    """One swarm run per (w1, w2) pair, rows in input order.
+    """One swarm run per (w1, w2) pair, at its seed in ``seeds`` and the
+    same budget, rows in input order.
 
     ``bounds`` are build_problem's keyword arguments (gamma_lo, gamma_hi,
-    peak_cap, alpha), passed on unchanged. Each row gets its own seed
-    derived from the master seed and the row index, so adding or removing
-    a row never perturbs the others.
+    peak_cap, alpha), passed on unchanged.
     """
     rows = []
-    for index, (w1, w2) in enumerate(weight_pairs):
+    for (w1, w2), seed in zip(weight_pairs, seeds, strict=True):
         problem = build_problem(predicted, prices, w1, w2, **bounds)
-        result = run_optimizer("pso", problem, swarm_size, iterations, derive_seed(master_seed, "sweep", index))
+        result = run_optimizer("pso", problem, population, iterations, seed)
         rows.append(
             WeightSweepRow(
                 w1=float(w1),

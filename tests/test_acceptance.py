@@ -174,8 +174,8 @@ def test_c5_every_sweep_row_beats_the_baseline(synth_day):
     _, predicted, prices = synth_day
     started = time.perf_counter()
     pairs = [(round(i / 10, 1), round(1 - i / 10, 1)) for i in range(11)]
-    rows = weight_sweep(predicted, prices, pairs,
-                        peak_cap=0.85 * peak(predicted), master_seed=2024)
+    seeds = [derive_seed(2024, "sweep", i) for i in range(len(pairs))]
+    rows = weight_sweep(predicted, prices, pairs, 50, 100, seeds, peak_cap=0.85 * peak(predicted))
     baseline_dollars = energy_cost(predicted, prices) / 100.0
     elapsed = time.perf_counter() - started
     below = [row.cost_dollars < baseline_dollars for row in rows]

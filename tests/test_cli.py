@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib
+import inspect
 import json
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from helpers import write_hourly_csv
 
+from loadshift import mlp
 from loadshift.cli import build_parser, main
 from loadshift.errors import InsufficientData, LoadshiftError
 from loadshift.ingest import load_dataset
@@ -80,6 +82,13 @@ class TestTrain:
         assert len(records) == 3
         assert [int(r["epoch"]) for r in records] == [1, 2, 3]
         assert all(float(r["train_mse"]) >= 0 for r in records)
+
+    def test_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "data.csv"])
+        config = mlp.TrainConfig()
+        assert (args.epochs, args.learning_rate, args.batch_size, args.momentum) == (
+            config.epochs, config.learning_rate, config.batch_size, config.momentum)
+        assert args.split_fraction == inspect.signature(load_dataset).parameters["split_fraction"].default
 
 
 class TestPredict:

@@ -29,23 +29,14 @@ def mutate(population, parents, beta, lower, upper):
     return de.mutate(population, parents, beta, de.Workspace(n, lower, upper))
 
 
-def draw_parents(uniforms):
-    """``de.draw_parents`` on the (k, n, 3) uniforms of a block of k
-    generations: (k, 3, n) indices."""
-    uniforms = np.asarray(uniforms)
-    generations, n, _ = uniforms.shape
-    return de.draw_parents(uniforms, de.Workspace(n, np.zeros(24), np.zeros(24), generations))
-
-
 def crossover(targets, donors, forced, mask, crossover_probability):
     """One generation's trials: the masks ``de.crossover_masks`` builds for
     a block of that one generation, copied over the donors as ``optimize``
     does.  Each row's forced component is given as an index: its uniform
     is the middle of that index's cell."""
-    n, dims = np.shape(targets)
+    _, dims = np.shape(targets)
     uniforms = np.column_stack([(np.asarray(forced) + 0.5) / dims, np.asarray(mask, dtype=float)])
-    keep_target = de.crossover_masks(uniforms[None], crossover_probability,
-                                     de.Workspace(n, np.zeros(dims), np.zeros(dims)))
+    keep_target = de.crossover_masks(uniforms[None], crossover_probability)
     trials = np.array(donors, dtype=float)
     np.copyto(trials, np.asarray(targets, dtype=float), where=keep_target[0])
     return trials
@@ -133,18 +124,18 @@ class TestDrawParents:
     @pytest.mark.parametrize("size", [4, 5, 50])
     def test_rows_are_distinct_and_exclude_the_target(self, size):
         # 20 generations in one block
-        parents = draw_parents(np.random.default_rng(size).random((20, size, 3)))
+        parents = de.draw_parents(np.random.default_rng(size).random((20, size, 3)))
         assert parents.shape == (20, 3, size)
         assert self.distinct_and_not_the_target(parents)
 
     def test_every_other_member_can_be_drawn_in_every_role(self):
-        parents = draw_parents(np.random.default_rng(0).random((200, 4, 3)))
+        parents = de.draw_parents(np.random.default_rng(0).random((200, 4, 3)))
         seen = np.zeros((3, 4), dtype=bool)
         seen[[0, 1, 2], parents[:, :, 0]] = True
         np.testing.assert_array_equal(seen, [[False, True, True, True]] * 3)
 
     def test_every_ordering_of_the_other_three_occurs(self):
-        parents = draw_parents(np.random.default_rng(1).random((200, 4, 3)))
+        parents = de.draw_parents(np.random.default_rng(1).random((200, 4, 3)))
         orderings = {tuple(member_0) for member_0 in parents[:, :, 0].tolist()}
         assert orderings == set(itertools.permutations([1, 2, 3]))
 
@@ -154,7 +145,7 @@ class TestDrawParents:
     def test_any_uniforms_give_distinct_parents_other_than_the_target(self, uniforms):
         # a block of two generations: the drawn uniforms, then the largest ones
         n = len(uniforms)
-        parents = draw_parents(np.stack([uniforms, np.full((n, 3), LARGEST_BELOW_ONE)]))
+        parents = de.draw_parents(np.stack([uniforms, np.full((n, 3), LARGEST_BELOW_ONE)]))
         assert np.all((0 <= parents) & (parents < n))
         assert self.distinct_and_not_the_target(parents)
 
@@ -197,8 +188,7 @@ class TestCrossover:
         np.testing.assert_array_equal(trial, [[7.0, 7.0, 0.0], [0.0, 0.0, 7.0]])
 
     def test_largest_uniform_forces_the_last_component(self):
-        keep_target = de.crossover_masks(np.full((1, 1, 25), LARGEST_BELOW_ONE), 0.7,
-                                         de.Workspace(1, np.zeros(24), np.zeros(24)))
+        keep_target = de.crossover_masks(np.full((1, 1, 25), LARGEST_BELOW_ONE), 0.7)
         trial = np.ones((1, 24))
         np.copyto(trial, np.zeros((1, 24)), where=keep_target[0])
         np.testing.assert_array_equal(trial[0], np.arange(24) == 23)
@@ -208,7 +198,7 @@ class TestCrossover:
         # each mask is False only at its forced component
         forced = np.array([[0, 2], [1, 0]])
         uniforms = np.concatenate([((forced + 0.5) / 3)[..., None], np.ones((2, 2, 3))], axis=-1)
-        keep_target = de.crossover_masks(uniforms, 0.7, de.Workspace(2, np.zeros(3), np.zeros(3), 2))
+        keep_target = de.crossover_masks(uniforms, 0.7)
         np.testing.assert_array_equal(~keep_target, np.arange(3) == forced[..., None])
 
 

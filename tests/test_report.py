@@ -24,6 +24,7 @@ from loadshift.report import (
     write_trace_csv,
     write_weight_sweep_csv,
 )
+from loadshift.seeding import derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -57,41 +58,45 @@ class TestCostReduction:
 class TestWeightSweep:
     PAIRS = [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)]
 
+    @staticmethod
+    def seeds(master, count=3):
+        """The row seeds ``loadshift sweep`` derives from its master seed."""
+        return [derive_seed(master, "sweep", i) for i in range(count)]
+
     def test_rows_keep_input_order(self, day):
         predicted, prices = day
-        rows = weight_sweep(predicted, prices, self.PAIRS,
-                            swarm_size=10, iterations=10)
+        rows = weight_sweep(predicted, prices, self.PAIRS, 10, 10, self.seeds(0))
         assert [(r.w1, r.w2) for r in rows] == self.PAIRS
 
     def test_prefix_runs_reproduce_leading_rows(self, day):
-        # row seeds derive from the row index, so extending the list
-        # of pairs must not disturb the rows already computed
+        # a row depends only on its own pair and seed, so extending the
+        # list of pairs must not disturb the rows already computed
         predicted, prices = day
-        full = weight_sweep(predicted, prices, self.PAIRS,
-                            master_seed=7, swarm_size=10, iterations=10)
-        prefix = weight_sweep(predicted, prices, self.PAIRS[:2],
-                              master_seed=7, swarm_size=10, iterations=10)
+        full = weight_sweep(predicted, prices, self.PAIRS, 10, 10, self.seeds(7))
+        prefix = weight_sweep(predicted, prices, self.PAIRS[:2], 10, 10, self.seeds(7, 2))
         assert full[:2] == prefix
 
     def test_same_master_seed_reproduces(self, day):
         predicted, prices = day
-        a = weight_sweep(predicted, prices, self.PAIRS, swarm_size=10, iterations=10)
-        b = weight_sweep(predicted, prices, self.PAIRS, swarm_size=10, iterations=10)
+        a = weight_sweep(predicted, prices, self.PAIRS, 10, 10, self.seeds(0))
+        b = weight_sweep(predicted, prices, self.PAIRS, 10, 10, self.seeds(0))
         assert a == b
 
     def test_master_seed_changes_rows(self, day):
         predicted, prices = day
-        a = weight_sweep(predicted, prices, [(0.9, 0.1)], master_seed=1,
-                         swarm_size=10, iterations=10)
-        b = weight_sweep(predicted, prices, [(0.9, 0.1)], master_seed=2,
-                         swarm_size=10, iterations=10)
+        a = weight_sweep(predicted, prices, [(0.9, 0.1)], 10, 10, self.seeds(1, 1))
+        b = weight_sweep(predicted, prices, [(0.9, 0.1)], 10, 10, self.seeds(2, 1))
         assert a != b
+
+    def test_one_seed_per_pair(self, day):
+        predicted, prices = day
+        with pytest.raises(ValueError):
+            weight_sweep(predicted, prices, self.PAIRS, 10, 10, self.seeds(0, 2))
 
     def test_peak_cap_shows_up_as_peak_reduction(self, day):
         predicted, prices = day
         cap = 0.9 * float(np.max(predicted.values))
-        rows = weight_sweep(predicted, prices, [(0.5, 0.5)], peak_cap=cap,
-                            swarm_size=10, iterations=10)
+        rows = weight_sweep(predicted, prices, [(0.5, 0.5)], 10, 10, self.seeds(0, 1), peak_cap=cap)
         assert rows[0].peak_reduction_pct >= 10.0 - 1e-9
         assert rows[0].violation < 0.01
 
