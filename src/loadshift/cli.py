@@ -31,6 +31,7 @@ from .errors import (InsufficientData, InvalidArgument, LoadshiftError, MissingC
                      UnparseableRow, ZeroVariance)
 from .exact import exact_optimum, pinned_problem
 from .ingest import (
+    CSV_ENCODING,
     DEFAULT_LAG,
     DEFAULT_SPLIT_FRACTION,
     PRICE_COLUMN,
@@ -149,7 +150,7 @@ def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
 def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
     """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding=CSV_ENCODING) as handle:
             reader = csv.DictReader(handle)
             header = reader.fieldnames or []
             for needed in ("hour", column):

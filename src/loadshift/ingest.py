@@ -12,6 +12,7 @@ influence them. All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -34,6 +35,7 @@ LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
 SCALED_COLUMNS = WEATHER_FEATURES + (LOAD_COLUMN,)   # the columns NormalizationStats scales, in its order
 REQUIRED_COLUMNS = ("timestamp",) + SCALED_COLUMNS
+CSV_ENCODING = "utf-8-sig"   # UTF-8 that may lead with the byte-order mark of Excel's "CSV UTF-8"
 
 DEFAULT_LAG = 24
 DEFAULT_SPLIT_FRACTION = 0.85   # share of rows in the training split
@@ -135,42 +137,43 @@ def load_dataset(
     """
     if not 0 <= split_fraction <= 1:   # NaN included
         raise LoadshiftError(f"split_fraction must lie in [0, 1], got {split_fraction}")
+    with open(path, "rb") as raw:   # read once: a pipe gives its bytes to one read only
+        data = raw.read()
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle), [])
-            for canonical in REQUIRED_COLUMNS:
-                if canonical not in header:
-                    raise MissingColumn(canonical)
-            has_price = PRICE_COLUMN in header
-            value_names = SCALED_COLUMNS + ((PRICE_COLUMN,) if has_price else ())
-            # a repeated header name refers to its last column
-            position = {column: j for j, column in enumerate(header)}
-            columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
-                    table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
-                                       delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
-                                       ndmin=1)
-                micros, offsets, stamps = _naive_micros(table["timestamp"]), None, None
-                if micros is None:
-                    stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
-                    micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
-                values = np.column_stack([table[c] for c in value_names])
-                if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
-                    raise ValueError("non-finite or negative value")
-            except (TypeError, ValueError) as exc:
-                _raise_first_fault(path, columns, value_names, exc)
+        handle = io.TextIOWrapper(io.BytesIO(data), encoding=CSV_ENCODING, newline="")   # decoded as read
+        header = next(csv.reader(handle), [])
+        for canonical in REQUIRED_COLUMNS:
+            if canonical not in header:
+                raise MissingColumn(canonical)
+        has_price = PRICE_COLUMN in header
+        value_names = SCALED_COLUMNS + ((PRICE_COLUMN,) if has_price else ())
+        # a repeated header name refers to its last column
+        position = {column: j for j, column in enumerate(header)}
+        columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
+                table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
+                                   delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
+                                   ndmin=1)
+            micros, offsets, stamps = _naive_micros(table["timestamp"]), None, None
+            if micros is None:
+                stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
+                micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
+            values = np.column_stack([table[c] for c in value_names])
+            if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+                raise ValueError("non-finite or negative value")
+        except (TypeError, ValueError) as exc:   # a UnicodeDecodeError too, which the walk raises again
+            _raise_first_fault(data, columns, value_names)
+            raise LoadshiftError(f"cannot parse {path}: {exc}") from exc
     except UnicodeDecodeError:
-        _raise_not_utf8(path)
+        _raise_not_utf8(data)
         raise
     # loadtxt strips U+001C..U+001F around a number as whitespace; float() does not.
-    # fromisoformat reads a NUL as the end of its text. The scan reads 64 KiB at a
-    # time, so a large file is never held whole.
-    with open(path, "rb") as raw:
-        chunks = iter(lambda: raw.read(1 << 16), b"")
-        if any(control in chunk for chunk in chunks for control in b"\x00\x1c\x1d\x1e\x1f"):
-            _raise_first_fault(path, columns, value_names)
+    # fromisoformat reads a NUL as the end of its text.
+    if any(control in data for control in b"\x00\x1c\x1d\x1e\x1f"):
+        _raise_first_fault(data, columns, value_names)
+    del data, handle   # before the sorted arrays are made, so they reuse its memory, not leave it a resident hole
     n = len(micros)
     if n < 2:
         raise InsufficientData(f"dataset {path} has {n} rows; need at least 2")
@@ -223,14 +226,12 @@ def _naive_micros(column) -> Optional[np.ndarray]:
         return None
 
 
-def _raise_not_utf8(path) -> None:
-    """Raise UnparseableRow for the first line of a file that is not UTF-8 text."""
-    with open(path, "rb") as raw:
-        data = raw.read()
+def _raise_not_utf8(data: bytes) -> None:
+    """Raise UnparseableRow for the first line of a file's bytes that is not UTF-8 text."""
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[: exc.start] + b"x").splitlines())   # the lines up to and with the bad byte
+        data.decode(CSV_ENCODING)   # all of it: a text stream's error counts its offset from its chunk
+    except UnicodeDecodeError as exc:   # exc.start counts in exc.object, the bytes after any byte-order mark
+        line = len((exc.object[: exc.start] + b"x").splitlines())   # the lines up to and with the bad byte
         raise UnparseableRow(line, f"not UTF-8 text ({exc.reason})") from None
 
 
@@ -243,41 +244,37 @@ def plain_number(cell, parse):
     return number
 
 
-def _raise_first_fault(path, columns, value_names, rejection: Optional[Exception] = None) -> None:
-    """Re-read a file the array parse rejected and raise UnparseableRow for its first
-    faulty row, checking each row in turn: its timestamp, then each value column in
-    order, then the signs; then the first row whose UTC offset awareness differs.
-    Without a ``rejection`` a file with no faulty row passes."""
+def _raise_first_fault(data: bytes, columns, value_names) -> None:
+    """Walk a file's bytes row by row and raise UnparseableRow for its first faulty
+    row, checking each row in turn: its timestamp, then each value column in order,
+    then the signs; then the first row whose UTC offset awareness differs."""
     first_line = {}   # UTC offset awareness -> first line with it
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        next(reader, [])
-        for row in filter(None, reader):   # a blank line holds no row
-            line = reader.line_num
-            cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding=CSV_ENCODING, newline=""))
+    next(reader, [])
+    for row in filter(None, reader):   # a blank line holds no row
+        line = reader.line_num
+        cell = lambda canonical: row[columns[canonical]] if columns[canonical] < len(row) else None
+        try:
+            stamp = cell("timestamp").strip()
+            if "\x00" in stamp:
+                raise ValueError(f"Invalid isoformat string: {stamp!r}")
+            first_line.setdefault(datetime.fromisoformat(stamp).utcoffset() is not None, line)
+        except (ValueError, AttributeError) as exc:
+            raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
+        values = {}
+        for canonical in value_names:
+            raw = cell(canonical)
             try:
-                stamp = cell("timestamp").strip()
-                if "\x00" in stamp:
-                    raise ValueError(f"Invalid isoformat string: {stamp!r}")
-                first_line.setdefault(datetime.fromisoformat(stamp).utcoffset() is not None, line)
-            except (ValueError, AttributeError) as exc:
-                raise UnparseableRow(line, f"bad timestamp: {exc}") from exc
-            values = {}
-            for canonical in value_names:
-                raw = cell(canonical)
-                try:
-                    values[canonical] = plain_number(raw, float)
-                except (TypeError, ValueError) as exc:
-                    raise UnparseableRow(line, f"bad value {raw!r} in column {canonical!r}") from exc
-                if not np.isfinite(values[canonical]):
-                    raise UnparseableRow(line, f"non-finite value in column {canonical!r}")
-            for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
-                if values.get(canonical, 0.0) < 0:
-                    raise UnparseableRow(line, fault)
+                values[canonical] = plain_number(raw, float)
+            except (TypeError, ValueError) as exc:
+                raise UnparseableRow(line, f"bad value {raw!r} in column {canonical!r}") from exc
+            if not np.isfinite(values[canonical]):
+                raise UnparseableRow(line, f"non-finite value in column {canonical!r}")
+        for canonical, fault in ((LOAD_COLUMN, "negative load"), (PRICE_COLUMN, "negative price")):
+            if values.get(canonical, 0.0) < 0:
+                raise UnparseableRow(line, fault)
     if len(first_line) == 2:
         raise UnparseableRow(max(first_line.values()), "UTC offset awareness differs from the first row's")
-    if rejection is not None:
-        raise LoadshiftError(f"cannot parse {path}: {rejection}") from rejection
 
 
 def fit_normalizer(dataset: Dataset) -> NormalizationStats:

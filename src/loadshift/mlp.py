@@ -359,15 +359,15 @@ def load_model(path) -> MlpModel:
         raise InvalidModel(f"a model file holds a JSON object, got a JSON {type(payload).__name__}")
     if payload.get("format") != MODEL_FORMAT:
         raise InvalidModel(f"unsupported model format {payload.get('format')!r}; expected {MODEL_FORMAT!r}")
-    for key in ("layer_sizes", "weights", "biases", "lag"):
+    for key in ("layer_sizes", "weights", "biases", "lag", "norm_stats"):
         if key not in payload:
             raise InvalidModel(f"model file lacks the key {key!r}")
-    stats = payload.get("norm_stats")
+    stats = payload["norm_stats"]
     try:
-        if stats is not None and not isinstance(stats, dict):
-            raise ValueError(f"norm_stats is a JSON {type(stats).__name__}, not an object")
+        if not isinstance(stats, dict):   # null included: predict_day and train need the scales
+            raise ValueError(f"norm_stats must be a JSON object of feature scales, got {json.dumps(stats)}")
         leaves = chain(chain.from_iterable(chain.from_iterable(payload["weights"])),
-                       chain.from_iterable(payload["biases"]), chain.from_iterable((stats or {}).values()))
+                       chain.from_iterable(payload["biases"]), chain.from_iterable(stats.values()))
         if not set(map(type, leaves)) <= {int, float}:   # numpy would read "0.25" and a JSON true as numbers
             raise ValueError("a weight, bias or norm_stats scale is not a JSON number")
         sizes, lag = tuple(payload["layer_sizes"]), payload["lag"]
@@ -377,7 +377,7 @@ def load_model(path) -> MlpModel:
             layer_sizes=sizes,
             weights=tuple(np.array(w) for w in payload["weights"]),
             biases=tuple(np.array(b) for b in payload["biases"]),
-            norm_stats=NormalizationStats.from_json_dict(stats) if stats is not None else None,
+            norm_stats=NormalizationStats.from_json_dict(stats),
             lag=lag,
         )
     except (InvalidArchitecture, ValueError, TypeError) as exc:   # a wrong type or shape, or a broken rule

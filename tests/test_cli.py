@@ -49,6 +49,12 @@ def trained_dir(tmp_path_factory, synth_dir):
     return out
 
 
+def with_byte_order_mark(path, copy):
+    """``copy``, a copy of ``path`` that leads with the UTF-8 byte-order mark Excel's "CSV UTF-8" writes."""
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
 def narrow_input(model, width, lag):
     """Edit a model file's payload to a ``width``-unit input layer, with its
     first weights cut to match, and the given lag."""
@@ -104,6 +110,13 @@ class TestPredict:
         assert [int(r["hour"]) for r in records] == list(range(1, 25))
         assert all(np.isfinite(float(r["predicted"])) for r in records)
         assert all(np.isfinite(float(r["real"])) for r in records)
+
+    def test_data_with_a_byte_order_mark_predicts_the_same(self, trained_dir, synth_dir, tmp_path):
+        plain = synth_dir / "synthetic.csv"
+        for data, out in ((plain, "plain"), (with_byte_order_mark(plain, tmp_path / "bom.csv"), "bom")):
+            assert main(["predict", "--model", str(trained_dir / "model.json"), "--data", str(data),
+                         "--day", "2024-01-06", "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bom" / "prediction.csv").read_bytes() == (tmp_path / "plain" / "prediction.csv").read_bytes()
 
     def test_constant_actual_load_leaves_r_undefined(self, trained_dir, synth_dir, tmp_path, capsys):
         rows = [line.split(",") for line in (synth_dir / "synthetic.csv").read_text().splitlines()]
@@ -172,6 +185,12 @@ class TestOptimize:
         assert self.run(day_inputs, tmp_path / "second") == 0
         for name in ("result.json", "trace.csv", "load_comparison.csv", "cost_comparison.csv"):
             assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+    def test_inputs_with_a_byte_order_mark_give_the_same_result(self, day_inputs, tmp_path):
+        marked = tuple(with_byte_order_mark(path, tmp_path / f"bom-{path.name}") for path in day_inputs)
+        assert self.run(day_inputs, tmp_path / "plain") == 0
+        assert self.run(marked, tmp_path / "bom") == 0
+        assert (tmp_path / "bom" / "result.json").read_bytes() == (tmp_path / "plain" / "result.json").read_bytes()
 
     def test_de_algorithm_runs(self, day_inputs, tmp_path):
         assert self.run(day_inputs, tmp_path, ("--algorithm", "de")) == 0
@@ -737,10 +756,12 @@ class TestErrors:
         lambda model: model["weights"][0][0].__setitem__(0, "0.25"),
         lambda model: model["biases"][-1].__setitem__(0, True),
         lambda model: model["norm_stats"].__setitem__("load_kwh", [0.0, True]),
+        lambda model: model.update(norm_stats=None),
     ], ids=["lag", "ragged-weights", "weights-number", "layer-size", "one-value-scale", "flat-scale",
             "missing-scale", "stats-number", "two-outputs", "input-only", "lag-zero", "lag-negative",
             "unchained-bias", "lag-float", "lag-string", "layer-size-float", "layer-size-true", "lag-true",
-            "stats-empty", "extra-scale", "text-scale", "text-weight", "true-bias", "true-scale"])
+            "stats-empty", "extra-scale", "text-scale", "text-weight", "true-bias", "true-scale",
+            "stats-null"])
     def test_malformed_model_value_names_the_file(self, trained_dir, synth_dir, tmp_path, capsys, edit):
         payload = json.loads((trained_dir / "model.json").read_text())
         edit(payload)

@@ -1,4 +1,5 @@
 import csv
+import os
 import sys
 import warnings
 from datetime import datetime, timedelta, timezone
@@ -30,6 +31,7 @@ from loadshift.ingest import (
     split_windows,
     window_matrix,
 )
+from loadshift.synth import SynthConfig, write_csv
 
 START = datetime(2024, 1, 1, 0, 0)
 
@@ -50,6 +52,31 @@ def make_rows(n, start=START):
             }
         )
     return rows
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="reads a pipe through /dev/fd")
+
+
+def synthetic_bytes(tmp_path, days):
+    path = tmp_path / f"synth{days}.csv"
+    write_csv(SynthConfig(days=days, seed=11), path)
+    return path.read_bytes()
+
+
+def load_from_pipe(data):
+    """load_dataset of the /dev/fd path of a pipe that holds ``data``, its write end closed."""
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as writer:
+            writer.write(data)   # a few KB fit the pipe's buffer: nothing blocks
+        return load_dataset(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def dataset_record(ds):
+    return (ds.micros.tobytes(), ds.offsets, ds.weather.tobytes(), ds.load.tobytes(), ds.price.tobytes(),
+            ds.split_boundary, ds.n_train)
 
 
 def write_rows(path, rows, fieldnames=None):
@@ -195,6 +222,40 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.price is not None
         assert ds.price[0] == 5.0
+
+    def test_non_utf8_byte_deep_in_a_file_names_its_line(self, tmp_path):
+        lines = synthetic_bytes(tmp_path, 120).splitlines(keepends=True)
+        lines[1999] = lines[1999].replace(b",", b",\xff", 1)   # line 2,000, far past the first decoded chunk
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(UnparseableRow) as exc:
+            load_dataset(path)
+        assert str(exc.value) == "cannot parse CSV line 2000: not UTF-8 text (invalid start byte)"
+
+    # a pipe gives its bytes to one read only: every check must see the bytes parsed
+    @linux_only
+    def test_pipe_reads_as_from_disk(self, tmp_path):
+        data = synthetic_bytes(tmp_path, 5)
+        assert dataset_record(load_from_pipe(data)) == dataset_record(load_dataset(tmp_path / "synth5.csv"))
+
+    @linux_only
+    @pytest.mark.parametrize("old,new", [
+        # fromisoformat reads the NUL as the end of the text; the csv module of Python 3.10 refuses a NUL
+        pytest.param(b"T08:00:00,", b"T08:00:00\x00,",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="csv")),
+        (b"T06:00:00,", b"T06:00:00,x"),
+        (b"T04:00:00,", b"T04:00:00,\xff"),
+    ], ids=["nul-after-timestamp", "bad-value", "non-utf8-byte"])
+    def test_faulty_pipe_names_the_line_it_does_from_disk(self, tmp_path, old, new):
+        data = synthetic_bytes(tmp_path, 5).replace(old, new, 1)
+        path = tmp_path / "faulty.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnparseableRow) as from_disk:
+            load_dataset(path)
+        with pytest.raises(UnparseableRow) as from_pipe:
+            load_from_pipe(data)
+        assert (from_pipe.value.line_number, str(from_pipe.value)) == \
+            (from_disk.value.line_number, str(from_disk.value))
 
 
 class TestTimestamps:
