@@ -15,7 +15,7 @@ import csv
 import io
 import warnings
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Mapping, Optional
 
 import numpy as np
@@ -27,9 +27,10 @@ from .errors import (
     InvalidTrainConfig,
     LoadshiftError,
     MissingColumn,
+    MixedTimezones,
     UnparseableRow,
 )
-from .profiles import _EPOCH, WEATHER_FEATURES, Dataset, _frozen_array, time_axis
+from .profiles import WEATHER_FEATURES, Dataset, _frozen_array, time_axis
 
 LOAD_COLUMN = "load_kwh"
 PRICE_COLUMN = "price_c_per_kwh"
@@ -156,10 +157,9 @@ def load_dataset(
                 table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
                                    delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
                                    ndmin=1)
-            micros, offsets, stamps = _naive_micros(table["timestamp"]), None, None
-            if micros is None:
-                stamps = list(map(datetime.fromisoformat, map(str.strip, table["timestamp"])))
-                micros, offsets = time_axis(stamps)   # TypeError: naive and offset stamps
+            micros, offsets = _naive_micros(table["timestamp"]), None
+            if micros is None:   # TypeError: naive and offset stamps
+                micros, offsets = time_axis(list(map(datetime.fromisoformat, map(str.strip, table["timestamp"]))))
             values = np.column_stack([table[c] for c in value_names])
             if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
                 raise ValueError("non-finite or negative value")
@@ -184,21 +184,25 @@ def load_dataset(
         offsets = offsets[order]
 
     if split_boundary is None:
-        cut = int(split_fraction * n)
-        # the one-call parse builds no datetimes: a naive row's is its micros after 1970
-        row = lambda i: _EPOCH + timedelta(microseconds=int(micros[i])) if stamps is None else stamps[order[i]]
-        split_boundary = row(cut) if cut < n else row(n - 1) + timedelta(hours=1)
+        n_train = int(split_fraction * n)
+    else:   # the rows strictly before the boundary
+        n_train = int(np.searchsorted(micros, time_axis([split_boundary])[0][0]))
 
     n_weather = len(WEATHER_FEATURES)
-    return Dataset(
+    dataset = Dataset(
         micros=micros,
         offsets=offsets,
         weather=values[:, :n_weather],
         load=values[:, n_weather],
         price=values[:, n_weather + 1] if has_price else None,
-        split_boundary=split_boundary,
+        n_train=n_train,
         allow_gaps=allow_gaps,
     )
+    # after the Dataset, so that a cadence fault is reported first
+    if split_boundary is not None and (offsets is None) != (split_boundary.utcoffset() is None):
+        raise MixedTimezones(f"split boundary {split_boundary} and timestamp {dataset.timestamp(0)} "
+                             "must both carry a UTC offset or neither")
+    return dataset
 
 
 _NAIVE_FORM = np.frombuffer(b"0000-00-00T00:00:00\0", np.uint8)   # a timestamp as synth writes it, then a NUL

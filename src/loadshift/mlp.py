@@ -64,10 +64,12 @@ class MlpModel:
     layer_sizes: tuple
     weights: tuple          # weights[k] has shape (layer_sizes[k+1], layer_sizes[k])
     biases: tuple           # biases[k] has shape (layer_sizes[k+1],)
-    norm_stats: Optional[NormalizationStats] = None
+    norm_stats: NormalizationStats
     lag: int = DEFAULT_LAG
 
     def __post_init__(self):
+        if not isinstance(self.norm_stats, NormalizationStats):
+            raise InvalidModel(f"model has no normalization stats: norm_stats is {self.norm_stats!r}")
         sizes = tuple(int(s) for s in self.layer_sizes)
         check_architecture(sizes, self.lag)
         object.__setattr__(self, "layer_sizes", sizes)
@@ -134,7 +136,7 @@ def init_model(
     layer_sizes: Sequence[int],
     seed: int,
     *,
-    norm_stats: Optional[NormalizationStats] = None,
+    norm_stats: NormalizationStats,
     lag: int = DEFAULT_LAG,
 ) -> MlpModel:
     """Seeded uniform init: weights in +-1/sqrt(fan_in), biases zero."""
@@ -202,9 +204,6 @@ def train(
     """
     if not train_windows:
         raise EmptyTrainingSet("no training windows")
-    if model.norm_stats is None:
-        raise InvalidModel("model has no normalization stats; fit them before training")
-
     X, y = window_matrix(train_windows, model.norm_stats)
     if X.shape[1] != model.layer_sizes[0]:
         raise DimensionMismatch(
@@ -280,8 +279,6 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     and the ``24 + lag`` before them are consecutive hours, the lag windows
     are one strided view of the load; otherwise each is found and checked.
     """
-    if model.norm_stats is None:
-        raise InvalidModel("model has no normalization stats")
     n_features = len(WEATHER_FEATURES) + model.lag
     if n_features != model.layer_sizes[0]:
         raise DimensionMismatch(f"lag {model.lag} gives {n_features} features but model input is "
@@ -342,7 +339,7 @@ def save_model(model: MlpModel, path) -> None:
         "lag": model.lag,
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "norm_stats": model.norm_stats.to_json_dict() if model.norm_stats else None,
+        "norm_stats": model.norm_stats.to_json_dict(),
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, sort_keys=True, indent=1)
@@ -364,7 +361,7 @@ def load_model(path) -> MlpModel:
             raise InvalidModel(f"model file lacks the key {key!r}")
     stats = payload["norm_stats"]
     try:
-        if not isinstance(stats, dict):   # null included: predict_day and train need the scales
+        if not isinstance(stats, dict):   # null included: a model needs its scales
             raise ValueError(f"norm_stats must be a JSON object of feature scales, got {json.dumps(stats)}")
         leaves = chain(chain.from_iterable(chain.from_iterable(payload["weights"])),
                        chain.from_iterable(payload["biases"]), chain.from_iterable(stats.values()))

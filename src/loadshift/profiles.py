@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidBounds, MissingPrices, MixedTimezones, NonHourlyCadence, ZeroPredictedTotal
+from .errors import InsufficientData, InvalidBounds, MissingPrices, NonHourlyCadence, ZeroPredictedTotal
 
 HOURS_PER_DAY = 24
 
@@ -94,8 +94,8 @@ class Dataset:
     Time is held as arrays: ``micros`` counts microseconds since 1970, of
     wall time for naive rows or of UTC for rows that carry a UTC offset,
     and ``offsets`` holds each row's UTC offset in microseconds, or is None
-    for naive rows. Rows are sorted by time. Rows strictly before
-    ``split_boundary`` are the training partition; every later row is test.
+    for naive rows. Rows are sorted by time. The first ``n_train`` rows are
+    the training partition; every later row is test.
     Consecutive rows are one hour apart unless ``allow_gaps``; then any
     later time may follow. Row lookups are binary searches over ``micros``.
     """
@@ -105,7 +105,7 @@ class Dataset:
     weather: np.ndarray            # (n, 5), columns in WEATHER_FEATURES order
     load: np.ndarray               # (n,) kWh
     price: Optional[np.ndarray]    # (n,) c/kWh, or None
-    split_boundary: datetime
+    n_train: int
     allow_gaps: bool = False
 
     def __post_init__(self):
@@ -126,9 +126,8 @@ class Dataset:
             if steps[i] <= 0:
                 raise NonHourlyCadence(later, "duplicate or out-of-order timestamp")
             raise NonHourlyCadence(later, f"expected {earlier + timedelta(hours=1)} one hour after {earlier}")
-        if n and (self.offsets is None) != (self.split_boundary.utcoffset() is None):
-            raise MixedTimezones(f"split boundary {self.split_boundary} and timestamp {self.timestamp(0)} "
-                                 "must both carry a UTC offset or neither")
+        if not 0 <= self.n_train <= n:
+            raise ValueError(f"n_train must lie in 0..{n}, got {self.n_train}")
         gaps = steps != _HOUR_MICROS
         # _gaps[i] counts the gaps before row i, so rows a..b hold no gap
         # exactly when _gaps[a] == _gaps[b]
@@ -147,11 +146,6 @@ class Dataset:
     def timestamps(self) -> tuple:
         """Every row's timestamp, built on first use."""
         return tuple(map(self.timestamp, range(len(self))))
-
-    @cached_property
-    def n_train(self) -> int:
-        """Number of rows strictly before the split boundary."""
-        return int(np.searchsorted(self.micros, time_axis([self.split_boundary])[0][0]))
 
     def shifted_rows(self, rows: np.ndarray, hours: int) -> np.ndarray:
         """Index of the row ``hours`` after each of ``rows`` (before, if negative); -1 if absent."""

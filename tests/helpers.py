@@ -1,6 +1,6 @@
 """Shared oracles for the test modules: the exact optimum of a problem, the
 objective and a DE generation as plain expressions, the network's
-one-sample forward and backward passes, the row-wise CSV reader and
+unit stats and one-sample forward and backward passes, the row-wise CSV reader and
 writer, the one-row-at-a-time forecast features, and scans that find
 Dataset rows the slow way; and the writer of the CLI's hourly CSVs."""
 
@@ -10,8 +10,15 @@ from typing import Optional
 
 import numpy as np
 
-from loadshift.errors import DimensionMismatch, InsufficientData, InsufficientHistory, MissingColumn, UnparseableRow
-from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, denormalize, normalize
+from loadshift.errors import (
+    DimensionMismatch,
+    InsufficientData,
+    InsufficientHistory,
+    MissingColumn,
+    MixedTimezones,
+    UnparseableRow,
+)
+from loadshift.ingest import LOAD_COLUMN, PRICE_COLUMN, REQUIRED_COLUMNS, NormalizationStats, denormalize, normalize
 from loadshift.mlp import _backprop, _forward_batch
 from loadshift.objective import evaluate_batch
 from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
@@ -68,6 +75,11 @@ def plain_terms(problem, schedules):
     obj = (problem.w1 * cost / problem.e_cmax + problem.w2 * shift / problem.l_shmax
            + problem.alpha * viol)
     return np.array([cost, shift, viol, obj])
+
+
+def unit_stats():
+    """Identity-friendly stats for toy networks: every feature scaled from [-1, 1]."""
+    return NormalizationStats(np.full(6, -1.0), np.full(6, 1.0))
 
 
 def _sample_activations(model, features):
@@ -166,19 +178,25 @@ def reference_load_dataset(
     timestamps = tuple(stamps[i] for i in order)
     values = values[order]
 
+    mixed = split_boundary is not None and (timestamps[0].utcoffset() is None) != (split_boundary.utcoffset() is None)
     if split_boundary is None:
-        cut = int(split_fraction * len(rows))
-        split_boundary = timestamps[cut] if cut < len(rows) else timestamps[-1] + timedelta(hours=1)
+        n_train = int(split_fraction * len(rows))
+    else:   # naive and offset datetimes do not compare
+        n_train = 0 if mixed else sum(1 for ts in timestamps if ts < split_boundary)
 
     n_weather = len(WEATHER_FEATURES)
-    return Dataset(
+    dataset = Dataset(
         *time_axis(timestamps),
         weather=values[:, :n_weather],
         load=values[:, n_weather],
         price=values[:, n_weather + 1] if has_price else None,
-        split_boundary=split_boundary,
+        n_train=n_train,
         allow_gaps=allow_gaps,
     )
+    if mixed:
+        raise MixedTimezones(f"split boundary {split_boundary} and timestamp {timestamps[0]} "
+                             "must both carry a UTC offset or neither")
+    return dataset
 
 
 def _reference_first_fault(rows, lines, columns, value_names) -> None:
@@ -222,10 +240,6 @@ def scan_full_day_indices(dataset, day):
     in order, else None."""
     rows = scan_day_indices(dataset, day)
     return rows if [dataset.timestamps[row].hour for row in rows] == list(range(24)) else None
-
-
-def scan_n_train(dataset):
-    return sum(1 for ts in dataset.timestamps if ts < dataset.split_boundary)
 
 
 def scan_windows(dataset, lag, horizon=24):

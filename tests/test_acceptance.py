@@ -11,7 +11,7 @@ import statistics
 import time
 
 import numpy as np
-from helpers import backward, forward
+from helpers import backward, forward, unit_stats
 
 from loadshift import de, mlp, pso
 from loadshift.cli import main
@@ -86,7 +86,7 @@ def test_c1_gradients_match_finite_differences():
     for trial in range(20):
         sizes = architectures[int(rng.integers(len(architectures)))]
         assert _param_count(sizes) <= 50
-        model = mlp.init_model(sizes, seed=int(rng.integers(2**32)))
+        model = mlp.init_model(sizes, seed=int(rng.integers(2**32)), norm_stats=unit_stats())
         x = rng.uniform(-1.0, 1.0, size=sizes[0])
         target = float(rng.uniform(-1.0, 1.0))
         analytic_w, analytic_b = backward(model, x, target)

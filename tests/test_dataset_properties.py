@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
-from helpers import scan_full_day_indices, scan_n_train, scan_windows
+from helpers import scan_full_day_indices, scan_windows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +51,8 @@ def test_lookups_and_windows_match_scans(data):
             writer.writerows(rows)
         dataset = load_dataset(path, split_fraction=split_fraction, allow_gaps=True)
 
-    assert dataset.n_train == scan_n_train(dataset)
+    n_train = int(split_fraction * len(dataset))
+    assert dataset.n_train == n_train
     dates = {ts.date() for ts in dataset.timestamps}
     for day in dates | {min(dates) - timedelta(days=1), max(dates) + timedelta(days=1)}:
         rows = dataset.full_day_indices(day)
@@ -67,4 +68,4 @@ def test_lookups_and_windows_match_scans(data):
     for features, (end, target) in zip(windows.features, expected):
         assert np.array_equal(features[:5], dataset.weather[target])
         assert np.array_equal(features[5:], dataset.load[end - lag + 1 : end + 1])
-    assert list(windows.is_test) == [target >= scan_n_train(dataset) for _, target in expected]
+    assert list(windows.is_test) == [target >= n_train for _, target in expected]

@@ -2,6 +2,7 @@ import csv
 import os
 import sys
 import warnings
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -76,7 +77,7 @@ def load_from_pipe(data):
 
 def dataset_record(ds):
     return (ds.micros.tobytes(), ds.offsets, ds.weather.tobytes(), ds.load.tobytes(), ds.price.tobytes(),
-            ds.split_boundary, ds.n_train)
+            ds.n_train)
 
 
 def write_rows(path, rows, fieldnames=None):
@@ -214,6 +215,23 @@ class TestLoadDataset:
         matched = load_dataset(path, split_boundary=boundary.replace(tzinfo=zone) if aware_rows else boundary)
         assert matched.n_train == 30
 
+    @pytest.mark.parametrize("aware_rows", [True, False])
+    def test_cadence_fault_is_reported_before_a_split_of_the_other_awareness(self, tmp_path, aware_rows):
+        zone = timezone(timedelta(hours=-6))
+        rows = make_rows(48, START.replace(tzinfo=zone) if aware_rows else START)
+        del rows[10]
+        boundary = START + timedelta(hours=30)
+        path = write_rows(tmp_path / "d.csv", rows)
+        with pytest.raises(NonHourlyCadence, match="expected 2024-01-01 10:00:00"):
+            load_dataset(path, split_boundary=boundary if aware_rows else boundary.replace(tzinfo=zone))
+
+    @pytest.mark.parametrize("n_train", [-1, 49])
+    def test_dataset_refuses_a_split_outside_its_rows(self, tmp_path, n_train):
+        ds = load_dataset(write_rows(tmp_path / "d.csv", make_rows(48)))
+        assert [replace(ds, n_train=rows).n_train for rows in (0, 48)] == [0, 48]
+        with pytest.raises(ValueError, match=f"n_train must lie in 0..48, got {n_train}"):
+            replace(ds, n_train=n_train)
+
     def test_price_column_parsed(self, tmp_path):
         rows = make_rows(48)
         for i, row in enumerate(rows):
@@ -300,7 +318,7 @@ class TestTimestamps:
         assert got.micros.tolist() == expected.micros.tolist() and got.offsets is expected.offsets is None
         for name in ("weather", "load", "price"):
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes()
-        assert got.split_boundary == expected.split_boundary and got.n_train == expected.n_train
+        assert got.n_train == expected.n_train
 
     def test_cells_that_only_add_up_to_the_fixed_form_fail_as_before(self, tmp_path):
         # 18 + 20 characters: the two cells join to two stamps of the fixed form
@@ -320,7 +338,7 @@ class TestTimestamps:
         got, expected = load_dataset(path), reference_load_dataset(path)
         assert got.micros.tolist() == expected.micros.tolist() and got.offsets is expected.offsets is None
         assert got.load.tobytes() == expected.load.tobytes()
-        assert got.split_boundary == expected.split_boundary == START + timedelta(hours=40)
+        assert got.n_train == expected.n_train == 40
 
 
 class TestNormalizer:

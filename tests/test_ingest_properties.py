@@ -141,7 +141,6 @@ def outcome(loader, path, kwargs):
     return (
         tuple(ts.isoformat() for ts in ds.timestamps),
         [(a.dtype, a.shape, a.tobytes()) for a in arrays],
-        ds.split_boundary.isoformat(),
         ds.n_train,
     )
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import date, datetime, timedelta, timezone
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import backward, forward, reference_day_features, reference_predict_day, scan_day_indices
+from helpers import backward, forward, reference_day_features, reference_predict_day, scan_day_indices, unit_stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from loadshift.errors import (
 )
 from loadshift.ingest import (
     LOAD_COLUMN,
-    NormalizationStats,
     Windows,
     build_windows,
     fit_normalizer,
@@ -40,11 +40,6 @@ from loadshift.ingest import (
     window_matrix,
 )
 from loadshift.profiles import WEATHER_FEATURES, Dataset, time_axis
-
-
-def unit_stats():
-    """Identity-friendly stats: every feature scaled from [-1, 1]."""
-    return NormalizationStats(np.full(6, -1.0), np.full(6, 1.0))
 
 
 def toy_windows(n, rng, target_fn):
@@ -60,40 +55,49 @@ def toy_windows(n, rng, target_fn):
 
 class TestInitModel:
     def test_same_seed_bit_identical(self):
-        a = mlp.init_model((4, 3, 1), 11)
-        b = mlp.init_model((4, 3, 1), 11)
+        a = mlp.init_model((4, 3, 1), 11, norm_stats=unit_stats())
+        b = mlp.init_model((4, 3, 1), 11, norm_stats=unit_stats())
         assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
         assert all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
 
     def test_shape_chaining(self):
-        model = mlp.init_model((2, 3, 1), 0)
+        model = mlp.init_model((2, 3, 1), 0, norm_stats=unit_stats())
         assert model.weights[0].shape == (3, 2)
         assert model.weights[1].shape == (1, 3)
         assert model.biases[0].shape == (3,)
 
     def test_zero_size_layer_rejected(self):
         with pytest.raises(InvalidArchitecture):
-            mlp.init_model((4, 0, 1), 0)
+            mlp.init_model((4, 0, 1), 0, norm_stats=unit_stats())
 
     def test_init_bounds_follow_fan_in(self):
-        model = mlp.init_model((16, 8, 1), 3)
+        model = mlp.init_model((16, 8, 1), 3, norm_stats=unit_stats())
         assert np.max(np.abs(model.weights[0])) <= 1.0 / math.sqrt(16)
         assert np.max(np.abs(model.weights[1])) <= 1.0 / math.sqrt(8)
         assert all(np.all(b == 0) for b in model.biases)
 
+    def test_model_without_stats_rejected(self):
+        model = mlp.init_model((6, 2, 1), 0, norm_stats=unit_stats(), lag=1)
+        for stats in (None, {"load_kwh": [0.0, 1.0]}):
+            with pytest.raises(InvalidModel, match=re.escape(f"no normalization stats: norm_stats is {stats!r}")):
+                mlp.MlpModel(model.layer_sizes, model.weights, model.biases, norm_stats=stats, lag=1)
+        with pytest.raises(TypeError, match="norm_stats"):
+            mlp.init_model((6, 2, 1), 0, lag=1)
+
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        model = mlp.init_model((3, 2, 1), 0)
+        model = mlp.init_model((3, 2, 1), 0, norm_stats=unit_stats())
         zeroed = mlp.MlpModel(
             model.layer_sizes,
             tuple(np.zeros_like(w) for w in model.weights),
             tuple(np.zeros_like(b) for b in model.biases),
+            norm_stats=unit_stats(),
         )
         assert forward(zeroed, np.array([1.0, -2.0, 3.0])) == 0.0
 
     def test_single_layer_is_affine(self):
-        model = mlp.MlpModel((1, 1), (np.array([[2.5]]),), (np.array([0.75]),))
+        model = mlp.MlpModel((1, 1), (np.array([[2.5]]),), (np.array([0.75]),), unit_stats())
         assert forward(model, np.array([2.0])) == pytest.approx(2.5 * 2.0 + 0.75)
 
     def test_one_hidden_unit_applies_tanh(self):
@@ -101,6 +105,7 @@ class TestForward:
             (1, 1, 1),
             (np.array([[1.0]]), np.array([[1.0]])),
             (np.array([0.0]), np.array([0.0])),
+            unit_stats(),
         )
         # independent oracle: math.tanh evaluated directly
         assert forward(model, np.array([0.5])) == pytest.approx(
@@ -108,7 +113,7 @@ class TestForward:
         )
 
     def test_dimension_mismatch(self):
-        model = mlp.init_model((4, 2, 1), 0)
+        model = mlp.init_model((4, 2, 1), 0, norm_stats=unit_stats())
         with pytest.raises(DimensionMismatch):
             forward(model, np.ones(3))
 
@@ -116,7 +121,7 @@ class TestForward:
         # hidden activations live in (-1, 1), so the affine output layer
         # cannot exceed |b| + sum|w| no matter how wild the input
         rng = np.random.default_rng(5)
-        model = mlp.init_model((6, 5, 4, 1), 9)
+        model = mlp.init_model((6, 5, 4, 1), 9, norm_stats=unit_stats())
         bound = float(np.sum(np.abs(model.weights[-1])) + np.abs(model.biases[-1][0]))
         for _ in range(50):
             x = rng.uniform(-1e6, 1e6, 6)
@@ -125,7 +130,7 @@ class TestForward:
 
 class TestBackward:
     def test_zero_residual_zero_gradient(self):
-        model = mlp.init_model((3, 4, 1), 2)
+        model = mlp.init_model((3, 4, 1), 2, norm_stats=unit_stats())
         x = np.array([0.3, -0.2, 0.9])
         target = forward(model, x)
         weight_grads, bias_grads = backward(model, x, target)
@@ -133,7 +138,7 @@ class TestBackward:
         assert all(np.allclose(g, 0, atol=1e-12) for g in bias_grads)
 
     def test_linear_chain_rule_by_hand(self):
-        model = mlp.MlpModel((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
+        model = mlp.MlpModel((1, 1), (np.array([[1.0]]),), (np.array([0.0]),), unit_stats())
         weight_grads, bias_grads = backward(model, np.array([2.0]), 0.0)
         # loss 0.5 (wx + b)^2: d/dw = (wx + b) x = 4, d/db = 2
         assert weight_grads[0][0, 0] == pytest.approx(4.0)
@@ -142,7 +147,7 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
-        model = mlp.init_model((3, 4, 2, 1), seed)
+        model = mlp.init_model((3, 4, 2, 1), seed, norm_stats=unit_stats())
         x = rng.uniform(-1, 1, 3)
         target = float(rng.uniform(-1, 1))
         assert_gradients_match(model, x, target)
@@ -250,12 +255,6 @@ class TestTrain:
         model = mlp.init_model((6, 2, 1), 0, norm_stats=unit_stats(), lag=1)
         with pytest.raises(EmptyTrainingSet):
             mlp.train(model, [], [], mlp.TrainConfig())
-
-    def test_model_without_stats_rejected(self):
-        rng = np.random.default_rng(0)
-        model = mlp.init_model((6, 2, 1), 0, lag=1)
-        with pytest.raises(InvalidModel, match="no normalization stats"):
-            mlp.train(model, toy_windows(4, rng, lambda f: f[0]), [], mlp.TrainConfig())
 
     def test_bad_config_rejected(self):
         for field, value, message in [
@@ -423,7 +422,7 @@ def hourly_dataset(stamps, seed):
     rng = np.random.default_rng(seed)
     n = len(stamps)
     return Dataset(*time_axis(stamps), weather=rng.uniform(-1, 1, (n, len(WEATHER_FEATURES))),
-                   load=rng.uniform(0, 1, n), price=None, split_boundary=stamps[n // 2], allow_gaps=True)
+                   load=rng.uniform(0, 1, n), price=None, n_train=n // 2, allow_gaps=True)
 
 
 def assert_predict_day_agrees_with_the_reference(model, dataset, days):
@@ -598,6 +597,13 @@ class TestPersistence:
         assert np.array_equal(loaded.norm_stats.lo, model.norm_stats.lo)
         assert np.array_equal(loaded.norm_stats.hi, model.norm_stats.hi)
 
+    def test_network_without_stats_writes_no_file(self, tmp_path):
+        # a file with "norm_stats": null would be one that load_model refuses
+        path = tmp_path / "model.json"
+        with pytest.raises(TypeError, match="norm_stats"):
+            mlp.save_model(mlp.init_model((6, 2, 1), 0, lag=1), path)
+        assert not path.exists()
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else/9"}')
@@ -617,7 +623,7 @@ class TestPersistence:
     @pytest.mark.parametrize("key", ["layer_sizes", "weights", "biases", "lag"])
     def test_missing_key_rejected(self, tmp_path, key):
         path = tmp_path / "model.json"
-        mlp.save_model(mlp.init_model((6, 2, 1), 0, lag=1), path)
+        mlp.save_model(mlp.init_model((6, 2, 1), 0, norm_stats=unit_stats(), lag=1), path)
         payload = json.loads(path.read_text())
         del payload[key]
         path.write_text(json.dumps(payload))
