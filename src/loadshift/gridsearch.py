@@ -60,10 +60,7 @@ def grid_search(reduced: ReducedProblem) -> tuple[HourlyProfile, float]:
 
     Grid points are enumerated in C order, the first free hour the most
     significant digit, so ascending flat index is ascending lexicographic
-    order; only a strictly lower score displaces the incumbent.  The
-    objective returned is the returned schedule's score as a one-row
-    ``evaluate_batch``, as ``exact.exact_optimum`` scores its own: a row
-    inside a larger batch can round apart from the same row alone.
+    order; only a strictly lower score displaces the incumbent.
     """
     base, hours, res = reduced.base, list(reduced.free_hours), reduced.grid_resolution
     grids = np.array([np.linspace(base.lower_bounds[h], base.upper_bounds[h], res) for h in hours])
@@ -78,4 +75,4 @@ def grid_search(reduced: ReducedProblem) -> tuple[HourlyProfile, float]:
         i = int(np.argmin(obj))
         if obj[i] < best_objective:
             best_objective, best_schedule = obj[i], schedules[i].copy()
-    return load_profile(best_schedule), float(evaluate_batch(base, best_schedule[None])[3, 0])
+    return load_profile(best_schedule), float(best_objective)

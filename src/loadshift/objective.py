@@ -49,7 +49,7 @@ def evaluate_batch(
     if out is None:
         out = np.empty((4, len(schedules)))
     cost, shift, viol, obj = out
-    np.matmul(schedules, problem.prices.values, out=cost)
+    np.vecdot(schedules, problem.prices.values, out=cost)   # each row as np.dot scores it alone, in any batch
     deviation = schedules - problem.predicted.values
     np.add.reduce(np.abs(deviation, out=deviation), axis=-1, out=shift)
     np.add.reduce(schedules, axis=-1, out=viol)

@@ -66,9 +66,11 @@ def write_hourly_csv(path, column, values):
 
 def plain_terms(problem, schedules):
     """(4, ...) cost, shift, violation and objective of (..., 24) schedules,
-    one allocating expression per term: the reference the in-place
-    evaluation must match bit for bit."""
-    cost = schedules @ problem.prices.values
+    one allocating expression per term, the cost a 1-D np.dot per row as
+    ``energy_cost`` takes it: the reference the in-place evaluation must
+    match bit for bit."""
+    rows = schedules.reshape(-1, 24)
+    cost = np.array([np.dot(row, problem.prices.values) for row in rows]).reshape(schedules.shape[:-1])
     shift = np.abs(schedules - problem.predicted.values).sum(axis=-1)
     ratio = schedules.sum(axis=-1) / float(np.sum(problem.predicted.values))
     viol = np.maximum(ratio - 1.0, 0.0)

@@ -252,6 +252,18 @@ class TestCompare:
         assert "pso" in out and "de" in out
 
 
+    def test_a_forecast_that_is_already_optimal_cuts_no_cost(self, tmp_path):
+        # both optimizers return the forecast itself, and its cost must round as the baseline's does
+        assert main(["synth", "--days", "30", "--seed", "11", "--out", str(tmp_path / "synth")]) == 0
+        data = str(tmp_path / "synth" / "synthetic.csv")
+        assert main(["train", "--data", data, "--epochs", "3", "--seed", "11", "--out", str(tmp_path / "train")]) == 0
+        for day in ("2024-01-10", "2024-01-25"):
+            assert main(["compare", "--model", str(tmp_path / "train" / "model.json"), "--data", data,
+                         "--day", day, "--seed", "11", "--out", str(tmp_path / day)]) == 0
+            rows = json.loads((tmp_path / day / "comparison.json").read_text())["rows"]
+            assert [row["cost_reduction_pct"] for row in rows] == [0.0, 0.0], day
+
+
 class TestVerify:
     def test_pass_path(self, day_inputs, tmp_path, capsys):
         predicted, prices = day_inputs
@@ -306,7 +318,10 @@ class TestGoldenArtifacts:
     ``budget_matched`` lines and nothing else.  ``verify/verify.json`` was
     re-recorded again when a result came to take its scores from its last
     trace point: both objectives moved by one ulp, so each relative gap
-    reads -2e-16 instead of 0.  The runs use the cost-heavy pair
+    read -2e-16 instead of 0.  The PSO, DE, compare and verify files were
+    re-recorded when a row's cost came to be scored as ``np.dot`` scores it
+    alone, in any batch: costs moved in their last bit, and each relative
+    gap reads 0 again.  The runs use the cost-heavy pair
     (0.9, 0.1), where every trace moves: at (0.4, 0.6) the clamped
     prediction is already optimal, and at (0.8, 0.2) the swarm's is flat.
     """
@@ -322,24 +337,24 @@ class TestGoldenArtifacts:
     }
 
     GOLDEN = {
-        "pso/result.json": "e2d9fcd29a7a6c4acee2186d1707a0ef1d9c8aea022f98bec11a8deba542b896",
-        "pso/trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
+        "pso/result.json": "faffbca9720cf9999ff0b59137de2827723a0364133fa4c9cf0462b94d49438b",
+        "pso/trace.csv": "b7cda3eedf3cb91b5fb3a041461d97963a8a8f4d0b7fc702fb248532e90905c6",
         "pso/load_comparison.csv": "febecf4e6465453c1cbe030bc33755dbbdce6d9b642109bb59b0d9d905448afa",
         "pso/cost_comparison.csv": "fe00b9ca478cea1a543cdfec987a6fb9ec62f4d527c9eef1ba30e48555f97441",
-        "de/result.json": "5e709e1e580af23dd6889f451f7d173c8a4938df4bf5dc8017a9004757170f30",
-        "de/trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
+        "de/result.json": "d82db691a55561b0232fc975469f1238e1fb1d01fcdb26dea098e3fa50f56d59",
+        "de/trace.csv": "469a4e9125e3b7274b9f28be082e644f58ccaaa33be5d3d3bc5070570c49f35f",
         "de/load_comparison.csv": "d64b3d41fb9008bdde469ac54ee27f24aae4410e35984ee1f6ea976b9af4dc42",
         "de/cost_comparison.csv": "5ffb2b543cfbf65b8355ee977e2cfa8b5f14e0eb4e36b61933d777b2cc329a6a",
-        "pso_capped/result.json": "ec376e7b29397c7bb51e1061e1109b062a7c8338f7894540f8c530916818df32",
-        "pso_capped/trace.csv": "7220eb9b9f30594babd06a70ac26e889b76fe6c95a35783085baf8dd96972550",
+        "pso_capped/result.json": "d4f2ad84233975d7549a4b4578b7d632a45ea7694d1882bff93fbd3a3746f7cd",
+        "pso_capped/trace.csv": "a2df1df868c29e0e686e3ee91cb9f1c424cc4ec1fc619f29a555775699a9c851",
         "pso_capped/load_comparison.csv": "d54bea3351929f0a629e6f8d85707b88252900127f0f3e720b38752d28b1ab7b",
         "pso_capped/cost_comparison.csv": "200b17ef67c01de1d8f5118652debc4f2739fb726114f3805b4ccaf9d4e5d4f2",
         "sweep/sweep.json": "9f9e04b3c441f079cc6057f979689af3ebe3a4d39c09b53e40b704fd073276d4",
         "sweep/sweep.csv": "22591c860561005aee4550cab6c7ec9e3f0052bc6845295b43dfd024b78e431f",
-        "compare/comparison.json": "b38ba921096b3dfe7dca1a8affdd86465dff87273da558887f00a528e768af81",
-        "compare/pso_trace.csv": "8d3983504dc8c04049d94f46cbec872bc9501fa498668dcabbbd14ed43b17e31",
-        "compare/de_trace.csv": "ecaa2a3cc83f7eaf34a6dde6b28a994dcf95ece7eb912801f1dad227da9207a1",
-        "verify/verify.json": "f8364b453977dc967e0dfb97e472300bd0e883892c1afe9d91c12bc6ba998f51",
+        "compare/comparison.json": "f6e841528d07f752d46201d2254aec3735fb9dd7f3b31d402ad31d8aed4cfc1f",
+        "compare/pso_trace.csv": "b7cda3eedf3cb91b5fb3a041461d97963a8a8f4d0b7fc702fb248532e90905c6",
+        "compare/de_trace.csv": "469a4e9125e3b7274b9f28be082e644f58ccaaa33be5d3d3bc5070570c49f35f",
+        "verify/verify.json": "eea071fd484dc15bd84b74236b498d28e526ad73b43ebacfa1f64c97d9c82170",
     }
 
     @pytest.fixture(scope="class")
@@ -356,6 +371,10 @@ class TestGoldenArtifacts:
     @pytest.mark.parametrize("path", sorted(GOLDEN))
     def test_bytes(self, outputs, path):
         assert hashlib.sha256((outputs / path).read_bytes()).hexdigest() == self.GOLDEN[path]
+
+    def test_verify_finds_no_optimizer_below_the_optimum(self, outputs):
+        checks = json.loads((outputs / "verify" / "verify.json").read_text())["checks"]
+        assert [check["relative_gap"] for check in checks] == [0.0, 0.0]
 
 
 class TestManifest:
