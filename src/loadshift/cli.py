@@ -17,7 +17,6 @@ inside the library.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import date, datetime
@@ -27,18 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp, report, synth
-from .errors import (InsufficientData, InvalidArgument, LoadshiftError, MissingColumn, MissingPrices,
-                     UnparseableRow, ZeroVariance)
+from .errors import InsufficientData, InvalidArgument, LoadshiftError, MissingPrices, ZeroVariance
 from .exact import exact_optimum, pinned_problem
 from .ingest import (
-    CSV_ENCODING,
     DEFAULT_LAG,
     DEFAULT_SPLIT_FRACTION,
     PRICE_COLUMN,
     build_windows,
     fit_normalizer,
     load_dataset,
-    plain_number,
+    read_hourly_column,
     split_windows,
 )
 from .objective import DEFAULT_ALPHA, DEFAULT_GAMMA_HI, DEFAULT_GAMMA_LO, build_problem
@@ -91,7 +88,7 @@ def _read_config(path) -> dict:
     """A --config file: a JSON object whose values are finite numbers, or
     null for peak_cap.  Booleans are not numbers here."""
     try:
-        config = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+        config = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
         raise InvalidArgument(f"config {path} is not a JSON file: {exc}") from None
     if not isinstance(config, dict):
@@ -147,40 +144,6 @@ def _write_manifest(out: Path, args, derived_seeds: dict, **derived) -> None:
 
 # hourly CSV helpers ---------------------------------------------------------
 
-def _read_hourly_column(path, column: str, missing_error) -> np.ndarray:
-    """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
-    try:
-        with open(path, newline="", encoding=CSV_ENCODING) as handle:
-            reader = csv.DictReader(handle)
-            header = reader.fieldnames or []
-            for needed in ("hour", column):
-                if needed not in header:
-                    raise MissingColumn(needed)
-            values = np.full(24, np.nan)
-            for row in reader:
-                line = reader.line_num   # blank lines hold no row but count
-                try:
-                    hour = plain_number(row["hour"], int)
-                    value = plain_number(row[column], float)
-                except (TypeError, ValueError) as exc:
-                    raise UnparseableRow(line, str(exc)) from None
-                if not 1 <= hour <= 24:
-                    raise UnparseableRow(line, f"hour {hour} outside 1..24")
-                if not np.isfinite(value):
-                    raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
-                if value < 0:
-                    raise UnparseableRow(line, f"{column} {row[column]!r} is negative")
-                if not np.isnan(values[hour - 1]):
-                    raise UnparseableRow(line, f"hour {hour} appears twice")
-                values[hour - 1] = value
-    except UnicodeDecodeError as exc:
-        raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
-    missing = [int(h) + 1 for h in np.flatnonzero(np.isnan(values))]
-    if missing:
-        raise missing_error(f"{path}: no value for hours {missing}")
-    return values
-
-
 def _write_hourly_csv(path, columns: dict) -> None:
     report.write_csv(path, ["hour", *columns], zip(range(1, 25), *columns.values()))
 
@@ -194,7 +157,7 @@ def _resolve_day_inputs(args) -> tuple:
     day = _parse_flag("--day", args.day, date.fromisoformat) if args.day else None
     if args.predicted:
         predicted = load_profile(
-            _read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData)
+            read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData)
         )
     elif args.model and args.data and day is not None:
         model = mlp.load_model(args.model)
@@ -208,7 +171,7 @@ def _resolve_day_inputs(args) -> tuple:
 
     if args.prices:
         prices = price_profile(
-            _read_hourly_column(args.prices, PRICE_COLUMN, MissingPrices)
+            read_hourly_column(args.prices, PRICE_COLUMN, MissingPrices)
         )
     elif args.data and day is not None:
         if dataset is None:

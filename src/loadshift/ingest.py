@@ -85,19 +85,17 @@ class Windows:
     target hour followed by ``lag`` hourly loads ending 24 hours before
     the target. ``targets`` is the load at dataset row ``target_rows``,
     24 hours after the last lagged observation. Windows that touch any
-    test row belong to the test set.
+    test row belong to the test set, so the leading ``n_train`` windows
+    are the training ones and the rest follow them.
     """
 
     features: np.ndarray       # (m, 5 + lag)
     targets: np.ndarray        # (m,) kWh
     target_rows: np.ndarray    # (m,) int
-    is_test: np.ndarray        # (m,) bool
+    n_train: int
 
     def __len__(self) -> int:
         return len(self.targets)
-
-    def __getitem__(self, rows) -> "Windows":
-        return Windows(self.features[rows], self.targets[rows], self.target_rows[rows], self.is_test[rows])
 
 
 def normalize(x, lo, hi):
@@ -138,42 +136,37 @@ def load_dataset(
     """
     if not 0 <= split_fraction <= 1:   # NaN included
         raise LoadshiftError(f"split_fraction must lie in [0, 1], got {split_fraction}")
-    with open(path, "rb") as raw:   # read once: a pipe gives its bytes to one read only
-        data = raw.read()
+    text = read_csv_text(path)
+    handle = io.StringIO(text, newline="")
+    header = next(csv.reader(handle), [])
+    for canonical in REQUIRED_COLUMNS:
+        if canonical not in header:
+            raise MissingColumn(canonical)
+    has_price = PRICE_COLUMN in header
+    value_names = SCALED_COLUMNS + ((PRICE_COLUMN,) if has_price else ())
+    # a repeated header name refers to its last column
+    position = {column: j for j, column in enumerate(header)}
+    columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
     try:
-        handle = io.TextIOWrapper(io.BytesIO(data), encoding=CSV_ENCODING, newline="")   # decoded as read
-        header = next(csv.reader(handle), [])
-        for canonical in REQUIRED_COLUMNS:
-            if canonical not in header:
-                raise MissingColumn(canonical)
-        has_price = PRICE_COLUMN in header
-        value_names = SCALED_COLUMNS + ((PRICE_COLUMN,) if has_price else ())
-        # a repeated header name refers to its last column
-        position = {column: j for j, column in enumerate(header)}
-        columns = {canonical: position[canonical] for canonical in ("timestamp",) + value_names}
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
-                table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
-                                   delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
-                                   ndmin=1)
-            micros, offsets = _naive_micros(table["timestamp"]), None
-            if micros is None:   # TypeError: naive and offset stamps
-                micros, offsets = time_axis(list(map(datetime.fromisoformat, map(str.strip, table["timestamp"]))))
-            values = np.column_stack([table[c] for c in value_names])
-            if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
-                raise ValueError("non-finite or negative value")
-        except (TypeError, ValueError) as exc:   # a UnicodeDecodeError too, which the walk raises again
-            _raise_first_fault(data, columns, value_names)
-            raise LoadshiftError(f"cannot parse {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        _raise_not_utf8(data)
-        raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # "no data": InsufficientData below says so
+            table = np.loadtxt(handle, [(c, object if c == "timestamp" else float) for c in columns],
+                               delimiter=",", comments=None, quotechar='"', usecols=list(columns.values()),
+                               ndmin=1)
+        micros, offsets = _naive_micros(table["timestamp"]), None
+        if micros is None:   # TypeError: naive and offset stamps
+            micros, offsets = time_axis(list(map(datetime.fromisoformat, map(str.strip, table["timestamp"]))))
+        values = np.column_stack([table[c] for c in value_names])
+        if not np.isfinite(values).all() or (values[:, len(WEATHER_FEATURES):] < 0).any():
+            raise ValueError("non-finite or negative value")
+    except (TypeError, ValueError) as exc:
+        _raise_first_fault(text, columns, value_names)
+        raise LoadshiftError(f"cannot parse {path}: {exc}") from exc
     # loadtxt strips U+001C..U+001F around a number as whitespace; float() does not.
     # fromisoformat reads a NUL as the end of its text.
-    if any(control in data for control in b"\x00\x1c\x1d\x1e\x1f"):
-        _raise_first_fault(data, columns, value_names)
-    del data, handle   # before the sorted arrays are made, so they reuse its memory, not leave it a resident hole
+    if any(control in text for control in "\x00\x1c\x1d\x1e\x1f"):
+        _raise_first_fault(text, columns, value_names)
+    del text, handle   # before the sorted arrays are made, so they reuse its memory, not leave it a resident hole
     n = len(micros)
     if n < 2:
         raise InsufficientData(f"dataset {path} has {n} rows; need at least 2")
@@ -230,13 +223,47 @@ def _naive_micros(column) -> Optional[np.ndarray]:
         return None
 
 
-def _raise_not_utf8(data: bytes) -> None:
-    """Raise UnparseableRow for the first line of a file's bytes that is not UTF-8 text."""
+def read_csv_text(path) -> str:
+    """A CSV file's text: its bytes, read in one call so that a pipe works too,
+    decoded as ``CSV_ENCODING``. A byte that is not UTF-8 raises UnparseableRow
+    naming its line."""
+    with open(path, "rb") as raw:
+        data = raw.read()
     try:
-        data.decode(CSV_ENCODING)   # all of it: a text stream's error counts its offset from its chunk
+        return data.decode(CSV_ENCODING)
     except UnicodeDecodeError as exc:   # exc.start counts in exc.object, the bytes after any byte-order mark
         line = len((exc.object[: exc.start] + b"x").splitlines())   # the lines up to and with the bad byte
         raise UnparseableRow(line, f"not UTF-8 text ({exc.reason})") from None
+
+
+def read_hourly_column(path, column: str, missing_error) -> np.ndarray:
+    """24 finite nonnegative values keyed by an 1..24 ``hour`` column, one row per hour."""
+    reader = csv.DictReader(io.StringIO(read_csv_text(path), newline=""))
+    header = reader.fieldnames or []
+    for needed in ("hour", column):
+        if needed not in header:
+            raise MissingColumn(needed)
+    values = np.full(24, np.nan)
+    for row in reader:
+        line = reader.line_num   # blank lines hold no row but count
+        try:
+            hour = plain_number(row["hour"], int)
+            value = plain_number(row[column], float)
+        except (TypeError, ValueError) as exc:
+            raise UnparseableRow(line, str(exc)) from None
+        if not 1 <= hour <= 24:
+            raise UnparseableRow(line, f"hour {hour} outside 1..24")
+        if not np.isfinite(value):
+            raise UnparseableRow(line, f"{column} {row[column]!r} is not a finite number")
+        if value < 0:
+            raise UnparseableRow(line, f"{column} {row[column]!r} is negative")
+        if not np.isnan(values[hour - 1]):
+            raise UnparseableRow(line, f"hour {hour} appears twice")
+        values[hour - 1] = value
+    missing = [int(h) + 1 for h in np.flatnonzero(np.isnan(values))]
+    if missing:
+        raise missing_error(f"{path}: no value for hours {missing}")
+    return values
 
 
 def plain_number(cell, parse):
@@ -248,12 +275,12 @@ def plain_number(cell, parse):
     return number
 
 
-def _raise_first_fault(data: bytes, columns, value_names) -> None:
-    """Walk a file's bytes row by row and raise UnparseableRow for its first faulty
+def _raise_first_fault(text: str, columns, value_names) -> None:
+    """Walk a file's text row by row and raise UnparseableRow for its first faulty
     row, checking each row in turn: its timestamp, then each value column in order,
     then the signs; then the first row whose UTC offset awareness differs."""
     first_line = {}   # UTC offset awareness -> first line with it
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding=CSV_ENCODING, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     next(reader, [])
     for row in filter(None, reader):   # a blank line holds no row
         line = reader.line_num
@@ -317,13 +344,15 @@ def build_windows(dataset: Dataset, lag: int = DEFAULT_LAG) -> Windows:
         features=np.hstack([dataset.weather[targets], sliding_window_view(dataset.load, lag)[ends - lag + 1]]),
         targets=dataset.load[targets],
         target_rows=targets,
-        is_test=targets >= dataset.n_train,
+        n_train=int(np.searchsorted(targets, dataset.n_train)),   # the targets ascend
     )
 
 
 def split_windows(windows: Windows) -> tuple:
-    """(train, test) partition of the windows."""
-    return windows[~windows.is_test], windows[windows.is_test]
+    """(train, test) partition of the windows, as views of its arrays."""
+    w, k = windows, windows.n_train
+    return (Windows(w.features[:k], w.targets[:k], w.target_rows[:k], k),
+            Windows(w.features[k:], w.targets[k:], w.target_rows[k:], 0))
 
 
 def window_matrix(windows: Windows, stats: NormalizationStats) -> tuple:

@@ -348,7 +348,7 @@ def save_model(model: MlpModel, path) -> None:
 
 def load_model(path) -> MlpModel:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             payload = json.load(handle)
     except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
         raise InvalidModel(f"model {path} is not a JSON file: {exc}") from None

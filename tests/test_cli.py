@@ -5,7 +5,7 @@ import hashlib
 import importlib
 import inspect
 import json
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ from loadshift import mlp
 from loadshift.cli import build_parser, main
 from loadshift.errors import InsufficientData, LoadshiftError
 from loadshift.ingest import load_dataset
+from loadshift.profiles import ProfileKind
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,13 @@ class TestPredict:
                          "--day", "2024-01-06", "--out", str(tmp_path / out)]) == 0
         assert (tmp_path / "bom" / "prediction.csv").read_bytes() == (tmp_path / "plain" / "prediction.csv").read_bytes()
 
+    def test_model_with_a_byte_order_mark_predicts_the_same(self, trained_dir, synth_dir, tmp_path):
+        plain = trained_dir / "model.json"
+        for model, out in ((plain, "plain"), (with_byte_order_mark(plain, tmp_path / "bom.json"), "bom")):
+            assert main(["predict", "--model", str(model), "--data", str(synth_dir / "synthetic.csv"),
+                         "--day", "2024-01-06", "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bom" / "prediction.csv").read_bytes() == (tmp_path / "plain" / "prediction.csv").read_bytes()
+
     def test_constant_actual_load_leaves_r_undefined(self, trained_dir, synth_dir, tmp_path, capsys):
         rows = [line.split(",") for line in (synth_dir / "synthetic.csv").read_text().splitlines()]
         assert rows[0][6] == "load_kwh"
@@ -192,6 +200,14 @@ class TestOptimize:
         assert self.run(marked, tmp_path / "bom") == 0
         assert (tmp_path / "bom" / "result.json").read_bytes() == (tmp_path / "plain" / "result.json").read_bytes()
 
+    def test_config_with_a_byte_order_mark_gives_the_same_result(self, day_inputs, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 50.0, "peak_cap": 120.0}), encoding="utf-8")
+        marked = with_byte_order_mark(config, tmp_path / "bom-config.json")
+        assert self.run(day_inputs, tmp_path / "plain", ("--config", str(config))) == 0
+        assert self.run(day_inputs, tmp_path / "bom", ("--config", str(marked))) == 0
+        assert (tmp_path / "bom" / "result.json").read_bytes() == (tmp_path / "plain" / "result.json").read_bytes()
+
     def test_de_algorithm_runs(self, day_inputs, tmp_path):
         assert self.run(day_inputs, tmp_path, ("--algorithm", "de")) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -207,6 +223,20 @@ class TestOptimize:
         ])
         assert code == 0
         assert (tmp_path / "result.json").exists()
+
+    def test_csv_inputs_of_a_model_run_give_its_bytes(self, trained_dir, synth_dir, tmp_path):
+        # --predicted from the run's own load_comparison.csv, --prices from the dataset's rows of the day
+        day, budget = "2024-01-06", ["--population", "10", "--iterations", "10"]
+        data = synth_dir / "synthetic.csv"
+        assert main(["optimize", "--model", str(trained_dir / "model.json"), "--data", str(data), "--day", day,
+                     *budget, "--out", str(tmp_path / "model")]) == 0
+        prices = tmp_path / "prices.csv"
+        write_hourly_csv(prices, "price_c_per_kwh", load_dataset(data).day_profile(date.fromisoformat(day),
+                                                                                  ProfileKind.PRICE).values)
+        assert main(["optimize", "--predicted", str(tmp_path / "model" / "load_comparison.csv"),
+                     "--prices", str(prices), *budget, "--out", str(tmp_path / "csv")]) == 0
+        for name in ("result.json", "trace.csv"):
+            assert (tmp_path / "csv" / name).read_bytes() == (tmp_path / "model" / name).read_bytes()
 
 
 class TestSweep:
@@ -715,7 +745,7 @@ class TestErrors:
         predicted.write_bytes(b"hour,predicted_kwh\n1,\xff\n")
         code = main(["optimize", "--predicted", str(predicted), "--prices", str(prices), "--out", str(tmp_path)])
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {predicted} is not UTF-8 text: 'utf-8' codec can't decode")
+        assert capsys.readouterr().err == "error: cannot parse CSV line 2: not UTF-8 text (invalid start byte)\n"
 
     def test_data_file_that_is_not_utf8_text_names_its_line(self, synth_dir, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadshift.errors import InsufficientData
-from loadshift.ingest import REQUIRED_COLUMNS, build_windows, load_dataset
+from loadshift.ingest import REQUIRED_COLUMNS, build_windows, load_dataset, split_windows
 
 START = datetime(2024, 3, 9, 17)
 OFFSETS = {
@@ -68,4 +68,10 @@ def test_lookups_and_windows_match_scans(data):
     for features, (end, target) in zip(windows.features, expected):
         assert np.array_equal(features[:5], dataset.weather[target])
         assert np.array_equal(features[5:], dataset.load[end - lag + 1 : end + 1])
-    assert list(windows.is_test) == [target >= n_train for _, target in expected]
+    assert windows.n_train == sum(target < n_train for _, target in expected)
+    assert all(target >= n_train for _, target in expected[windows.n_train:])   # the test windows follow
+    train, test = split_windows(windows)
+    assert (len(train), len(test)) == (windows.n_train, len(windows) - windows.n_train)
+    for part in filter(len, (train, test)):   # views, not copies; an empty array shares no memory
+        for name in ("features", "targets", "target_rows"):
+            assert np.shares_memory(getattr(part, name), getattr(windows, name))

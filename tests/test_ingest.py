@@ -250,6 +250,19 @@ class TestLoadDataset:
             load_dataset(path)
         assert str(exc.value) == "cannot parse CSV line 2000: not UTF-8 text (invalid start byte)"
 
+    # the whole file is decoded before its header is read, wherever the byte lies
+    @pytest.mark.parametrize("line,old,new", [(1, b"load_kwh", b"load"), (5, b",", b",x")],
+                             ids=["missing-column", "bad-value"])
+    def test_non_utf8_byte_is_reported_before_any_other_fault(self, tmp_path, line, old, new):
+        lines = synthetic_bytes(tmp_path, 120).splitlines(keepends=True)
+        lines[1999] = lines[1999].replace(b",", b",\xff", 1)
+        lines[line - 1] = lines[line - 1].replace(old, new, 1)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(UnparseableRow) as exc:
+            load_dataset(path)
+        assert str(exc.value) == "cannot parse CSV line 2000: not UTF-8 text (invalid start byte)"
+
     # a pipe gives its bytes to one read only: every check must see the bytes parsed
     @linux_only
     def test_pipe_reads_as_from_disk(self, tmp_path):
@@ -447,12 +460,15 @@ class TestBuildWindows:
             split_boundary=START + timedelta(hours=60),
         )
         windows = build_windows(ds, lag=24)
-        for row, is_test in zip(windows.target_rows, windows.is_test):
-            assert is_test == (row >= 60)
+        assert windows.n_train == sum(row < 60 for row in windows.target_rows) > 0
+        assert all(row >= 60 for row in windows.target_rows[windows.n_train:]) and windows.n_train < len(windows)
         train, test = split_windows(windows)
-        assert len(train) + len(test) == len(windows)
-        assert all(not is_test for is_test in train.is_test)
-        assert all(is_test for is_test in test.is_test)
+        assert (len(train), len(test)) == (windows.n_train, len(windows) - windows.n_train)
+        assert (train.n_train, test.n_train) == (len(train), 0)
+        assert all(row < 60 for row in train.target_rows) and all(row >= 60 for row in test.target_rows)
+        for part in (train, test):   # views, not copies
+            for name in ("features", "targets", "target_rows"):
+                assert np.shares_memory(getattr(part, name), getattr(windows, name))
 
     def test_gap_spanning_windows_dropped(self, tmp_path):
         rows = make_rows(80)

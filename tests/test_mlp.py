@@ -49,7 +49,7 @@ def toy_windows(n, rng, target_fn):
         features=features,
         targets=np.array([target_fn(f) for f in features]),
         target_rows=np.arange(n),
-        is_test=np.zeros(n, dtype=bool),
+        n_train=n,
     )
 
 
