@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mlp, report, synth
-from .errors import InsufficientData, InvalidArgument, LoadshiftError, MissingPrices, ZeroVariance
+from .errors import InsufficientData, InvalidArgument, LoadshiftError, MissingPrices
 from .exact import exact_optimum, pinned_problem
 from .ingest import (
     DEFAULT_LAG,
@@ -192,6 +192,11 @@ def _build_problem_from_args(args):
 
 # subcommands ----------------------------------------------------------------
 
+def _r_text(r) -> str:
+    """A correlation as printed: None, for a constant reference series, is undefined."""
+    return "r undefined" if r is None else f"r {r:.4f}"
+
+
 def cmd_synth(args) -> int:
     config = synth.SynthConfig(
         days=args.days, seed=args.seed, include_price=not args.no_price
@@ -238,9 +243,9 @@ def cmd_train(args) -> int:
         out, args, {"mlp-init": init_seed, "mlp-shuffle": shuffle_seed},
         layer_sizes=list(sizes), train_windows=len(train_windows), test_windows=len(test_windows),
     )
-    print(f"train mse {fit.train_mse:.6f}  r {fit.train_correlation:.4f}")
+    print(f"train mse {fit.train_mse:.6f}  {_r_text(fit.train_correlation)}")
     if fit.test_mse is not None:
-        print(f"test  mse {fit.test_mse:.6f}  r {fit.test_correlation:.4f}")
+        print(f"test  mse {fit.test_mse:.6f}  {_r_text(fit.test_correlation)}")
     print(f"model saved to {out / 'model.json'}")
     return 0
 
@@ -255,13 +260,9 @@ def cmd_predict(args) -> int:
     _write_hourly_csv(
         out / "prediction.csv", {"real": actual.values, "predicted": predicted.values}
     )
-    try:
-        mse, r = mlp.metrics(predicted.values, actual.values)
-        fit = f"r {r:.4f}"
-    except ZeroVariance as exc:   # a constant actual load: the forecast stands, r does not exist
-        mse, fit = exc.mse, "r undefined"
+    mse, r = mlp.metrics(predicted.values, actual.values)
     _write_manifest(out, args, {})
-    print(f"{day}: mse {mse:.3f} kWh^2  {fit}")
+    print(f"{day}: mse {mse:.3f} kWh^2  {_r_text(r)}")
     return 0
 
 

@@ -19,9 +19,8 @@ class MissingColumn(LoadshiftError):
 
 
 class NonHourlyCadence(LoadshiftError):
-    def __init__(self, timestamp, message: str = ""):
-        detail = message or "timestamps are not on a strict hourly cadence"
-        super().__init__(f"{detail} (first offending timestamp: {timestamp})")
+    def __init__(self, timestamp, message: str):
+        super().__init__(f"{message} (first offending timestamp: {timestamp})")
         self.timestamp = timestamp
 
 
@@ -84,18 +83,6 @@ class DivergedTraining(LoadshiftError):
         super().__init__(f"non-finite loss encountered at epoch {epoch}; "
                          "lower the learning rate")
         self.epoch = epoch
-
-
-class ZeroVariance(LoadshiftError):
-    """Correlation undefined because the reference series is constant.
-
-    The mean squared error is still well defined and travels on the
-    exception so callers that only need it can recover.
-    """
-
-    def __init__(self, mse: float):
-        super().__init__("correlation undefined: reference series has zero variance")
-        self.mse = mse
 
 
 # objective / problem construction ------------------------------------------

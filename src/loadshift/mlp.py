@@ -27,7 +27,6 @@ from .errors import (
     InvalidArchitecture,
     InvalidModel,
     InvalidTrainConfig,
-    ZeroVariance,
 )
 from .ingest import (
     DEFAULT_LAG,
@@ -124,7 +123,7 @@ class FitReport:
 
     train_mse: float
     test_mse: Optional[float]
-    train_correlation: float
+    train_correlation: Optional[float]
     test_correlation: Optional[float]
     epoch_mse: tuple = field(default_factory=tuple)
 
@@ -305,12 +304,20 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     return load_profile(np.maximum(predictions, 0.0))
 
 
+def _scaled_deviations(x):
+    """``x`` less its mean, times the power of two that brings the largest
+    magnitude into [0.5, 1): exact, so r keeps its bits, and no sum of
+    squares underflows to zero or overflows."""
+    deviations = x - x.mean()
+    return np.ldexp(deviations, -np.frexp(np.abs(deviations).max())[1])
+
+
 def metrics(predicted, actual) -> tuple:
     """(mean squared error, Pearson r) between two equal-length series.
 
-    Raises ZeroVariance (carrying the MSE) when the reference series is
-    constant. A constant *predicted* series gets r = 0.0: there is no
-    linear dependence to measure.
+    r is None when the reference series is constant: it is undefined
+    there, while the MSE still stands. A constant *predicted* series gets
+    r = 0.0: there is no linear dependence to measure.
     """
     p = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
@@ -318,15 +325,13 @@ def metrics(predicted, actual) -> tuple:
         raise DimensionMismatch(f"need equal nonzero-length 1-d series, got {p.shape} vs {a.shape}")
     # numpy's sums, not np.dot: BLAS splits a long dot product across threads, which moves its last bits
     mse = float(np.mean((p - a) ** 2))
-    a_dev = a - a.mean()
-    p_dev = p - p.mean()
-    a_ss = float(np.sum(a_dev * a_dev))
-    p_ss = float(np.sum(p_dev * p_dev))
-    if a_ss == 0.0:
-        raise ZeroVariance(mse)
-    if p_ss == 0.0:
+    # judged on the values: the deviations from a rounded mean of a constant series need not be zero
+    if a.min() == a.max():
+        return mse, None
+    if p.min() == p.max():
         return mse, 0.0
-    r = float(np.sum(p_dev * a_dev) / math.sqrt(p_ss * a_ss))
+    a_dev, p_dev = _scaled_deviations(a), _scaled_deviations(p)
+    r = float(np.sum(p_dev * a_dev) / math.sqrt(np.sum(p_dev * p_dev) * np.sum(a_dev * a_dev)))
     return mse, max(-1.0, min(1.0, r))
 
 

@@ -73,9 +73,6 @@ class HourlyProfile:
         if (arr < 0).any():
             raise ValueError("hourly profile contains negative values")
 
-    def __len__(self) -> int:
-        return HOURS_PER_DAY
-
 
 def peak(profile: HourlyProfile) -> float:
     """Largest hourly value of the profile."""
@@ -262,26 +259,14 @@ class OptimizationResult:
 
     def to_json_dict(self) -> dict:
         return {
+            **vars(self.trace[-1]),
             "best_schedule_kwh": [float(v) for v in self.best_schedule.values],
-            "objective": self.objective,
-            "cost_cents": self.cost_cents,
             "cost_dollars": self.cost_cents / 100.0,
-            "load_shift_kwh": self.load_shift_kwh,
-            "violation": self.violation,
             "peak_before_kw": self.peak_before_kw,
             "peak_after_kw": self.peak_after_kw,
             "peak_reduction_pct": self.peak_reduction_pct,
             "rng_seed": self.rng_seed,
-            "trace": [
-                {
-                    "iteration": i,
-                    "objective": p.objective,
-                    "cost_cents": p.cost_cents,
-                    "load_shift_kwh": p.load_shift_kwh,
-                    "violation": p.violation,
-                }
-                for i, p in enumerate(self.trace)
-            ],
+            "trace": [{"iteration": i, **vars(point)} for i, point in enumerate(self.trace)],
         }
 
 

@@ -15,8 +15,10 @@ from helpers import write_hourly_csv
 from loadshift import mlp
 from loadshift.cli import build_parser, main
 from loadshift.errors import InsufficientData, LoadshiftError
-from loadshift.ingest import load_dataset
-from loadshift.profiles import ProfileKind
+from loadshift.exact import exact_optimum
+from loadshift.ingest import load_dataset, read_hourly_column
+from loadshift.objective import build_problem
+from loadshift.profiles import ProfileKind, load_profile, price_profile
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,14 @@ def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth_out")
     assert main(["synth", "--days", "6", "--seed", "3", "--out", str(out)]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def synth3_path(tmp_path_factory):
+    """The 3-day seed-0 set: a split at 0.99 leaves one test window, at 0.67 one training window."""
+    out = tmp_path_factory.mktemp("synth3_out")
+    assert main(["synth", "--days", "3", "--seed", "0", "--out", str(out)]) == 0
+    return out / "synthetic.csv"
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +106,24 @@ class TestTrain:
         assert (args.epochs, args.learning_rate, args.batch_size, args.momentum) == (
             config.epochs, config.learning_rate, config.batch_size, config.momentum)
         assert args.split_fraction == inspect.signature(load_dataset).parameters["split_fraction"].default
+
+    @pytest.mark.parametrize("split, undefined", [
+        (["--split-fraction", "0.99"], "test"),
+        (["--split-fraction", "0.67"], "train"),
+        (["--split", "2024-01-03T23:00:00"], "test"),
+    ])
+    def test_a_single_window_leaves_its_r_undefined(self, synth3_path, tmp_path, capsys, split, undefined):
+        """One window's target is a constant series: its r is null, the model stands."""
+        code = main(["train", "--data", str(synth3_path), "--epochs", "2", *split, "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "model.json").exists()
+        fit = json.loads((tmp_path / "fit_report.json").read_text())
+        defined = {"train": "test", "test": "train"}[undefined]
+        assert fit[f"{undefined}_correlation"] is None
+        assert -1.0 <= fit[f"{defined}_correlation"] <= 1.0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith(undefined)] == [
+            f"{undefined:<5} mse {fit[f'{undefined}_mse']:.6f}  r undefined"]
 
 
 class TestPredict:
@@ -331,6 +359,22 @@ class TestVerify:
         assert 0.0 <= check["oracle_objective"] <= 1e-12
         assert check["relative_gap"] == check["objective"] - check["oracle_objective"]
 
+    def test_all_24_hours_free_is_the_unpinned_optimum(self, day_inputs, tmp_path):
+        predicted, prices = day_inputs
+        all_hours = ",".join(map(str, range(1, 25)))
+        assert main([
+            "verify", "--predicted", str(predicted), "--prices", str(prices),
+            "--free-hours", all_hours, "--tolerance", "10", "--out", str(tmp_path),
+        ]) == 0
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        problem = build_problem(load_profile(read_hourly_column(predicted, "predicted_kwh", InsufficientData)),
+                                price_profile(read_hourly_column(prices, "price_c_per_kwh", InsufficientData)),
+                                0.4, 0.6)
+        schedule, objective = exact_optimum(problem)
+        assert payload["free_hours"] == list(range(1, 25))
+        assert payload["checks"][0]["oracle_objective"] == objective
+        assert payload["oracle_schedule_kwh"] == schedule.values.tolist()
+
 
 class TestGoldenArtifacts:
     """Every deterministic file of a small seeded flow, pinned by sha256.
@@ -465,6 +509,30 @@ class TestManifest:
         dests = set(vars(build_parser().parse_args([command, *argv]))) - {"func", "command"}
         assert manifest["command"] == command
         assert dests <= set(manifest["parameters"])
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--momentum", 0.5), ("--batch-size", 7), ("--learning-rate", 0.05), ("--gamma-hi", 1.1),
+    ])
+    def test_a_flag_reaches_the_manifest_and_its_artifact(self, day_inputs, synth_dir, trained_dir, tmp_path,
+                                                          flag, value):
+        if flag == "--gamma-hi":
+            argv = ["optimize", "--predicted", str(day_inputs[0]), "--prices", str(day_inputs[1]),
+                    "--w1", "0.9", "--w2", "0.1", "--population", "12", "--iterations", "15"]
+        else:   # trained_dir's run, but for the flag
+            argv = ["train", "--data", str(synth_dir / "synthetic.csv"), "--hidden", "8", "--epochs", "3"]
+        for out, extra in (("default", []), ("flag", [flag, str(value)])):
+            assert main([*argv, *extra, "--out", str(tmp_path / out)]) == 0
+        parameters = json.loads((tmp_path / "flag" / "manifest.json").read_text())["parameters"]
+        assert parameters[flag[2:].replace("-", "_")] == value
+        if flag == "--gamma-hi":
+            predicted = np.array(read_hourly_column(day_inputs[0], "predicted_kwh", InsufficientData))
+            best = {out: np.array(json.loads((tmp_path / out / "result.json").read_text())["best_schedule_kwh"])
+                    for out in ("default", "flag")}
+            assert np.all(best["flag"] <= value * predicted)
+            assert np.any(best["default"] > value * predicted)
+        else:
+            assert (tmp_path / "default" / "model.json").read_bytes() == (trained_dir / "model.json").read_bytes()
+            assert (tmp_path / "flag" / "model.json").read_bytes() != (trained_dir / "model.json").read_bytes()
 
 
 class TestGaps:

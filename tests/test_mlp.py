@@ -27,7 +27,6 @@ from loadshift.errors import (
     InvalidModel,
     InvalidTrainConfig,
     LoadshiftError,
-    ZeroVariance,
 )
 from loadshift.ingest import (
     LOAD_COLUMN,
@@ -555,9 +554,36 @@ class TestMetrics:
         assert mse == pytest.approx(9.0)
 
     def test_zero_variance_carries_mse(self):
-        with pytest.raises(ZeroVariance) as exc:
-            mlp.metrics(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
-        assert exc.value.mse == pytest.approx(0.5 * ((1 - 3) ** 2 + (2 - 3) ** 2))
+        mse, r = mlp.metrics(np.array([1.0, 2.0]), np.array([3.0, 3.0]))
+        assert r is None
+        assert mse == pytest.approx(0.5 * ((1 - 3) ** 2 + (2 - 3) ** 2))
+
+    def test_constant_series_whose_mean_rounds(self):
+        """Three copies of 0.1 have a mean of 0.10000000000000002, so their
+        deviations from it are not zero; the series is constant all the same."""
+        series = np.full(3, 0.1)
+        assert series.mean() != 0.1
+        assert mlp.metrics(np.array([1.0, 5.0, 2.0]), series)[1] is None
+        assert mlp.metrics(series, np.array([1.0, 5.0, 2.0]))[1] == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_r_is_none_exactly_for_a_constant_reference(self, data):
+        # subnormals included; beyond 1e150 a squared error overflows float64
+        values = st.floats(-1e150, 1e150)
+        n = data.draw(st.integers(1, 40))
+        series = lambda: data.draw(st.one_of(
+            st.lists(values, min_size=n, max_size=n),
+            values.map(lambda v: [v] * n),
+        ))
+        predicted, actual = np.array(series()), np.array(series())
+        r = mlp.metrics(predicted, actual)[1]
+        if np.all(actual == actual[0]):
+            assert r is None
+        elif np.all(predicted == predicted[0]):
+            assert r == 0.0
+        else:
+            assert -1.0 <= r <= 1.0
 
     def test_constant_prediction_gives_zero_r(self):
         mse, r = mlp.metrics(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
