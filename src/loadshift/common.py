@@ -1,4 +1,9 @@
-"""The run state and the loop shared by the population optimizers."""
+"""The run state and the loop shared by the population optimizers.
+
+A ``Search`` allocates every buffer the two optimizers share, once per
+run: the (n, 24) positions, kept positions and scratch batch, the box
+tiled to (n, 24), the (4, n) scores, the kept objectives and the
+improvement mask, and the block of uniforms."""
 
 from __future__ import annotations
 
@@ -37,8 +42,10 @@ class Search:
     ``kept_objectives``), and the best schedule seen so far with the trace
     of its ``ObjectiveBreakdown``, one per iteration from the initial
     positions (iteration 0) on; ``run`` allocates the block of uniforms.
-    An optimizer adds its setup and its step rule, and reads and writes
-    these arrays in place.
+    It also owns the search box: the problem's bounds tiled to (n, dims)
+    as ``lower`` and ``upper``, which ``clamp`` applies, and one (n, dims)
+    ``scratch`` batch for the step rule.  An optimizer adds its setup and
+    its step rule, and reads and writes these arrays in place.
 
     After the set-up draws, the loop takes the uniforms of several
     iterations in one draw, a block of at most ``BLOCK_VALUES`` values and
@@ -53,6 +60,9 @@ class Search:
     def __init__(self, problem: DrProblem, seed: int, size: int):
         self.problem, self.seed = problem, seed
         self.rng = np.random.default_rng(seed)
+        self.lower = np.tile(problem.lower_bounds, (size, 1))
+        self.upper = np.tile(problem.upper_bounds, (size, 1))
+        self.scratch = np.empty_like(self.lower)
         self.positions = init_positions(problem, size, self.rng)
         self.terms = objective.evaluate_batch(problem, self.positions)
         self.kept = self.positions.copy()
@@ -60,6 +70,11 @@ class Search:
         self.improved = np.empty(size, dtype=bool)
         self.trace: list[objective.ObjectiveBreakdown] = []
         self.offer(self.positions)
+
+    def clamp(self, batch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``batch`` clamped into the box, written into ``out``."""
+        np.maximum(batch, self.lower, out=out)
+        return np.minimum(out, self.upper, out=out)
 
     def offer(self, batch: np.ndarray) -> None:
         """Append the best breakdown after ``batch``, scored in ``self.terms``,

@@ -10,11 +10,13 @@ for a block of k generations at once, and the parents, the scale factors
 and the crossover masks of the whole block are built from them by a few
 array expressions, arrays of that block.  A generation is then left with
 its gather, its donor arithmetic and clamp, the mask copy and its scoring
-in one batch, all written into buffers allocated once per ``optimize``
-call.  Selection is greedy and strict: a trial only replaces its target
-when it is genuinely better.  The population handed to ``on_iteration``
-is changed in place by the next generation, so a callback must copy
-anything it keeps.
+in one batch.  The gather writes into the (3, n, 24) parents allocated
+once per ``optimize`` call; the donors, and then the trials, are
+``common.Search``'s scratch batch, clamped by its ``clamp``.  Selection
+is greedy and strict: a trial only replaces its target when it is
+genuinely better.  The population handed to ``on_iteration`` is changed
+in place by the next generation, so a callback must copy anything it
+keeps.
 """
 
 from __future__ import annotations
@@ -46,19 +48,6 @@ class DeConfig:
             raise InvalidOptimizerConfig(f"iterations must be >= 1, got {self.iterations}")
 
 
-class Workspace:
-    """Scratch arrays of one generation of n members in ``len(lower)``
-    dimensions, allocated once per run: the gathered (3, n, dims) parents,
-    the (n, dims) donors, and the box limits repeated to (n, dims)."""
-
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray):
-        dims = len(lower)
-        self.picked = np.empty((3, n, dims))
-        self.donors = np.empty((n, dims))
-        self.lower = np.tile(lower, (n, 1))
-        self.upper = np.tile(upper, (n, 1))
-
-
 def draw_parents(uniforms: np.ndarray) -> np.ndarray:
     """(k, 3, n) parent indices from the (k, n, 3) uniforms of k
     generations: column i of generation j holds three distinct members in
@@ -82,20 +71,19 @@ def draw_parents(uniforms: np.ndarray) -> np.ndarray:
 
 
 def mutate(population: np.ndarray, parents: np.ndarray, beta: np.ndarray,
-           work: Workspace) -> np.ndarray:
+           picked: np.ndarray, search: Search) -> np.ndarray:
     """Donors pop[a] + beta * (pop[b] - pop[c]) for the (3, n) rows a, b, c
-    of ``parents``, clamped into the box, written into ``work.donors``.
-    ``beta`` holds the per-donor factors, as a column or repeated to
-    (n, dims).  Donors are not checked for repeated parents, which would
-    only give a valid but wasted donor."""
-    picked, donors = work.picked, work.donors
+    of ``parents``, gathered into the (3, n, dims) ``picked``, clamped
+    into ``search``'s box and written into its ``scratch``.  ``beta``
+    holds the per-donor factors, as a column or repeated to (n, dims).
+    Donors are not checked for repeated parents, which would only give a
+    valid but wasted donor."""
+    donors = search.scratch
     np.take(population, parents, axis=0, out=picked)
     np.subtract(picked[1], picked[2], out=donors)
     donors *= beta
     donors += picked[0]
-    np.maximum(donors, work.lower, out=donors)
-    np.minimum(donors, work.upper, out=donors)
-    return donors
+    return search.clamp(donors, donors)
 
 
 def crossover_masks(uniforms: np.ndarray, crossover_probability: float) -> np.ndarray:
@@ -122,10 +110,10 @@ def optimize(
     batch, then every trial that is strictly better replaces its target.
     """
     beta_lo, beta_hi = config.beta_range
-    n, dims = config.population_size, len(problem.lower_bounds)
-    work = Workspace(n, problem.lower_bounds, problem.upper_bounds)
-    search = Search(problem, config.seed, n)
+    search = Search(problem, config.seed, config.population_size)
     population = search.kept
+    n, dims = population.shape
+    picked = np.empty((3, n, dims))
 
     def generations(uniforms: np.ndarray) -> Iterator[np.ndarray]:
         parents = draw_parents(uniforms[..., :3])
@@ -133,7 +121,7 @@ def optimize(
         beta = np.repeat(uniforms[..., 3:4] * (beta_hi - beta_lo) + beta_lo, dims, axis=2)
         keep_target = crossover_masks(uniforms[..., 4:], config.crossover_probability)
         for j in range(len(uniforms)):
-            trials = mutate(population, parents[j], beta[j], work)
+            trials = mutate(population, parents[j], beta[j], picked, search)
             np.copyto(trials, population, where=keep_target[j])
             yield trials
 

@@ -12,11 +12,13 @@ random factors of a block of iterations at once, (n, 2, 24) per
 iteration, and they are doubled for the whole block in one multiply.
 
 ``common.Search`` owns the positions and the personal bests (its
-``kept`` arrays), runs the loop, scores each step and keeps the trace.
-The velocities, a difference buffer, the clamp mask and the limits
-repeated to (n, 24) are allocated once per ``optimize`` call, and every
-step writes into them.  Each step keeps the operands and the order of
-the plain update expressions, so seeded runs are bit-identical to them.
+``kept`` arrays), the box and its clamp, and the scratch batch that holds
+each step's differences and unclamped positions; it runs the loop,
+scores each step and keeps the trace.  This module allocates the rest of
+the swarm once per ``optimize`` call: the velocities, the velocity limits
+repeated to (n, 24) and the clamp mask; every step writes into them.
+Each step keeps the operands and the order of the plain update
+expressions, so seeded runs are bit-identical to them.
 The ``Swarm`` handed to ``on_iteration`` is that same state, changed in
 place by the next iteration: a callback must copy anything it keeps.
 """
@@ -51,61 +53,51 @@ class PsoConfig:
 class Swarm:
     """Whole-swarm state; row i of every array belongs to particle i.  In a
     run, ``positions``, ``best_positions`` and ``best_objectives`` are the
-    ``Search``'s ``positions``, ``kept`` and ``kept_objectives``."""
+    ``Search``'s ``positions``, ``kept`` and ``kept_objectives``.
+    ``v_max`` and ``neg_v_max`` are the velocity limits repeated to
+    (n, dims), and ``clamped`` is the position step's mask."""
 
     positions: np.ndarray
     velocities: np.ndarray
     best_positions: np.ndarray
     best_objectives: np.ndarray
-
-
-class Workspace:
-    """Scratch arrays of one run, allocated once: an (n, dims) difference
-    buffer and clamp mask, and the velocity and box limits repeated to
-    (n, dims), so that every step is a ufunc on arrays of one shape."""
-
-    def __init__(self, n: int, lower: np.ndarray, upper: np.ndarray, v_max: np.ndarray):
-        dims = len(lower)
-        self.diff = np.empty((n, dims))
-        self.clamped = np.empty((n, dims), dtype=bool)
-        self.v_max = np.tile(v_max, (n, 1))
-        self.neg_v_max = np.tile(-v_max, (n, 1))
-        self.lower = np.tile(lower, (n, 1))
-        self.upper = np.tile(upper, (n, 1))
+    v_max: np.ndarray
+    neg_v_max: np.ndarray
+    clamped: np.ndarray
 
 
 def velocity_update(
     swarm: Swarm,
     gbest_position: np.ndarray,
     r: np.ndarray,
-    work: Workspace,
+    diff: np.ndarray,
 ) -> None:
     """Move ``swarm.velocities`` in place, then clamp them to
     +-v_max_fraction * (upper - lower).  The inertia is 1 and each pull is
     its factor from the (n, 2, dims) ``r``, already doubled: 2 times a
     uniform.  For each particle, ``r`` holds the factors of the personal
-    pull and then those of the social pull."""
-    diff, v = work.diff, swarm.velocities
+    pull and then those of the social pull.  ``diff`` is an (n, dims)
+    scratch array."""
+    v = swarm.velocities
     np.subtract(swarm.best_positions, swarm.positions, out=diff)
     diff *= r[:, 0]
     v += diff
     np.subtract(gbest_position, swarm.positions, out=diff)
     diff *= r[:, 1]
     v += diff
-    np.maximum(v, work.neg_v_max, out=v)
-    np.minimum(v, work.v_max, out=v)
+    np.maximum(v, swarm.neg_v_max, out=v)
+    np.minimum(v, swarm.v_max, out=v)
 
 
-def position_update(swarm: Swarm, work: Workspace) -> None:
-    """Step then clamp ``swarm.positions`` in place.  Components clamped to
-    a bound get zero velocity so the particle does not keep pushing into
-    the wall."""
-    moved, positions = work.diff, swarm.positions
+def position_update(swarm: Swarm, search: Search) -> None:
+    """Step ``swarm.positions`` in place, clamped into ``search``'s box.
+    Components clamped to a bound get zero velocity so the particle does
+    not keep pushing into the wall."""
+    moved, positions = search.scratch, swarm.positions
     np.add(positions, swarm.velocities, out=moved)
-    np.maximum(moved, work.lower, out=positions)
-    np.minimum(positions, work.upper, out=positions)
-    np.not_equal(positions, moved, out=work.clamped)
-    np.copyto(swarm.velocities, 0.0, where=work.clamped)
+    search.clamp(moved, positions)
+    np.not_equal(positions, moved, out=swarm.clamped)
+    np.copyto(swarm.velocities, 0.0, where=swarm.clamped)
 
 
 def optimize(
@@ -119,20 +111,20 @@ def optimize(
     one batch, then every personal best that strictly improved updates.
     The trace records the global best after every iteration, starting
     with the initial swarm (iteration 0)."""
-    lower, upper = problem.lower_bounds, problem.upper_bounds
-    v_max = config.v_max_fraction * (upper - lower)
-    n = config.swarm_size
-    work = Workspace(n, lower, upper, v_max)
-    search = Search(problem, config.seed, n)
+    search = Search(problem, config.seed, config.swarm_size)
     positions = search.positions
-    velocities = search.rng.uniform(-v_max, v_max, size=positions.shape)
-    swarm = Swarm(positions, velocities, search.kept, search.kept_objectives)
+    v_max = config.v_max_fraction * (search.upper - search.lower)
+    neg_v_max = -v_max
+    velocities = search.rng.uniform(neg_v_max, v_max)
+    swarm = Swarm(positions, velocities, search.kept, search.kept_objectives,
+                  v_max, neg_v_max, np.empty(positions.shape, dtype=bool))
 
     def steps(factors: np.ndarray) -> Iterator[np.ndarray]:
         factors *= 2.0
         for r in factors:
-            velocity_update(swarm, search.best_position, r, work)
-            position_update(swarm, work)
+            velocity_update(swarm, search.best_position, r, search.scratch)
+            position_update(swarm, search)
             yield positions
 
-    return search.run(config.iterations, (n, 2, len(lower)), steps, on_iteration, swarm)
+    n, dims = positions.shape
+    return search.run(config.iterations, (n, 2, dims), steps, on_iteration, swarm)

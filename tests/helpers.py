@@ -2,7 +2,8 @@
 objective and a DE generation as plain expressions, the network's
 unit stats and one-sample forward and backward passes, the row-wise CSV reader and
 writer, the one-row-at-a-time forecast features, and scans that find
-Dataset rows the slow way; and the writer of the CLI's hourly CSVs."""
+Dataset rows the slow way; the writer of the CLI's hourly CSVs; and a
+stand-in for a run's search box."""
 
 import csv
 from datetime import datetime, timedelta
@@ -10,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from loadshift.common import Search
 from loadshift.errors import (
     DimensionMismatch,
     InsufficientData,
@@ -53,6 +55,17 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+def search_box(n, lower, upper):
+    """A stand-in for a run's ``common.Search`` that holds only its box:
+    the bounds tiled to (n, dims), the scratch batch, and ``Search``'s own
+    ``clamp``.  A step rule called on hand-made state reads nothing else."""
+    box = object.__new__(Search)
+    box.lower = np.tile(np.asarray(lower, dtype=float), (n, 1))
+    box.upper = np.tile(np.asarray(upper, dtype=float), (n, 1))
+    box.scratch = np.empty_like(box.lower)
+    return box
 
 
 def write_hourly_csv(path, column, values):

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import corner_optimum, de_generation, plain_terms
+from helpers import corner_optimum, de_generation, plain_terms, search_box
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,11 +22,12 @@ LARGEST_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 def mutate(population, parents, beta, lower, upper):
     """``de.mutate`` on (3, n) rows of a, b and c indices, one column per
-    donor, and a scalar or a column of factors, in a workspace of n donors."""
+    donor, and a scalar or a column of factors, in a box of n donors."""
     parents = np.array(parents)
     n = parents.shape[1]
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (n, 1))
-    return de.mutate(population, parents, beta, de.Workspace(n, lower, upper))
+    picked = np.empty((3, n, len(lower)))
+    return de.mutate(population, parents, beta, picked, search_box(n, lower, upper))
 
 
 def crossover(targets, donors, forced, mask, crossover_probability):

@@ -37,7 +37,20 @@ def capped_problem(draw):
 @settings(max_examples=25, deadline=None)
 @given(problem=capped_problem(), seed=st.integers(0, 2**32 - 1))
 def test_result_invariants(name, problem, seed):
-    result = RUNS[name](problem, seed)
+    # every batch scored lies in the box, kept or not: DE's trials included
+    keep = common.Search.keep
+    audited = []
+
+    def keep_in_the_box(search, batch):
+        assert np.all(batch >= problem.lower_bounds)
+        assert np.all(batch <= problem.upper_bounds)
+        audited.append(len(batch))
+        keep(search, batch)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(common.Search, "keep", keep_in_the_box)
+        result = RUNS[name](problem, seed)
+    assert audited == [10] * 15
     _, optimum = corner_optimum(problem)
     assert result.objective >= optimum - 1e-9
     schedule = result.best_schedule.values

@@ -5,7 +5,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import corner_optimum, plain_terms
+from helpers import corner_optimum, plain_terms, search_box
 
 from loadshift import common, pso
 from loadshift.common import init_positions
@@ -47,12 +47,10 @@ class TestConfig:
             pso.PsoConfig(**kwargs)
 
 
-def workspace(n, lower, upper):
-    return pso.Workspace(n, lower, upper, pso.PsoConfig.v_max_fraction * (upper - lower))
-
-
 class TestVelocityUpdate:
     def swarm_at(self, position, velocity=None, best=None):
+        """A swarm whose velocity limits ``update`` sets from its box; the
+        velocity step reads no clamp mask."""
         position = np.atleast_2d(np.asarray(position, dtype=float))
         if velocity is None:
             velocity = np.zeros_like(position)
@@ -63,16 +61,22 @@ class TestVelocityUpdate:
             velocities=np.atleast_2d(np.asarray(velocity, dtype=float)),
             best_positions=np.atleast_2d(np.asarray(best, dtype=float)),
             best_objectives=np.zeros(len(position)),
+            v_max=None,
+            neg_v_max=None,
+            clamped=None,
         )
 
     def update(self, swarm, gbest, lower, upper, uniforms):
         """One velocity update with the (n, 2, dims) ``uniforms`` as the
-        iteration's slice of a block, doubled as ``optimize`` doubles it;
+        iteration's slice of a block, doubled as ``optimize`` doubles it,
+        and the velocity limits ``optimize`` derives from the box;
         returns the velocities."""
+        box = search_box(len(swarm.positions), lower, upper)
+        swarm.v_max = pso.PsoConfig.v_max_fraction * (box.upper - box.lower)
+        swarm.neg_v_max = -swarm.v_max
         velocities = swarm.velocities
         factors = 2.0 * np.asarray(uniforms, dtype=float)
-        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), factors,
-                            workspace(len(swarm.positions), lower, upper))
+        pso.velocity_update(swarm, np.asarray(gbest, dtype=float), factors, box.scratch)
         assert swarm.velocities is velocities   # moved in place
         return swarm.velocities
 
@@ -139,8 +143,10 @@ def step(positions, velocities, lower, upper):
     shape = np.shape(positions)
     positions = np.atleast_2d(np.array(positions, dtype=float))
     velocities = np.atleast_2d(np.array(velocities, dtype=float))
-    swarm = pso.Swarm(positions, velocities, positions.copy(), np.zeros(len(positions)))
-    pso.position_update(swarm, workspace(len(positions), lower, upper))
+    # the position step reads no velocity limit
+    swarm = pso.Swarm(positions, velocities, positions.copy(), np.zeros(len(positions)),
+                      None, None, np.empty(positions.shape, dtype=bool))
+    pso.position_update(swarm, search_box(len(positions), lower, upper))
     assert swarm.positions is positions and swarm.velocities is velocities
     return positions.reshape(shape), velocities.reshape(shape)
 
