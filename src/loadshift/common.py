@@ -3,7 +3,8 @@
 A ``Search`` allocates every buffer the two optimizers share, once per
 run: the (n, 24) positions, kept positions and scratch batch, the box
 tiled to (n, 24), the (4, n) scores, the kept objectives and the
-improvement mask, and the block of uniforms."""
+improvement mask, and the block of uniforms.  It draws the initial
+population too, and ``Search.keep`` is the only way a batch enters a run."""
 
 from __future__ import annotations
 
@@ -24,20 +25,10 @@ def block_length(iterations: int, values_per_iteration: int) -> int:
     return max(1, min(iterations, BLOCK_VALUES // values_per_iteration))
 
 
-def init_positions(problem: DrProblem, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform positions in the box; member 0 at the predicted profile
-    (clamped in) so the search never ends worse than no shifting."""
-    positions = rng.uniform(
-        problem.lower_bounds, problem.upper_bounds, size=(size, len(problem.lower_bounds))
-    )
-    positions[0] = np.clip(problem.predicted.values, problem.lower_bounds, problem.upper_bounds)
-    return positions
-
-
 class Search:
     """The state of one population-optimizer run and the loop that moves it.
 
-    A ``Search`` owns the RNG, the initial positions and their scores, each
+    A ``Search`` owns the RNG, the positions and their scores, each
     member's best position and objective so far (``kept`` and
     ``kept_objectives``), and the best schedule seen so far with the trace
     of its ``ObjectiveBreakdown``, one per iteration from the initial
@@ -46,6 +37,10 @@ class Search:
     as ``lower`` and ``upper``, which ``clamp`` applies, and one (n, dims)
     ``scratch`` batch for the step rule.  An optimizer adds its setup and
     its step rule, and reads and writes these arrays in place.
+
+    The initial positions are the stream's first draw, uniform in the box,
+    with member 0 at the predicted profile so the search never ends worse
+    than no shifting; they are clamped and kept as every later batch is.
 
     After the set-up draws, the loop takes the uniforms of several
     iterations in one draw, a block of at most ``BLOCK_VALUES`` values and
@@ -63,38 +58,36 @@ class Search:
         self.lower = np.tile(problem.lower_bounds, (size, 1))
         self.upper = np.tile(problem.upper_bounds, (size, 1))
         self.scratch = np.empty_like(self.lower)
-        self.positions = init_positions(problem, size, self.rng)
-        self.terms = objective.evaluate_batch(problem, self.positions)
-        self.kept = self.positions.copy()
-        self.kept_objectives = self.terms[3].copy()
+        self.positions = self.rng.uniform(problem.lower_bounds, problem.upper_bounds, size=self.lower.shape)
+        self.positions[0] = problem.predicted.values
+        self.clamp(self.positions, self.positions)
+        self.terms = np.empty((4, size))
+        self.kept = np.empty_like(self.lower)
+        self.kept_objectives = np.full(size, np.inf)
         self.improved = np.empty(size, dtype=bool)
         self.trace: list[objective.ObjectiveBreakdown] = []
-        self.offer(self.positions)
+        self.keep(self.positions)
 
     def clamp(self, batch: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``batch`` clamped into the box, written into ``out``."""
         np.maximum(batch, self.lower, out=out)
         return np.minimum(out, self.upper, out=out)
 
-    def offer(self, batch: np.ndarray) -> None:
-        """Append the best breakdown after ``batch``, scored in ``self.terms``,
-        to the trace; the first batch offered always sets the incumbent."""
-        objectives = self.terms[3]
+    def keep(self, batch: np.ndarray) -> None:
+        """Score ``batch``, let each row that is strictly better than its row
+        of ``kept`` replace it, and append the best breakdown after it to
+        the trace; the first batch always sets the incumbent."""
+        terms = objective.evaluate_batch(self.problem, batch, out=self.terms)
+        objectives = terms[3]
+        np.less(objectives, self.kept_objectives, out=self.improved)
+        np.copyto(self.kept, batch, where=self.improved[:, None])
+        np.copyto(self.kept_objectives, objectives, where=self.improved)
         i = int(np.argmin(objectives))
         best = self.trace[-1] if self.trace else None
         if best is None or objectives[i] < best.objective:
             self.best_position = batch[i].copy()
-            best = objective.ObjectiveBreakdown(*(float(t[i]) for t in self.terms))
+            best = objective.ObjectiveBreakdown(*(float(t[i]) for t in terms))
         self.trace.append(best)
-
-    def keep(self, batch: np.ndarray) -> None:
-        """Score ``batch``, let each row that is strictly better than its row
-        of ``kept`` replace it, and offer the batch."""
-        terms = objective.evaluate_batch(self.problem, batch, out=self.terms)
-        np.less(terms[3], self.kept_objectives, out=self.improved)
-        np.copyto(self.kept, batch, where=self.improved[:, None])
-        np.copyto(self.kept_objectives, terms[3], where=self.improved)
-        self.offer(batch)
 
     def run(self, iterations: int, draw_shape: tuple,
             block: Callable[[np.ndarray], Iterator[np.ndarray]],

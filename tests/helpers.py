@@ -3,7 +3,7 @@ objective and a DE generation as plain expressions, the network's
 unit stats and one-sample forward and backward passes, the row-wise CSV reader and
 writer, the one-row-at-a-time forecast features, and scans that find
 Dataset rows the slow way; the writer of the CLI's hourly CSVs; and a
-stand-in for a run's search box."""
+run's initial population and a stand-in for its search box."""
 
 import csv
 from datetime import datetime, timedelta
@@ -55,6 +55,14 @@ def corner_optimum(problem):
     if viol[0] != 0.0:
         raise AssertionError("corner argmin triggered the excess penalty; oracle does not apply")
     return schedule, float(obj[0])
+
+
+def initial_positions(problem, size, rng):
+    """A run's initial population as plain expressions, drawn from ``rng``:
+    uniform in the box, member 0 the predicted profile clipped into it."""
+    positions = rng.uniform(problem.lower_bounds, problem.upper_bounds, size=(size, 24))
+    positions[0] = np.clip(problem.predicted.values, problem.lower_bounds, problem.upper_bounds)
+    return positions
 
 
 def search_box(n, lower, upper):

@@ -893,6 +893,53 @@ class TestErrors:
         assert err.startswith(f"error: model {model} holds a malformed value: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda model: model["weights"][0][0].__setitem__(0, float("nan")), "layer 0 has non-finite parameters"),
+        (lambda model: model["weights"][0][0].__setitem__(0, float("inf")), "layer 0 has non-finite parameters"),
+        (lambda model: (model["weights"].pop(), model["biases"].pop()), "need one weight matrix per layer transition"),
+        (lambda model: model["biases"].pop(), "need one weight matrix per layer transition"),
+        (lambda model: [scale.append(1.0) for scale in model["norm_stats"].values()],
+         "each feature scale must be two numbers [lo, hi], got [["),
+    ], ids=["nan-weight", "infinite-weight", "last-layer-dropped", "last-bias-dropped", "three-number-scale"])
+    def test_malformed_model_value_names_its_fault(self, trained_dir, synth_dir, tmp_path, capsys, edit, fault):
+        payload = json.loads((trained_dir / "model.json").read_text())
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))   # a non-finite weight as the token NaN or Infinity
+        out = tmp_path / "out"
+        code = main([
+            "predict", "--model", str(model), "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-05",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: model {model} holds a malformed value: {fault}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_repeated_row_names_its_timestamp(self, trained_dir, synth_dir, tmp_path, capsys, command):
+        lines = (synth_dir / "synthetic.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[9].startswith("2024-01-01T08:00:00,")
+        data = tmp_path / "data.csv"
+        data.write_text("".join(lines[:10] + lines[9:]), encoding="utf-8")
+        flags = {"train": ["--hidden", "4", "--epochs", "1"],
+                 "predict": ["--model", str(trained_dir / "model.json"), "--day", "2024-01-05"]}[command]
+        out = tmp_path / "out"
+        assert main([command, "--data", str(data), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: duplicate or out-of-order timestamp "
+                                           "(first offending timestamp: 2024-01-01 08:00:00)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fraction", ["0", "0.001"])
+    def test_split_without_training_rows_names_the_fault(self, synth_dir, tmp_path, capsys, fraction):
+        out = tmp_path / "out"
+        code = main([
+            "train", "--data", str(synth_dir / "synthetic.csv"), "--split-fraction", fraction,
+            "--hidden", "4", "--epochs", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least 2 training rows to fit scaling, have 0\n"
+        assert not out.exists()
+
     def test_zero_epochs_names_the_fault(self, synth30_path, tmp_path, capsys):
         code = main(["train", "--data", str(synth30_path), "--epochs", "0", "--out", str(tmp_path)])
         assert code == 1

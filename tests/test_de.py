@@ -6,13 +6,12 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import corner_optimum, de_generation, plain_terms, search_box
+from helpers import corner_optimum, de_generation, initial_positions, plain_terms, search_box
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from loadshift import common, de
-from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
@@ -299,7 +298,7 @@ def reference_states(problem, config, rng=None):
     fed the same draws as ``de.optimize``, one draw per generation from
     ``rng`` (by default a new generator at the config's seed)."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
-    population = init_positions(problem, config.population_size, rng)
+    population = initial_positions(problem, config.population_size, rng)
     objectives = plain_terms(problem, population)[3]
     states = [population]
     for _ in range(config.iterations):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import corner_optimum
+from helpers import corner_optimum, initial_positions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +37,8 @@ def capped_problem(draw):
 @settings(max_examples=25, deadline=None)
 @given(problem=capped_problem(), seed=st.integers(0, 2**32 - 1))
 def test_result_invariants(name, problem, seed):
-    # every batch scored lies in the box, kept or not: DE's trials included
+    # every batch scored lies in the box, kept or not: the initial
+    # population and DE's trials included
     keep = common.Search.keep
     audited = []
 
@@ -50,7 +51,7 @@ def test_result_invariants(name, problem, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(common.Search, "keep", keep_in_the_box)
         result = RUNS[name](problem, seed)
-    assert audited == [10] * 15
+    assert audited == [10] * 16
     _, optimum = corner_optimum(problem)
     assert result.objective >= optimum - 1e-9
     schedule = result.best_schedule.values
@@ -67,6 +68,15 @@ def test_result_invariants(name, problem, seed):
     assert again.best_schedule.values.tobytes() == schedule.tobytes()
     assert again.trace == result.trace
     assert again.objective == result.objective
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem=capped_problem(), seed=st.integers(0, 2**32 - 1), size=st.integers(2, 60))
+def test_initial_population_matches_the_plain_draw(problem, seed, size):
+    # a cap below the peak makes member 0's clip bind
+    search = common.Search(problem, seed, size)
+    reference = initial_positions(problem, size, np.random.default_rng(seed))
+    assert search.positions.tobytes() == reference.tobytes()
 
 
 DEFAULT_RUNS = {

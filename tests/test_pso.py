@@ -5,10 +5,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from helpers import corner_optimum, plain_terms, search_box
+from helpers import corner_optimum, initial_positions, plain_terms, search_box
 
 from loadshift import common, pso
-from loadshift.common import init_positions
 from loadshift.errors import InvalidOptimizerConfig
 from loadshift.objective import build_problem, evaluate_batch
 from loadshift.profiles import load_profile, price_profile
@@ -314,7 +313,7 @@ def reference_states(problem, config, rng=None):
     at the config's seed)."""
     rng = np.random.default_rng(config.seed) if rng is None else rng
     lower, upper = problem.lower_bounds, problem.upper_bounds
-    x = init_positions(problem, config.swarm_size, rng)
+    x = initial_positions(problem, config.swarm_size, rng)
     v_max = config.v_max_fraction * (upper - lower)
     v = rng.uniform(-v_max, v_max, size=x.shape)
     obj = plain_terms(problem, x)[3]
