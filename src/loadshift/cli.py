@@ -1,12 +1,13 @@
 """Command line front end.
 
-The four problem subcommands (optimize, sweep, compare, verify) resolve
-their problem parameters: flag, then key of the --config file, then
-default.  Every subcommand derives per-component seeds from the single
+Each parameter has one flag, and a flag the user omits takes its argparse
+default.  Flag pairs where one would silently override the other
+(--predicted with --model, --split with --split-fraction) are refused as
+usage errors.  Every subcommand derives per-component seeds from the single
 master seed and drops a manifest.json next to its outputs.  The manifest
-records every parsed argument under its argparse dest, with the problem
-parameters already resolved, plus the values derived from them (layer
-sizes, window counts, sweep pairs, output path) and the derived seeds.
+records every parsed argument under its argparse dest, plus the values
+derived from them (layer sizes, window counts, sweep pairs, output path)
+and the derived seeds.
 Timestamps appear only in the manifest, so every other artifact is
 byte-identical across reruns.
 
@@ -17,7 +18,6 @@ inside the library.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import date, datetime
 from functools import cache
@@ -44,17 +44,6 @@ from .report import write_json, write_trace_csv
 from .seeding import derive_seed
 
 PREDICTED_COLUMN = "predicted_kwh"
-
-# the problem parameters a config file may set, with their defaults; the
-# default weighting leans toward shifting over raw cost
-_PROBLEM_DEFAULTS = {
-    "alpha": DEFAULT_ALPHA,
-    "gamma_lo": DEFAULT_GAMMA_LO,
-    "gamma_hi": DEFAULT_GAMMA_HI,
-    "peak_cap": None,
-    "w1": 0.4,
-    "w2": 0.6,
-}
 
 
 # parameter resolution -------------------------------------------------------
@@ -84,39 +73,9 @@ def _free_hours(text: str) -> list:
     return sorted(hour - 1 for hour in hours)
 
 
-def _read_config(path) -> dict:
-    """A --config file: a JSON object whose values are finite numbers, or
-    null for peak_cap.  Booleans are not numbers here."""
-    try:
-        config = json.loads(Path(path).read_text(encoding="utf-8-sig"), parse_int=float)
-    except ValueError as exc:   # JSONDecodeError and UnicodeDecodeError among them
-        raise InvalidArgument(f"config {path} is not a JSON file: {exc}") from None
-    if not isinstance(config, dict):
-        raise InvalidArgument(f"config {path} must hold a JSON object, got {json.dumps(config)}")
-    for key, value in config.items():
-        if not (type(value) is float and np.isfinite(value)) and (key, value) != ("peak_cap", None):
-            kind = "a finite number or null" if key == "peak_cap" else "a finite number"
-            raise InvalidArgument(f"config {path}: {key!r} must be {kind}, got {json.dumps(value)}")
-    return config
-
-
-def _resolve_problem_parameters(args) -> None:
-    """Set each problem parameter the subcommand defines on ``args``: the
-    flag, else the config file key, else the default.  A config key for a
-    parameter the subcommand lacks is refused, not ignored."""
-    config = _read_config(args.config) if args.config else {}
-    allowed = sorted(key for key in _PROBLEM_DEFAULTS if hasattr(args, key))
-    unknown = sorted(set(config) - set(allowed))
-    if unknown:
-        raise LoadshiftError(f"config keys {unknown} are not parameters of {args.command}; allowed: {allowed}")
-    for key in allowed:
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, _PROBLEM_DEFAULTS[key]))
-
-
 def _bounds(args) -> dict:
-    """build_problem's keyword arguments: every resolved problem parameter but the weights."""
-    return {key: getattr(args, key) for key in _PROBLEM_DEFAULTS if key not in ("w1", "w2")}
+    """build_problem's keyword arguments: every problem parameter but the weights."""
+    return {key: getattr(args, key) for key in ("alpha", "gamma_lo", "gamma_hi", "peak_cap")}
 
 
 def _out_dir(args) -> Path:
@@ -152,7 +111,7 @@ def _write_hourly_csv(path, columns: dict) -> None:
 
 def _resolve_day_inputs(args) -> tuple:
     """(predicted, prices) from either a trained model + dataset + day or
-    plain 24-row CSVs; then the problem parameters, resolved onto ``args``."""
+    plain 24-row CSVs."""
     dataset = None
     day = _parse_flag("--day", args.day, date.fromisoformat) if args.day else None
     if args.predicted:
@@ -182,7 +141,6 @@ def _resolve_day_inputs(args) -> tuple:
             "need 24 hourly prices: pass --prices CSV, "
             "or --data with a price column and --day"
         )
-    _resolve_problem_parameters(args)
     return predicted, prices
 
 
@@ -396,22 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory (default .)")
 
     day_inputs = argparse.ArgumentParser(add_help=False)
-    day_inputs.add_argument("--predicted", help=f"24-row CSV hour,{PREDICTED_COLUMN}")
-    day_inputs.add_argument("--model", help="trained model file (with --data and --day)")
+    forecast = day_inputs.add_mutually_exclusive_group()
+    forecast.add_argument("--predicted", help=f"24-row CSV hour,{PREDICTED_COLUMN}")
+    forecast.add_argument("--model", help="trained model file (with --data and --day)")
     day_inputs.add_argument("--data", help="hourly dataset CSV")
     day_inputs.add_argument("--day", help="target day, ISO date")
     day_inputs.add_argument("--prices", help=f"24-row CSV hour,{PRICE_COLUMN}")
 
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--config", help="JSON problem config; flags override its keys")
-    bounds.add_argument("--alpha", type=float, help="violation penalty weight")
-    bounds.add_argument("--gamma-lo", type=float, help="lower bound factor on predicted load")
-    bounds.add_argument("--gamma-hi", type=float, help="upper bound factor on predicted load")
-    bounds.add_argument("--peak-cap", type=float, help="hard hourly ceiling, kWh")
+    bounds.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
+                        help="violation penalty weight (default %(default)s)")
+    bounds.add_argument("--gamma-lo", type=float, default=DEFAULT_GAMMA_LO,
+                        help="lower bound factor on predicted load (default %(default)s)")
+    bounds.add_argument("--gamma-hi", type=float, default=DEFAULT_GAMMA_HI,
+                        help="upper bound factor on predicted load (default %(default)s)")
+    bounds.add_argument("--peak-cap", type=float, help="hard hourly ceiling, kWh (default none)")
 
+    # the default weighting leans toward shifting over raw cost
     weights = argparse.ArgumentParser(add_help=False)
-    weights.add_argument("--w1", type=float, help="cost term weight")
-    weights.add_argument("--w2", type=float, help="shift term weight")
+    weights.add_argument("--w1", type=float, default=0.4, help="cost term weight (default 0.4)")
+    weights.add_argument("--w2", type=float, default=0.6, help="shift term weight (default 0.6)")
 
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--population", type=int, default=50,
@@ -440,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=mlp.TrainConfig.learning_rate)
     p.add_argument("--batch-size", type=int, default=mlp.TrainConfig.batch_size)
     p.add_argument("--momentum", type=float, default=mlp.TrainConfig.momentum)
-    p.add_argument("--split", help="train/test boundary timestamp, ISO")
-    p.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
+    split = p.add_mutually_exclusive_group()
+    split.add_argument("--split", help="train/test boundary timestamp, ISO")
+    split.add_argument("--split-fraction", type=float, default=DEFAULT_SPLIT_FRACTION)
     p.add_argument("--allow-gaps", action="store_true", help="accept missing hours between rows")
     p.set_defaults(func=cmd_train)
 

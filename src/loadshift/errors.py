@@ -118,5 +118,5 @@ class MissingPrices(LoadshiftError, ValueError):
 # command line --------------------------------------------------------------
 
 class InvalidArgument(LoadshiftError):
-    """A flag value or a ``--config`` file the command line cannot use; the
-    message names the flag and its value, or the file and the key."""
+    """A flag value the command line cannot use; the message names the
+    flag and its value."""

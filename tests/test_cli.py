@@ -66,6 +66,10 @@ def with_byte_order_mark(path, copy):
     return copy
 
 
+PROBLEM_COMMANDS = ["optimize", "sweep", "compare", "verify"]
+COMMANDS = ["synth", "train", "predict", *PROBLEM_COMMANDS]
+
+
 def narrow_input(model, width, lag):
     """Edit a model file's payload to a ``width``-unit input layer, with its
     first weights cut to match, and the given lag."""
@@ -106,6 +110,15 @@ class TestTrain:
         assert (args.epochs, args.learning_rate, args.batch_size, args.momentum) == (
             config.epochs, config.learning_rate, config.batch_size, config.momentum)
         assert args.split_fraction == inspect.signature(load_dataset).parameters["split_fraction"].default
+
+    def test_split_and_split_fraction_are_refused_together(self, synth3_path, tmp_path, capsys):
+        # --split would silently override --split-fraction, which the manifest would still record
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(synth3_path), "--split", "2024-01-02T00:00:00",
+                  "--split-fraction", "0.3", "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --split-fraction: not allowed with argument --split" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("split, undefined", [
         (["--split-fraction", "0.99"], "test"),
@@ -184,6 +197,15 @@ class TestOptimize:
             "--iterations", "15", "--out", str(out), *extra,
         ])
 
+    @pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+    def test_problem_defaults_are_the_library_defaults(self, command):
+        args = build_parser().parse_args([command])
+        defaults = inspect.signature(build_problem).parameters
+        for key in ("alpha", "gamma_lo", "gamma_hi", "peak_cap"):
+            assert getattr(args, key) == defaults[key].default
+        if command != "sweep":   # sweep takes its weights from --weights
+            assert (args.w1, args.w2) == (0.4, 0.6)
+
     def test_outputs(self, day_inputs, tmp_path):
         assert self.run(day_inputs, tmp_path) == 0
         result = json.loads((tmp_path / "result.json").read_text())
@@ -226,14 +248,6 @@ class TestOptimize:
         marked = tuple(with_byte_order_mark(path, tmp_path / f"bom-{path.name}") for path in day_inputs)
         assert self.run(day_inputs, tmp_path / "plain") == 0
         assert self.run(marked, tmp_path / "bom") == 0
-        assert (tmp_path / "bom" / "result.json").read_bytes() == (tmp_path / "plain" / "result.json").read_bytes()
-
-    def test_config_with_a_byte_order_mark_gives_the_same_result(self, day_inputs, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"alpha": 50.0, "peak_cap": 120.0}), encoding="utf-8")
-        marked = with_byte_order_mark(config, tmp_path / "bom-config.json")
-        assert self.run(day_inputs, tmp_path / "plain", ("--config", str(config))) == 0
-        assert self.run(day_inputs, tmp_path / "bom", ("--config", str(marked))) == 0
         assert (tmp_path / "bom" / "result.json").read_bytes() == (tmp_path / "plain" / "result.json").read_bytes()
 
     def test_de_algorithm_runs(self, day_inputs, tmp_path):
@@ -452,25 +466,22 @@ class TestGoldenArtifacts:
 
 
 class TestManifest:
-    """manifest.json holds every parsed argument by its dest, with the problem
-    parameters resolved, so the run can be repeated from it."""
+    """manifest.json holds every parsed argument by its dest, defaults
+    included, so the run can be repeated from it."""
 
-    def test_optimize_records_its_inputs_and_config(self, trained_dir, synth_dir, tmp_path):
+    def test_optimize_records_its_inputs_and_defaults(self, trained_dir, synth_dir, tmp_path):
         model, data = str(trained_dir / "model.json"), str(synth_dir / "synthetic.csv")
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.7, "w2": 0.3}))
         assert main([
-            "optimize", "--model", model, "--data", data, "--day", "2024-01-06", "--config", str(config),
+            "optimize", "--model", model, "--data", data, "--day", "2024-01-06",
             "--w2", "0.5", "--population", "10", "--iterations", "10", "--out", str(tmp_path / "out"),
         ]) == 0
         parameters = json.loads((tmp_path / "out" / "manifest.json").read_text())["parameters"]
-        assert {key: parameters[key] for key in ("model", "data", "day", "config", "predicted", "prices")} == {
-            "model": model, "data": data, "day": "2024-01-06", "config": str(config),
-            "predicted": None, "prices": None,
+        assert {key: parameters[key] for key in ("model", "data", "day", "predicted", "prices")} == {
+            "model": model, "data": data, "day": "2024-01-06", "predicted": None, "prices": None,
         }
-        # flag, then config key, then default
+        # flag, then default
         assert {key: parameters[key] for key in ("w1", "w2", "alpha", "gamma_lo", "gamma_hi", "peak_cap")} == {
-            "w1": 0.7, "w2": 0.5, "alpha": 100.0, "gamma_lo": 0.5, "gamma_hi": 1.5, "peak_cap": None,
+            "w1": 0.4, "w2": 0.5, "alpha": 100.0, "gamma_lo": 0.5, "gamma_hi": 1.5, "peak_cap": None,
         }
 
     def test_predict_records_data_and_allow_gaps(self, trained_dir, synth_dir, tmp_path):
@@ -490,7 +501,7 @@ class TestManifest:
         parameters = json.loads((tmp_path / "train" / "manifest.json").read_text())["parameters"]
         assert parameters["data"] == data and parameters["allow_gaps"] is True
 
-    @pytest.mark.parametrize("command", ["synth", "train", "predict", "optimize", "sweep", "compare", "verify"])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_parameters_hold_every_dest(self, day_inputs, synth_dir, trained_dir, tmp_path, command):
         data = str(synth_dir / "synthetic.csv")
         day = ["--predicted", str(day_inputs[0]), "--prices", str(day_inputs[1]),
@@ -597,14 +608,33 @@ class TestErrors:
         ["synth"],
         ["train", "--data", "data.csv"],
         ["predict", "--model", "model.json", "--data", "data.csv", "--day", "2024-01-06"],
-    ])
-    def test_config_is_only_for_problem_commands(self, argv, capsys):
-        # synth, train and predict read no problem parameters: a config file
-        # given to them is refused, not ignored
+        ["optimize"], ["sweep"], ["compare"], ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_config_is_refused_by_every_command(self, argv, capsys):
+        # each problem parameter has its flag, and no file sets it
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--config", "config.json"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --config config.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: loadshift {command} ")
+
+    @pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+    def test_predicted_and_model_are_refused_together(self, day_inputs, synth_dir, tmp_path, capsys, command):
+        # --predicted would silently override --model, which would never be opened
+        predicted, _ = day_inputs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--predicted", str(predicted), "--model", str(tmp_path / "absent.json"),
+                  "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-06",
+                  "--population", "6", "--iterations", "3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --model: not allowed with argument --predicted" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_short_predicted_csv(self, day_inputs, tmp_path, capsys):
         _, prices = day_inputs
@@ -755,21 +785,6 @@ class TestErrors:
         ])
         assert code == 1
         assert "price" in capsys.readouterr().err.lower()
-
-    def test_sweep_config_refuses_weights(self, day_inputs, tmp_path, capsys):
-        # sweep takes its weights from --weights only; w1/w2 in its config
-        # would otherwise be silently ignored
-        predicted, prices = day_inputs
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1}))
-        code = main([
-            "sweep", "--predicted", str(predicted), "--prices", str(prices), "--config", str(config),
-            "--weights", "0.4:0.6", "--population", "6", "--iterations", "3", "--out", str(tmp_path),
-        ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "['w1', 'w2'] are not parameters of sweep" in err
-        assert not (tmp_path / "sweep.json").exists()
 
     @pytest.mark.parametrize("fraction", ["-0.5", "inf", "nan"])
     def test_split_fraction_outside_unit_interval(self, synth_dir, tmp_path, capsys, fraction):
@@ -1036,7 +1051,7 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "result.json").exists()
 
-    @pytest.mark.parametrize("command", ["optimize", "sweep", "compare", "verify"])
+    @pytest.mark.parametrize("command", PROBLEM_COMMANDS)
     def test_infinite_peak_cap_is_refused_by_every_day_command(self, day_inputs, tmp_path, capsys, command):
         # an accepted inf would end in manifest.json as the non-JSON token Infinity
         predicted, prices = day_inputs
@@ -1054,37 +1069,6 @@ class TestErrors:
         code = main(["optimize", "--prices", str(prices), "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: need a predicted profile")
-
-    def test_unknown_config_key(self, day_inputs, tmp_path, capsys):
-        predicted, prices = day_inputs
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.4, "w2": 0.6, "bogus": 1}))
-        code = main([
-            "optimize", "--predicted", str(predicted), "--prices", str(prices),
-            "--config", str(config), "--out", str(tmp_path),
-        ])
-        assert code == 1
-        assert "bogus" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"w1": "x"}', ": 'w1' must be a finite number, got \"x\""),
-        ('{"alpha": null}', ": 'alpha' must be a finite number, got null"),
-        ("5", " must hold a JSON object, got 5.0"),
-        ('{"peak_cap": true}', ": 'peak_cap' must be a finite number or null, got true"),
-        ("w1 = 0.9", " is not a JSON file: Expecting value: line 1 column 1"),
-    ])
-    def test_config_of_the_wrong_form_names_the_file_and_the_fault(
-            self, day_inputs, tmp_path, capsys, text, message):
-        predicted, prices = day_inputs
-        config = tmp_path / "config.json"
-        config.write_text(text)
-        code = main([
-            "optimize", "--predicted", str(predicted), "--prices", str(prices),
-            "--config", str(config), "--out", str(tmp_path),
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: config {config}{message}")
-        assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["verify", "--free-hours", "a"], "--free-hours 'a': invalid literal for int() with base 10: 'a'"),
@@ -1107,21 +1091,6 @@ class TestErrors:
         code = main([*flags, "--data", str(synth30_path), "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-
-    def test_config_supplies_problem_parameters(self, day_inputs, tmp_path):
-        predicted, prices = day_inputs
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"w1": 0.9, "w2": 0.1, "alpha": 50.0, "peak_cap": None}))
-        code = main([
-            "optimize", "--predicted", str(predicted), "--prices", str(prices),
-            "--config", str(config), "--population", "10", "--iterations", "10",
-            "--out", str(tmp_path),
-        ])
-        assert code == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["parameters"]["w1"] == 0.9
-        assert manifest["parameters"]["alpha"] == 50.0
-        assert manifest["parameters"]["peak_cap"] is None
 
 
 def test_console_script_runs_cli_main():
