@@ -3,11 +3,13 @@
 Each parameter has one flag, and a flag the user omits takes its argparse
 default.  Flag pairs where one would silently override the other
 (--predicted with --model, --split with --split-fraction) are refused as
-usage errors.  Every subcommand derives per-component seeds from the single
-master seed and drops a manifest.json next to its outputs.  The manifest
-records every parsed argument under its argparse dest, plus the values
-derived from them (layer sizes, window counts, sweep pairs, output path)
-and the derived seeds.
+usage errors.  A day's forecast and prices each come from one source: the
+24-row CSV when given, otherwise the --data dataset at --day, so --data and
+--day are refused when both CSVs are given.  Every subcommand derives
+per-component seeds from the single master seed and drops a manifest.json
+next to its outputs.  The manifest records every parsed argument under its
+argparse dest, plus the values derived from them (layer sizes, window
+counts, sweep pairs, output path) and the derived seeds.
 Timestamps appear only in the manifest, so every other artifact is
 byte-identical across reruns.
 
@@ -110,38 +112,29 @@ def _write_hourly_csv(path, columns: dict) -> None:
 # input resolution -----------------------------------------------------------
 
 def _resolve_day_inputs(args) -> tuple:
-    """(predicted, prices) from either a trained model + dataset + day or
-    plain 24-row CSVs."""
-    dataset = None
-    day = _parse_flag("--day", args.day, date.fromisoformat) if args.day else None
-    if args.predicted:
-        predicted = load_profile(
-            read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData)
-        )
-    elif args.model and args.data and day is not None:
-        model = mlp.load_model(args.model)
-        dataset = load_dataset(args.data, allow_gaps=True)
-        predicted = mlp.predict_day(model, dataset, day)
-    else:
-        raise LoadshiftError(
-            "need a predicted profile: pass --predicted CSV, "
-            "or --model with --data and --day"
-        )
+    """(predicted, prices) for one day.  Each comes from one source: its
+    24-row CSV (--predicted, --prices) when given, otherwise the --data
+    dataset at --day, the forecast made by --model."""
+    from_data = args.predicted is None or args.prices is None
+    if not from_data and (args.data is not None or args.day is not None):
+        raise InvalidArgument("--data and --day are not read when --predicted and --prices are both given")
+    dated = args.data is not None and args.day is not None
+    if args.predicted is None and not (args.model is not None and dated):
+        raise LoadshiftError("need a predicted profile: pass --predicted CSV, or --model with --data and --day")
+    if args.prices is None and not dated:
+        raise MissingPrices("need 24 hourly prices: pass --prices CSV, or --data with a price column and --day")
 
-    if args.prices:
-        prices = price_profile(
-            read_hourly_column(args.prices, PRICE_COLUMN, MissingPrices)
-        )
-    elif args.data and day is not None:
-        if dataset is None:
-            dataset = load_dataset(args.data, allow_gaps=True)
-        prices = dataset.day_profile(day, ProfileKind.PRICE)
+    day = _parse_flag("--day", args.day, date.fromisoformat) if from_data else None
+    if args.predicted is not None:
+        predicted = load_profile(read_hourly_column(args.predicted, PREDICTED_COLUMN, InsufficientData))
     else:
-        raise MissingPrices(
-            "need 24 hourly prices: pass --prices CSV, "
-            "or --data with a price column and --day"
-        )
-    return predicted, prices
+        model = mlp.load_model(args.model)
+    dataset = load_dataset(args.data, allow_gaps=True) if from_data else None
+    if args.predicted is None:
+        predicted = mlp.predict_day(model, dataset, day)
+    if args.prices is not None:
+        return predicted, price_profile(read_hourly_column(args.prices, PRICE_COLUMN, MissingPrices))
+    return predicted, dataset.day_profile(day, ProfileKind.PRICE)
 
 
 def _build_problem_from_args(args):

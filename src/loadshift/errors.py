@@ -73,7 +73,8 @@ class InvalidTrainConfig(LoadshiftError, ValueError):
 
 class InvalidModel(LoadshiftError, ValueError):
     """A model file that is not a JSON object, is of another format, lacks a
-    key or holds a malformed value, or a model without normalization stats."""
+    key or holds a malformed value, a model without normalization stats, or
+    one whose forecast of a day is not finite."""
 
 
 class DivergedTraining(LoadshiftError):
@@ -118,5 +119,5 @@ class MissingPrices(LoadshiftError, ValueError):
 # command line --------------------------------------------------------------
 
 class InvalidArgument(LoadshiftError):
-    """A flag value the command line cannot use; the message names the
-    flag and its value."""
+    """A flag value the command line cannot use, named with its flag, or
+    flags that nothing would read, named without a value."""

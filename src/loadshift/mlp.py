@@ -301,7 +301,10 @@ def predict_day(model: MlpModel, dataset: Dataset, day: date) -> HourlyProfile:
     features = np.concatenate([dataset.weather[day_rows], lagged], axis=1)
     raw = _forward_batch(model.weights, model.biases, normalize_features(features, model.scaling, out=features))[-1][:, 0]
     predictions = denormalize(raw, model.norm_stats.lo[-1], model.norm_stats.hi[-1])
-    return load_profile(np.maximum(predictions, 0.0))
+    try:
+        return load_profile(np.maximum(predictions, 0.0))
+    except ValueError:   # HourlyProfile refuses non-finite values; finite weights can still overflow
+        raise InvalidModel(f"model forecasts a non-finite load for {day}") from None
 
 
 def _scaled_deviations(x):

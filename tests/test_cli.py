@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 from datetime import date, datetime, timedelta, timezone
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from helpers import write_hourly_csv
 
 from loadshift import mlp
 from loadshift.cli import build_parser, main
-from loadshift.errors import InsufficientData, LoadshiftError
+from loadshift.errors import InsufficientData, InvalidArgument, InvalidModel, LoadshiftError, MissingPrices
 from loadshift.exact import exact_optimum
 from loadshift.ingest import load_dataset, read_hourly_column
 from loadshift.objective import build_problem
@@ -591,6 +592,56 @@ class TestGaps:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def flag_argv(values, flags):
+    return [arg for flag in flags for arg in (flag, str(values[flag]))]
+
+
+def flag_id(flags):
+    return "+".join(flag[2:] for flag in flags) or "none"
+
+
+class TestDayInputs:
+    """The forecast and the prices each come from one source: the 24-row
+    CSV when given, otherwise the --data dataset at --day, the forecast
+    made by --model.  --data and --day are refused where nothing reads them."""
+
+    ROUTES = [{"--predicted", "--prices"}, {"--predicted", "--data", "--day"},
+              {"--model", "--data", "--day"}, {"--model", "--data", "--day", "--prices"}]
+    SUBSETS = [(*forecast, *rest) for forecast in ((), ("--predicted",), ("--model",))
+               for n in range(4) for rest in combinations(("--data", "--day", "--prices"), n)]
+    REFUSED = [("--data",), ("--day",), ("--data", "--day")]
+    BUDGET = ["--population", "6", "--iterations", "3"]
+
+    @pytest.mark.parametrize("flags", SUBSETS, ids=flag_id)
+    def test_exactly_four_routes_run(self, day_inputs, synth_dir, trained_dir, tmp_path, capsys, flags):
+        values = {"--predicted": day_inputs[0], "--model": trained_dir / "model.json",
+                  "--data": synth_dir / "synthetic.csv", "--day": "2024-01-06", "--prices": day_inputs[1]}
+        out = tmp_path / "out"
+        code = main(["optimize", *flag_argv(values, flags), *self.BUDGET, "--out", str(out)])
+        if set(flags) in self.ROUTES:
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+    @pytest.mark.parametrize("unread", REFUSED, ids=flag_id)
+    def test_both_csvs_refuse_data_and_day(self, day_inputs, tmp_path, capsys, command, unread):
+        # nothing would read them, yet manifest.json would record them as the run's
+        values = {"--data": tmp_path / "absent.csv", "--day": "2024-01-08"}
+        out = tmp_path / "out"
+        argv = [command, "--predicted", str(day_inputs[0]), "--prices", str(day_inputs[1]),
+                *flag_argv(values, unread), *self.BUDGET, "--out", str(out)]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InvalidArgument):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: --data and --day are not read when --predicted and --prices are both given\n"
+        assert not out.exists()
+
+
 class TestErrors:
     def test_missing_data_file(self, tmp_path, capsys):
         code = main([
@@ -640,12 +691,23 @@ class TestErrors:
         _, prices = day_inputs
         short = tmp_path / "short.csv"
         write_hourly_csv(short, "predicted_kwh", np.full(23, 100.0))
-        code = main([
-            "optimize", "--predicted", str(short), "--prices", str(prices),
-            "--w1", "0.4", "--w2", "0.6", "--out", str(tmp_path),
-        ])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        argv = ["optimize", "--predicted", str(short), "--prices", str(prices), "--out", str(tmp_path / "out")]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InsufficientData):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {short}: no value for hours [24]\n"
+
+    def test_short_prices_csv(self, day_inputs, tmp_path, capsys):
+        predicted, _ = day_inputs
+        short = tmp_path / "short.csv"
+        write_hourly_csv(short, "price_c_per_kwh", np.full(23, 10.0))
+        argv = ["optimize", "--predicted", str(predicted), "--prices", str(short), "--out", str(tmp_path / "out")]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(MissingPrices):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {short}: no value for hours [24]\n"
 
     def test_duplicate_hour_names_its_line(self, day_inputs, tmp_path, capsys):
         _, prices = day_inputs
@@ -928,6 +990,25 @@ class TestErrors:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: model {model} holds a malformed value: {fault}")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")   # scaling the output back
+    @pytest.mark.parametrize("command", ["predict", "optimize"])
+    def test_model_whose_forecast_overflows_names_the_day(self, trained_dir, synth_dir, tmp_path, capsys, command):
+        # finite weights, so the file loads, but the forecast is not finite
+        payload = json.loads((trained_dir / "model.json").read_text())
+        payload["weights"][-1] = [[1e308] * len(row) for row in payload["weights"][-1]]
+        payload["biases"][-1] = [1e308] * len(payload["biases"][-1])
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = [command, "--model", str(model), "--data", str(synth_dir / "synthetic.csv"), "--day", "2024-01-05",
+                "--out", str(out)]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(InvalidModel):
+            args.func(args)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: model forecasts a non-finite load for 2024-01-05\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "predict"])
