@@ -42,6 +42,7 @@ from .profiles import WEATHER_FEATURES, Dataset, HourlyProfile, load_profile
 MODEL_FORMAT = "loadshift-mlp/1"
 
 DEFAULT_LAYER_SIZES = (25, 20, 15)   # hidden sizes; input is 5 + lag, output is 1
+_SCORE_ROWS = 256   # OpenBLAS keeps a block this small on one thread, so no row's rounding follows the thread count
 
 
 def check_architecture(sizes: tuple, lag: int) -> None:
@@ -165,6 +166,15 @@ def _forward_batch(weights, biases, X, out=None):
     return activations
 
 
+def _score(weights, biases, X):
+    """The network's output for each row of ``X``, run ``_SCORE_ROWS`` rows at a time."""
+    scores = np.empty(len(X))
+    for start in range(0, len(X), _SCORE_ROWS):
+        block = X[start : start + _SCORE_ROWS]
+        scores[start : start + len(block)] = _forward_batch(weights, biases, block)[-1][:, 0]
+    return scores
+
+
 def _backprop(weights, activations, delta, out, deltas):
     """Reverse pass; ``delta`` is d(loss)/d(pre-activation output).
 
@@ -198,7 +208,8 @@ def train(
     drawn from config.seed and gradients reduce in fixed array order. An
     epoch's MSE is the mean over its batches of each window's squared
     residual before that batch's update; ``train_mse`` and ``test_mse``
-    come from one pass with the final weights. A non-finite loss raises
+    come from the final weights scored in 256-row blocks, so they do not
+    depend on the BLAS thread count. A non-finite loss raises
     DivergedTraining with the 1-based epoch.
     """
     if not train_windows:
@@ -249,7 +260,7 @@ def train(
             raise DivergedTraining(epoch)
         epoch_mse.append(mse)
 
-    preds = _forward_batch(weights, biases, X)[-1][:, 0]
+    preds = _score(weights, biases, X)
     train_mse, train_r = metrics(preds, y)
     if not np.isfinite(train_mse):
         raise DivergedTraining(config.epochs)
@@ -257,7 +268,7 @@ def train(
     test_mse = test_r = None
     if test_windows:
         X_test, y_test = window_matrix(test_windows, model.norm_stats)
-        test_pred = _forward_batch(weights, biases, X_test)[-1][:, 0]
+        test_pred = _score(weights, biases, X_test)
         test_mse, test_r = metrics(test_pred, y_test)
     report = FitReport(
         train_mse=train_mse,

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -267,6 +268,21 @@ class TestTrain:
             with pytest.raises(InvalidTrainConfig, match=message) as exc:
                 mlp.TrainConfig(**{field: value})
             assert isinstance(exc.value, LoadshiftError) and isinstance(exc.value, ValueError)
+
+    def test_final_pass_holds_one_block_of_activations(self):
+        """The final pass scores 256 rows at a time: over the whole matrix its
+        activations alone would take 20,000 x 61 floats, 9.8 MB."""
+        rng = np.random.default_rng(7)
+        features = rng.uniform(-1, 1, (20_000, 6))
+        windows = Windows(features, features[:, 0] * 0.5, np.arange(len(features)), len(features))
+        model = mlp.init_model((6, *mlp.DEFAULT_LAYER_SIZES, 1), 0, norm_stats=unit_stats(), lag=1)
+        tracemalloc.start()
+        try:
+            mlp.train(model, windows, [], mlp.TrainConfig(epochs=1, batch_size=64, seed=0))
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes <= features.nbytes + 2 * 2**20
 
 
 def replay_training(model, X, y, config):
@@ -535,6 +551,18 @@ class TestGoldenForecast:
             assert sha256(mlp.predict_day(model, synth30, day).values.tobytes()) == digest, day
 
 
+def at_one_and_two_blas_threads(script):
+    """The standard output of ``script`` run in a fresh interpreter at
+    ``OPENBLAS_NUM_THREADS`` 1 and at 2."""
+    package_root = str(Path(mlp.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                      text=True, check=True).stdout)
+    return outputs
+
+
 class TestMetrics:
     def test_identity(self):
         series = np.array([1.0, 2.0, 3.0, 4.0])
@@ -596,12 +624,19 @@ class TestMetrics:
                   "for seed in range(5):\n"
                   "    rng = np.random.default_rng(seed); a = rng.normal(size=20_001)\n"
                   "    print(*map(float.hex, metrics(a + rng.normal(size=a.size), a)))")
-        package_root = str(Path(mlp.__file__).parents[1])
-        outputs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": package_root}
-            outputs.append(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                          text=True, check=True).stdout)
+        outputs = at_one_and_two_blas_threads(script)
+        assert outputs[0] == outputs[1]
+
+    def test_final_pass_independent_of_the_blas_thread_count(self):
+        """``train`` scores its final figures with ``_score``. OpenBLAS splits
+        the whole (74,413 x 29) product across two threads, and there the last
+        row's output moves by 8 ulp; a 256-row block stays on one thread."""
+        script = ("import hashlib, numpy as np; from loadshift import mlp; from loadshift.ingest import NormalizationStats\n"
+                  "stats = NormalizationStats(np.full(6, -1.0), np.full(6, 1.0))\n"
+                  "model = mlp.init_model((29, *mlp.DEFAULT_LAYER_SIZES, 1), 0, norm_stats=stats)\n"
+                  "X = np.random.default_rng(0).uniform(-1, 1, (74_413, 29))\n"
+                  "print(hashlib.sha256(mlp._score(model.weights, model.biases, X).tobytes()).hexdigest())")
+        outputs = at_one_and_two_blas_threads(script)
         assert outputs[0] == outputs[1]
 
     def test_shape_mismatch(self):
